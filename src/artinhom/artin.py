@@ -15,10 +15,9 @@ existence question is settled first through finite-type recognition, so
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
-from .coxeter import CoxeterSystem, Word, alternating_word, cache_put
+from .coxeter import CoxeterSystem, Word
 from .errors import InfiniteType, InternalError, NotAChain, Undecided
 
 DEFAULT_SEARCH_BOUND = 16
@@ -29,36 +28,18 @@ class ArtinMonoid:
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._limit = system._limit
-        self._classes: dict[Word, frozenset[Word]] = {}
         self._elements_by_length: list[list[Word]] = [[()]]
         self._deltas: dict[frozenset[str], Word] | None = None
 
     # -- equivalence ------------------------------------------------------
 
     def equiv_class(self, word: Iterable[str]) -> frozenset[Word]:
-        """All positive words equal to `word`; finite by length preservation."""
-        word = self.system.check_word(word)
-        cached = self._classes.get(word)
-        if cached is not None:
-            return cached
-        seen = {word}
-        stack = [word]
-        moves = self.system._moves
-        while stack:
-            w = stack.pop()
-            for pattern, replacement in moves:
-                k = len(pattern)
-                for i in range(len(w) - k + 1):
-                    if w[i : i + k] == pattern:
-                        new = w[:i] + replacement + w[i + k :]
-                        if new not in seen:
-                            seen.add(new)
-                            stack.append(new)
-        closure = frozenset(seen)
-        for w in closure:
-            cache_put(self._classes, w, closure, self._limit)
-        return closure
+        """All positive words equal to `word`; finite by length preservation.
+
+        Monoid relations are exactly the braid moves, so this is the
+        system's memoized braid closure.
+        """
+        return self.system.braid_closure(self.system.check_word(word))
 
     def canon(self, word: Iterable[str]) -> Word:
         return min(self.equiv_class(word), key=self.system.key)

@@ -33,7 +33,11 @@ from .errors import (
     UnknownGenerator,
     VerificationError,
 )
-from .homology import abelianized_presentation_h1, homology_groups
+from .homology import (
+    HomologyGroup,
+    abelianized_presentation_h1,
+    homology_groups,
+)
 from .matching import BarMatching
 from .morse import (
     boundary_word_2cell,
@@ -272,7 +276,7 @@ def cmd_homology(args, system, out):
     code = 0
     if args.verify:
         oracle = abelianized_presentation_h1(system)
-        h1 = groups[1] if len(groups) > 1 else None
+        h1 = groups[1] if len(groups) > 1 else HomologyGroup(0)
         ok_h1 = h1 == oracle
         max_len = max(
             (len(mon.delta(T)) for T in system.sf() if T), default=0

@@ -26,6 +26,7 @@ from .errors import (
     AsymmetricMatrix,
     BadDiagonal,
     BadEntry,
+    BadEnvironment,
     DuplicateGenerator,
     InfiniteType,
     InternalError,
@@ -42,7 +43,10 @@ def cache_limit() -> int | None:
     raw = os.environ.get(CACHE_LIMIT_ENV)
     if not raw:
         return None
-    return max(0, int(raw))
+    try:
+        return max(0, int(raw))
+    except ValueError:
+        raise BadEnvironment(f"{CACHE_LIMIT_ENV}={raw!r} is not an integer") from None
 
 
 def cache_put(cache: dict, key, value, limit: int | None):

@@ -23,6 +23,10 @@ class BadEntry(DomainError):
     code = "bad-entry"
 
 
+class BadEnvironment(DomainError):
+    code = "bad-environment"
+
+
 class DuplicateGenerator(DomainError):
     code = "duplicate-generator"
 

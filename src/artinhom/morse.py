@@ -1,12 +1,15 @@
-"""Algebraic collapse along an acyclic matching: cell graphs, the
-reduced chain complex, and attaching words of 2-cells.
+"""Algebraic collapse along an acyclic matching: the reduced chain
+complex and attaching words of 2-cells.
 
 The reduced boundary of an essential cell sums over alternating zig-zag
 paths: descend along a face, ascend through a matched pair (with a sign
 flip and the inverse incidence), and repeat until another essential cell
 is reached.  Matched ascents preserve the (length, flag) grade and
 descents never raise it, so with the per-grade acyclicity certified by
-the audits every path set is finite.
+the audits every path set is finite.  The paths are followed lazily:
+partners are asked of the matching on demand and only the cells the
+paths reach are expanded, so no cell set is enumerated up front.  A path
+that returns to a cell still being expanded raises NonAcyclicInput.
 
 In dimension 2 the same traversal is run on the boundary *word* instead
 of the chain: each non-essential edge of the attaching loop is replaced
@@ -17,93 +20,30 @@ rotation and inversion of the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bar import BarCell, boundary, cell_length, faces, iter_cells_of_grade
+from .bar import BarCell, boundary
 from .coxeter import Word, alternating_word
-from .errors import InfiniteM, InternalError, NonAcyclicInput
+from .errors import BadDiagonal, InfiniteM, InternalError, NonAcyclicInput
 from .homology import IntChainComplex, Matrix
 from .matching import BarMatching
 
 SignedWord = tuple[tuple[int, str], ...]
 
 
-@dataclass
-class CellGraph:
-    """Face incidences plus a matching on a finite set of cells."""
-
-    dims: dict[BarCell, int] = field(default_factory=dict)
-    chains: dict[BarCell, dict[BarCell, int]] = field(default_factory=dict)
-    face_sets: dict[BarCell, set[BarCell]] = field(default_factory=dict)
-    upper_of: dict[BarCell, BarCell] = field(default_factory=dict)
-    lower_of: dict[BarCell, BarCell] = field(default_factory=dict)
-
-    def add_cell(self, cell, dim, chain, face_set):
-        self.dims[cell] = dim
-        self.chains[cell] = chain
-        self.face_sets[cell] = face_set
-
-    def add_match(self, upper, lower):
-        self.upper_of[lower] = upper
-        self.lower_of[upper] = lower
-
-    def essential(self, cell) -> bool:
-        return cell not in self.upper_of and cell not in self.lower_of
-
-
-def build_cell_graph(matching: BarMatching, max_length: int) -> CellGraph:
-    """All cells of length <= max_length with faces and matched pairs."""
-    mon = matching.mon
-    graph = CellGraph()
-    for length in range(max_length + 1):
-        for cell in iter_cells_of_grade(mon, length):
-            graph.add_cell(
-                cell,
-                len(cell),
-                boundary(mon, cell),
-                {face for _, face in faces(mon, cell)},
-            )
-    for cell in graph.dims:
-        if cell in graph.upper_of or cell in graph.lower_of:
-            continue
-        edge = matching.partner(cell)
-        if edge is not None:
-            graph.add_match(edge.upper, edge.lower)
-    return graph
-
-
-def check_acyclic(graph: CellGraph) -> bool:
-    """Whether reversing the matched edges leaves the face graph acyclic."""
-    successors: dict[BarCell, list[BarCell]] = {c: [] for c in graph.dims}
-    indegree = {c: 0 for c in graph.dims}
-    for cell, face_set in graph.face_sets.items():
-        for face in face_set:
-            if face not in graph.dims:
-                continue
-            if graph.upper_of.get(face) == cell:
-                source, target = face, cell
-            else:
-                source, target = cell, face
-            successors[source].append(target)
-            indegree[target] += 1
-    queue = [c for c in graph.dims if indegree[c] == 0]
-    visited = 0
-    while queue:
-        cell = queue.pop()
-        visited += 1
-        for target in successors[cell]:
-            indegree[target] -= 1
-            if indegree[target] == 0:
-                queue.append(target)
-    return visited == len(graph.dims)
-
-
 def morse_boundary(
-    graph: CellGraph, essentials: set[BarCell]
+    matching: BarMatching, essentials: set[BarCell]
 ) -> dict[BarCell, dict[BarCell, int]]:
-    """Reduced boundaries of the essential cells by zig-zag summation."""
+    """Reduced boundaries of the essential cells by zig-zag summation.
+
+    Only the cells the paths reach are expanded: a face ascends when the
+    matching pairs it with a cell above, whose boundary is computed once
+    and kept while that face waits for the flows of the other faces.
+    """
+    mon = matching.mon
     flow: dict[BarCell, dict[BarCell, int]] = {}
-    expanding: set[BarCell] = set()
+    # cell on the stack -> its upper partner and that partner's boundary
+    expanding: dict[BarCell, tuple[BarCell, dict[BarCell, int]]] = {}
 
     def flow_of(start: BarCell) -> dict[BarCell, int]:
         stack = [start]
@@ -116,13 +56,16 @@ def morse_boundary(
                 flow[cell] = {cell: 1}
                 stack.pop()
                 continue
-            upper = graph.upper_of.get(cell)
-            if upper is None:
-                # matched with a cell below: zig-zag paths end here
-                flow[cell] = {}
-                stack.pop()
-                continue
-            chain = graph.chains[upper]
+            if cell in expanding:
+                upper, chain = expanding.pop(cell)
+            else:
+                edge = matching.partner(cell)
+                if edge is None or edge.lower != cell:
+                    # unmatched or matched with a cell below: paths end here
+                    flow[cell] = {}
+                    stack.pop()
+                    continue
+                upper, chain = edge.upper, boundary(mon, edge.upper)
             incidence = chain.get(cell)
             if incidence not in (1, -1):
                 raise InternalError(
@@ -134,10 +77,9 @@ def morse_boundary(
                     raise NonAcyclicInput(
                         f"zig-zag paths cycle through {cell}"
                     )
-                expanding.add(cell)
+                expanding[cell] = (upper, chain)
                 stack.extend(pending)
                 continue
-            expanding.discard(cell)
             acc: dict[BarCell, int] = {}
             for face, coeff in chain.items():
                 if face == cell:
@@ -155,7 +97,7 @@ def morse_boundary(
     out: dict[BarCell, dict[BarCell, int]] = {}
     for cell in essentials:
         acc: dict[BarCell, int] = {}
-        for face, coeff in graph.chains[cell].items():
+        for face, coeff in boundary(mon, cell).items():
             for target, value in flow_of(face).items():
                 total = acc.get(target, 0) + coeff * value
                 if total:
@@ -192,18 +134,15 @@ class MorseComplex:
 def reduced_complex(matching: BarMatching) -> MorseComplex:
     """Collapse the full model onto its essential cells.
 
-    Flows from a cell never raise the length, so the graph on cells of
-    length up to the longest fundamental element contains every zig-zag
-    path that starts from an essential cell.
+    The boundaries come from `morse_boundary`, which expands only the
+    cells reached by zig-zag paths from the essential cells.
     """
     system = matching.system
     cells = matching.essential_cells()
-    max_length = max((cell_length(c) for c in cells.values()), default=0)
-    graph = build_cell_graph(matching, max_length)
     for cell in cells.values():
-        if not graph.essential(cell):
+        if matching.partner(cell) is not None:
             raise InternalError(f"constructed essential cell {cell} is matched")
-    boundaries_by_cell = morse_boundary(graph, set(cells.values()))
+    boundaries_by_cell = morse_boundary(matching, set(cells.values()))
     label_of = {cell: T for T, cell in cells.items()}
     top = max((len(T) for T in cells), default=0)
     by_dim: list[list[frozenset[str]]] = [[] for _ in range(top + 1)]
@@ -227,7 +166,10 @@ def boundary_word_2cell(matching: BarMatching, s: str, t: str) -> SignedWord:
     """Attaching word of the essential 2-cell on {s, t}, tracked through
     the collapse letter by letter."""
     system = matching.system
-    if system.m(s, t) == float("inf"):
+    m = system.m(s, t)
+    if s == t:
+        raise BadDiagonal(f"no 2-cell on the single generator {s}")
+    if m == float("inf"):
         raise InfiniteM(f"no 2-cell: m({s},{t}) is infinite")
     mon = matching.mon
     x, y = matching.essential_cell({s, t})

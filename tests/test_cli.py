@@ -124,6 +124,14 @@ class TestCommands:
         assert main(["--system", a2_file, "boundary2", "a", "b"]) == 0
         assert "match: True" in capsys.readouterr().out
 
+    def test_homology_verify_trivial_system(self, tmp_path, capsys):
+        path = tmp_path / "trivial.system"
+        path.write_text("gens:\n")
+        assert main(["--system", str(path), "homology", "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("H_0 = Z\n")
+        assert "presentation H_1 agrees" in out
+
     def test_divides_and_gcd_and_lcm(self, a2_file, capsys):
         assert main(["--system", a2_file, "divides", "b", "aba"]) == 0
         assert "True" in capsys.readouterr().out
@@ -165,6 +173,10 @@ class TestExitCodes:
         assert main(["--system", str(path), "sf"]) == 1
         assert "error" in capsys.readouterr().out
 
+    def test_boundary2_on_one_generator_is_one(self, a2_file, capsys):
+        assert main(["--system", a2_file, "boundary2", "a", "a"]) == 1
+        assert capsys.readouterr().out.startswith("error: ")
+
     def test_audit_failure_is_two(self, a2_file, capsys, monkeypatch):
         from artinhom.errors import AuditFailure
         from artinhom.matching import BarMatching
@@ -197,3 +209,10 @@ class TestJsonLines:
         record = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert record["record"] == "error"
         assert record["code"] == "infinite-type"
+
+    def test_boundary2_on_one_generator_has_a_code(self, a2_file, capsys):
+        argv = ["--system", a2_file, "--format", "jsonl", "boundary2", "a", "a"]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert record["record"] == "error"
+        assert record["code"] == "bad-diagonal"

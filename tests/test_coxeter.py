@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from artinhom.errors import (
     AsymmetricMatrix,
     BadDiagonal,
     BadEntry,
+    BadEnvironment,
     DuplicateGenerator,
     InfiniteType,
     UnknownGenerator,
@@ -111,6 +113,22 @@ class TestCanonicalForm:
         for word in all_words("ab", 5):
             assert capped.canon(word) == reference.canon(word)
         assert len(capped._canon) <= 5
+
+    def test_non_integer_cache_limit_is_a_domain_error(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from artinhom.cli import main
+        from artinhom.coxeter import CACHE_LIMIT_ENV
+
+        monkeypatch.setenv(CACHE_LIMIT_ENV, "abc")
+        with pytest.raises(BadEnvironment):
+            CoxeterSystem("ab", {("a", "b"): 3})
+        path = tmp_path / "a2.system"
+        path.write_text("gens: a b\nm a b 3\n")
+        assert main(["--system", str(path), "--format", "jsonl", "homology"]) == 1
+        record = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert record["record"] == "error"
+        assert record["code"] == "bad-environment"
 
 
 class TestLength:

@@ -1,15 +1,16 @@
+import math
+from itertools import combinations
+
 import pytest
 
+from artinhom import ArtinMonoid, CoxeterSystem
 from artinhom.bar import cell_length, grade_complex
-from artinhom.errors import InfiniteM
+from artinhom.errors import InfiniteM, InternalError, NonAcyclicInput
 from artinhom.homology import HomologyGroup, homology_groups
-from artinhom.matching import BarMatching
+from artinhom.matching import BarMatching, MatchEdge
 from artinhom.morse import (
-    CellGraph,
     boundary_word_2cell,
     braid_relator_word,
-    build_cell_graph,
-    check_acyclic,
     cyclic_words_equal,
     invert_word,
     morse_boundary,
@@ -25,25 +26,46 @@ def Z(rank, *torsion):
     return HomologyGroup(rank, tuple(torsion))
 
 
+def C(text):
+    """A cell written as factors separated by bars, e.g. "ab|cd"."""
+    return tuple(tuple(factor) for factor in text.split("|"))
+
+
+def free_monoid(gens):
+    orders = {pair: math.inf for pair in combinations(gens, 2)}
+    return ArtinMonoid(CoxeterSystem(gens, orders))
+
+
+class StubMatching:
+    """Just what morse_boundary reads: a monoid and on-demand partners."""
+
+    def __init__(self, mon, pairs):
+        self.mon = mon
+        self.edges = {}
+        for lower, upper in pairs:
+            edge = MatchEdge(C(upper), C(lower), "M1")
+            self.edges[edge.lower] = self.edges[edge.upper] = edge
+
+    def partner(self, cell):
+        return self.edges.get(cell)
+
+
 class TestAcyclicity:
-    def test_real_graphs_are_acyclic(self, mon_a2):
-        matching = BarMatching(mon_a2)
-        graph = build_cell_graph(matching, 4)
-        assert check_acyclic(graph)
+    def test_cycling_zig_zag_paths_are_rejected(self):
+        # [ab|cd] -> [a|b|cd] -> [a|bcd] -> [a|bc|d] -> [abc|d] -> [ab|c|d]
+        # -> [ab|cd]: each upper cell has the next lower cell as a face
+        matching = StubMatching(
+            free_monoid("abcd"),
+            [("ab|cd", "a|b|cd"), ("a|bcd", "a|bc|d"), ("abc|d", "ab|c|d")],
+        )
+        with pytest.raises(NonAcyclicInput):
+            morse_boundary(matching, {C("a|b|cd")})
 
-    def test_synthetic_cycle_detected(self):
-        # two squares glued along both edges, matched so paths loop
-        graph = CellGraph()
-        for name, dim in (("t1", 2), ("t2", 2), ("s1", 1), ("s2", 1)):
-            graph.add_cell(name, dim, {}, set())
-        graph.face_sets["t1"] = {"s1", "s2"}
-        graph.face_sets["t2"] = {"s1", "s2"}
-        graph.add_match("t1", "s1")
-        graph.add_match("t2", "s2")
-        assert not check_acyclic(graph)
-
-    def test_empty_graph(self):
-        assert check_acyclic(CellGraph())
+    def test_matched_face_must_have_unit_incidence(self):
+        # [ab] is not a face of [a|a], whose boundary is 2[a] - [aa]
+        matching = StubMatching(free_monoid("ab"), [("ab", "a|a")])
+        with pytest.raises(InternalError):
+            morse_boundary(matching, {C("a|b")})
 
 
 class TestReducedComplex:
@@ -97,6 +119,29 @@ class TestReducedComplex:
             complex_ = reduced_complex(BarMatching(mon)).chain_complex()
             assert homology_groups(complex_) == expected[id(mon)]
 
+    @pytest.mark.parametrize(
+        "gens, orders, expected",
+        [
+            # Squier / De Concini-Salvetti with trivial coefficients: the
+            # coefficient of e_{T-s} in d(e_T) is +-W_T(q)/W_{T-s}(q) at q = -1
+            ("abc", {("a", "b"): 4, ("b", "c"): 3}, [Z(1), Z(2), Z(2), Z(1)]),
+            ("abc", {("a", "b"): 5, ("b", "c"): 3}, [Z(1), Z(1), Z(1), Z(1)]),
+            # H_*(Br_5) (Arnold 1970)
+            (
+                "abcd",
+                {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3},
+                [Z(1), Z(1), Z(0, 2), Z(0), Z(0)],
+            ),
+        ],
+        ids=["B3", "H3", "A4"],
+    )
+    def test_homology_of_larger_finite_types(
+        self, gens, orders, expected
+    ):
+        mon = ArtinMonoid(CoxeterSystem(gens, orders))
+        complex_ = reduced_complex(BarMatching(mon)).chain_complex()
+        assert homology_groups(complex_) == expected
+
     def test_naturality_under_generator_inclusion(self, mon_a2, mon_a3):
         small = reduced_complex(BarMatching(mon_a2))
         large = reduced_complex(BarMatching(mon_a3))
@@ -143,8 +188,6 @@ class TestPerGradeCollapse:
 class TestBoundaryWords:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_matches_dihedral_relator(self, m):
-        from artinhom import ArtinMonoid, CoxeterSystem
-
         system = CoxeterSystem("ab", {("a", "b"): m})
         matching = BarMatching(ArtinMonoid(system))
         word = boundary_word_2cell(matching, "a", "b")
@@ -175,9 +218,8 @@ class TestBoundaryWords:
 class TestMorseBoundaryDirectly:
     def test_flow_reproduces_known_two_cell_boundary(self, mon_a2):
         matching = BarMatching(mon_a2)
-        graph = build_cell_graph(matching, 3)
         essentials = set(matching.essential_cells().values())
-        chains = morse_boundary(graph, essentials)
+        chains = morse_boundary(matching, essentials)
         two_cell = matching.essential_cell("ab")
         assert chains[two_cell] in (
             {(W("a"),): 1, (W("b"),): -1},
