@@ -42,7 +42,7 @@ class ArtinMonoid:
         return self.system.braid_closure(self.system.check_word(word))
 
     def canon(self, word: Iterable[str]) -> Word:
-        return min(self.equiv_class(word), key=self.system.key)
+        return self.system.least_word(self.equiv_class(word))
 
     def equal(self, x: Iterable[str], y: Iterable[str]) -> bool:
         return self.canon(x) == self.canon(y)
@@ -107,6 +107,17 @@ class ArtinMonoid:
             for w in self.equiv_class(x)
             for k in range(len(w) + 1)
         }
+
+    def left_splits(self, x: Iterable[str]) -> list[tuple[Word, Word]]:
+        """All pairs (d, q) of non-identity elements with d * q = x,
+        ShortLex-ordered by d."""
+        quotient: dict[Word, Word] = {}
+        for w in self.equiv_class(x):
+            for k in range(1, len(w)):
+                d = self.canon(w[:k])
+                if d not in quotient:
+                    quotient[d] = self.canon(w[k:])
+        return sorted(quotient.items(), key=lambda pair: self.system.key(pair[0]))
 
     def right_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
         """The y with y*d = x, or None when d does not right divide x."""

@@ -9,8 +9,11 @@ so every face is again a cell and no degeneracies ever materialize.
 
 Dropping a factor lowers the total length while merging preserves it, so
 length filters the complex; the length-preserving (merge-only) part of
-the boundary is a differential on each fixed-length layer, and those
-finite layers are what the matchings and audits consume.
+the boundary is a differential on each fixed-length layer.  Merging also
+keeps the product of the factors, so each layer splits further as a
+direct sum over the elements x of that length of the complex of
+factorizations of x.  These finite fibers are what `homology --verify`
+and the matching audits consume, one at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterator
 
 from .artin import ArtinMonoid
 from .coxeter import Word
-from .homology import IntChainComplex, Matrix
+from .homology import HomologyGroup, IntChainComplex, Matrix, direct_sum
 
 BarCell = tuple[Word, ...]
 
@@ -83,28 +86,71 @@ def cells_of_grade(mon: ArtinMonoid, n: int) -> list[BarCell]:
     return list(iter_cells_of_grade(mon, n))
 
 
-def grade_complex(mon: ArtinMonoid, n: int) -> IntChainComplex:
-    """The fixed-length-n layer with its merge-only differential.
+def factorizations(
+    mon: ArtinMonoid, x: Word
+) -> list[tuple[BarCell, tuple[Word, ...]]]:
+    """All cells whose product is x, i.e. the ordered factorizations of x
+    into non-identity elements, each with its suffix products
+    P[j] = x_{j+1} ... x_n for j = 0..n (so P[0] = x and P[n] = 1).
 
-    For n = 0 this is a single 0-cell; for n >= 1 the layer lives in
-    dimensions 1..n (the unique 0-cell has length 0).
+    Splitting y = d * q puts d in front of each factorization of q and q
+    in front of its suffix products, so no products are multiplied out.
     """
-    if n == 0:
-        return IntChainComplex((1,), labels={0: [()]})
-    by_dim: dict[int, list[BarCell]] = {k: [] for k in range(1, n + 1)}
-    for cell in iter_cells_of_grade(mon, n):
-        by_dim[len(cell)].append(cell)
+    memo: dict[Word, list[tuple[BarCell, tuple[Word, ...]]]] = {}
+
+    def of(y: Word) -> list[tuple[BarCell, tuple[Word, ...]]]:
+        found = memo.get(y)
+        if found is None:
+            found = [((y,), (y, ()))]
+            for d, q in mon.left_splits(y):
+                found.extend(((d,) + cell, (y,) + tail) for cell, tail in of(q))
+            memo[y] = found
+        return found
+
+    x = mon.canon(x)
+    return of(x) if x else [((), ((),))]
+
+
+def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
+    """The factorizations of x with the merge-only differential.
+
+    Merging x_i with x_{i+1} deletes the suffix product P[i] and keeps
+    the others, so faces are found by deletion with sign (-1)^i, without
+    multiplying.  For x of length n >= 1 the complex lives in dimensions
+    1..n; the identity's fiber is the single 0-cell.  Labels are the
+    cells.
+    """
+    by_dim: list[list[tuple[BarCell, tuple[Word, ...]]]] = [
+        [] for _ in range(len(x) + 1)
+    ]
+    for cell, products in factorizations(mon, x):
+        by_dim[len(cell)].append((cell, products))
     index = {
-        k: {cell: i for i, cell in enumerate(cells)} for k, cells in by_dim.items()
+        products: i for found in by_dim for i, (_, products) in enumerate(found)
     }
-    ranks = (0,) + tuple(len(by_dim[k]) for k in range(1, n + 1))
-    boundaries: dict[int, Matrix] = {}
-    for k in range(2, n + 1):
-        mat = [[0] * len(by_dim[k]) for _ in range(len(by_dim[k - 1]))]
-        for j, cell in enumerate(by_dim[k]):
-            for sign, face in merge_faces(mon, cell):
-                mat[index[k - 1][face]][j] += sign
-        boundaries[k] = mat
-    labels = {k: list(by_dim[k]) for k in range(1, n + 1)}
-    labels[0] = []
+    boundaries: dict[int, Matrix] = {
+        k: [
+            {
+                index[products[:i] + products[i + 1 :]]: -1 if i % 2 else 1
+                for i in range(1, k)
+            }
+            for _, products in by_dim[k]
+        ]
+        for k in range(2, len(by_dim))
+    }
+    ranks = tuple(len(found) for found in by_dim)
+    labels = {k: [cell for cell, _ in found] for k, found in enumerate(by_dim)}
     return IntChainComplex(ranks, boundaries, labels)
+
+
+def layer_homology(mon: ArtinMonoid, n: int) -> list[HomologyGroup]:
+    """Homology of the fixed-length-n layer in dimensions 0..n.
+
+    The layer is the direct sum of the fibers of the elements of length
+    n, so each fiber is built, reduced and dropped in turn.
+    """
+    by_dim: list[list[HomologyGroup]] = [[] for _ in range(n + 1)]
+    for x in mon.elements_of_length(n):
+        for k, group in enumerate(fiber_complex(mon, x).homology()):
+            by_dim[k].append(group)
+    return [direct_sum(groups) for groups in by_dim]

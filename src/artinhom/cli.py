@@ -11,7 +11,8 @@ Words on the command line are generator names joined by ``.`` (or
 commas); when every generator is a single character a bare string like
 ``abab`` also works.
 
-Exit codes: 0 success, 1 domain error, 2 audit or verification failure.
+Exit codes: 0 success, 1 domain or usage error, 2 audit or verification
+failure.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from typing import Iterable
 
 from . import __version__
 from .artin import ArtinMonoid
-from .bar import cell_length, grade_complex
+from .bar import cell_length, layer_homology
 from .coxeter import CoxeterSystem, Word
 from .errors import (
     DomainError,
     ParseError,
     ConflictingEntry,
     UnknownGenerator,
+    UsageError,
     VerificationError,
 )
 from .homology import (
@@ -283,7 +285,7 @@ def cmd_homology(args, system, out):
         )
         per_grade_ok = True
         for n in range(max_len + 3):
-            layer = homology_groups(grade_complex(mon, n))
+            layer = layer_homology(mon, n)
             expected = _essential_counts_by_grade(matching, n)
             got = tuple(
                 (h.free_rank, h.torsion) for h in layer
@@ -319,10 +321,10 @@ def _essential_counts_by_grade(matching, n):
 def cmd_matching_audit(args, system, out):
     matching = BarMatching(ArtinMonoid(system))
     for length in range(args.max_len + 1):
-        for flag in (0, 1):
-            report = matching.audit_grade((length, flag))
+        for report in matching.audit_grade(length).grades:
             if report.cells == 0:
                 continue
+            flag = report.grade[1]
             out.emit(
                 f"grade ({length},{flag}): {report.cells} cells, "
                 f"{report.edges} edges, "
@@ -400,8 +402,17 @@ COMMANDS = {
 }
 
 
+class Parser(argparse.ArgumentParser):
+    """Reports a usage error as `UsageError` instead of exiting with 2,
+    which the exit contract reserves for failed audits and checks."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="artinhom",
         description="computations over an Artin monoid given by a Coxeter matrix file",
     )
@@ -462,8 +473,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as err:
+        jsonl = "--format=jsonl" in argv or any(
+            argv[i : i + 2] == ["--format", "jsonl"] for i in range(len(argv))
+        )
+        Reporter("jsonl" if jsonl else "text", sys.stdout).emit(
+            f"error: {err}", record="error", code=err.code, message=str(err)
+        )
+        return 1
     out = Reporter(args.format, sys.stdout)
     try:
         with open(args.system, encoding="utf-8") as handle:

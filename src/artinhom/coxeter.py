@@ -104,6 +104,7 @@ class CoxeterSystem:
                 self._moves.append((right, left))
         self._limit = cache_limit()
         self._closure: dict[Word, frozenset[Word]] = {}
+        self._least: dict[frozenset[Word], Word] = {}
         self._canon: dict[Word, Word] = {}
         self._finite: dict[frozenset[str], bool] = {}
 
@@ -181,6 +182,15 @@ class CoxeterSystem:
             cache_put(self._closure, w, closure, self._limit)
         return closure
 
+    def least_word(self, closure: frozenset[Word]) -> Word:
+        """ShortLex-least word of a braid-closure class, memoized per class."""
+        least = self._least.get(closure)
+        if least is None:
+            least = cache_put(
+                self._least, closure, min(closure, key=self.key), self._limit
+            )
+        return least
+
     def canon(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element `word` represents."""
         word = self.check_word(word)
@@ -203,7 +213,7 @@ class CoxeterSystem:
                     break
             if shorter is None:
                 # every word in the closure is reduced (Tits)
-                result = min(closure, key=self.key)
+                result = self.least_word(closure)
                 for w in closure:
                     cache_put(self._canon, w, result, self._limit)
                 break

@@ -71,6 +71,12 @@ class ConflictingEntry(ParseError):
     code = "conflicting-entry"
 
 
+class UsageError(DomainError):
+    """The command line does not match the documented grammar."""
+
+    code = "usage"
+
+
 class NotAComplex(DomainError):
     code = "not-a-complex"
 

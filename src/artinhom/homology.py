@@ -1,26 +1,29 @@
 """Integer chain complexes, Smith normal form, homology groups.
 
-Two routes to invariant factors: a dense textbook reduction that can
-also return the unimodular witnesses, and a sparse eliminator that peels
-off unit pivots first (boundary matrices here are overwhelmingly sparse
-with entries in {-1, 0, 1}) and hands any small remaining core to the
-dense routine.  Both run on Python integers, so intermediate growth
-promotes to arbitrary precision for free.
+Boundary matrices are sparse columns: column j is a dict from row index
+to its nonzero coefficient.  Invariant factors come from a sparse
+eliminator that peels off unit pivots first (boundary matrices here are
+overwhelmingly sparse with entries in {-1, 0, 1}) and hands the small
+remaining core to a dense textbook reduction, which can also return the
+unimodular witnesses.  Both run on Python integers, so intermediate
+growth promotes to arbitrary precision for free.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .coxeter import CoxeterSystem
 from .errors import NotAComplex
 
-Matrix = list[list[int]]
+Matrix = list[dict[int, int]]
+Dense = list[list[int]]
 
 
-def _identity(n: int) -> Matrix:
+def _identity(n: int) -> Dense:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
@@ -33,10 +36,10 @@ class SmithForm:
 
     shape: tuple[int, int]
     diagonal: list[int]
-    left: Matrix | None = None
-    right: Matrix | None = None
+    left: Dense | None = None
+    right: Dense | None = None
 
-    def matrix(self) -> Matrix:
+    def matrix(self) -> Dense:
         rows, cols = self.shape
         out = [[0] * cols for _ in range(rows)]
         for i, d in enumerate(self.diagonal):
@@ -151,73 +154,69 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], witnesses: bool = False) 
     return SmithForm((m, n), diagonal, S, T)
 
 
-def _sparse_unit_elimination(matrix: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
-    """Strip unit pivots off a sparse matrix by exact unimodular steps.
+def _sparse_unit_elimination(matrix: Matrix) -> tuple[int, Dense]:
+    """Strip unit pivots off sparse columns by exact unimodular steps.
 
-    Each round clears a +/-1 entry's column, then deletes its row and
-    column; the matrix splits as diag(1) (+) rest, so the remaining
-    invariant factors are those of the rest.  Returns the unit count and
-    the leftover core as a dense matrix.
+    Columns are visited in order; a column holding a +/-1 entry takes it
+    as pivot, choosing the row with the fewest entries.  The pivot column
+    is subtracted from every other column meeting the pivot row, after
+    which row and column split off as diag(1) (+) rest, so the remaining
+    invariant factors are those of the rest.  A column changed by such a
+    subtraction is visited again.  Returns the unit count and the
+    leftover core, which has no unit entry, as a dense matrix.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(matrix):
-        entries = {j: int(v) for j, v in enumerate(row) if v}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                cols.setdefault(j, set()).add(i)
+    cols = {j: {i: v for i, v in col.items() if v} for j, col in enumerate(matrix)}
+    rows: dict[int, set[int]] = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    queue = deque(cols)
+    queued = set(cols)
     units = 0
-    while True:
-        best = None
-        for i, entries in rows.items():
-            for j, v in entries.items():
-                if v in (1, -1):
-                    fill = (len(entries) - 1) * (len(cols[j]) - 1)
-                    if best is None or fill < best[0]:
-                        best = (fill, i, j, v)
-                        if fill == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pj, pv = best
-        pivot_row = rows[pi]
-        for i in list(cols[pj]):
-            if i == pi:
-                continue
-            factor = rows[i][pj] * pv  # rows[i] -= factor * pivot_row
-            target = rows[i]
-            for j, v in pivot_row.items():
-                new = target.get(j, 0) - factor * v
+    while queue:
+        j = queue.popleft()
+        queued.discard(j)
+        col = cols.get(j)
+        if not col:
+            continue
+        pivot, fill = None, 0
+        for i, v in col.items():
+            if (v == 1 or v == -1) and (pivot is None or len(rows[i]) < fill):
+                pivot, fill = i, len(rows[i])
+        if pivot is None:
+            continue
+        del cols[j]
+        for i in col:
+            rows[i].discard(j)
+        pv = col.pop(pivot)
+        for k in rows.pop(pivot):
+            target = cols[k]
+            factor = target.pop(pivot) * pv  # target -= factor * col
+            for i, v in col.items():
+                new = target.get(i, 0) - factor * v
                 if new:
-                    if j not in target:
-                        cols.setdefault(j, set()).add(i)
-                    target[j] = new
-                elif j in target:
-                    del target[j]
-                    cols[j].discard(i)
-            if not target:
-                del rows[i]
-        for j in pivot_row:
-            cols[j].discard(pi)
-            if not cols[j]:
-                del cols[j]
-        del rows[pi]
+                    if i not in target:
+                        rows[i].add(k)
+                    target[i] = new
+                else:
+                    del target[i]
+                    rows[i].discard(k)
+            if k not in queued:
+                queue.append(k)
+                queued.add(k)
         units += 1
-    live_rows = sorted(rows)
-    live_cols = sorted({j for entries in rows.values() for j in entries})
-    col_pos = {j: k for k, j in enumerate(live_cols)}
+    live_cols = sorted(j for j, col in cols.items() if col)
+    live_rows = sorted({i for j in live_cols for i in cols[j]})
+    row_pos = {i: k for k, i in enumerate(live_rows)}
     core = [[0] * len(live_cols) for _ in live_rows]
-    for k, i in enumerate(live_rows):
-        for j, v in rows[i].items():
-            core[k][col_pos[j]] = v
+    for k, j in enumerate(live_cols):
+        for i, v in cols[j].items():
+            core[row_pos[i]][k] = v
     return units, core
 
 
-def invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero Smith invariant factors, sparse-first for large inputs."""
+def invariant_factors(matrix: Matrix) -> list[int]:
+    """Nonzero Smith invariant factors of sparse columns, units first."""
     units, core = _sparse_unit_elimination(matrix)
     rest = [d for d in smith_normal_form(core).diagonal if d]
     return [1] * units + rest
@@ -251,13 +250,25 @@ class HomologyGroup:
         return self.free_rank == 0 and not self.torsion
 
 
+def direct_sum(groups: Iterable[HomologyGroup]) -> HomologyGroup:
+    """The direct sum, with torsion merged into invariant-factor form
+    (Z/2 + Z/3 is Z/6) by one Smith reduction of the diagonal."""
+    groups = list(groups)
+    torsion = [d for h in groups for d in h.torsion]
+    factors = invariant_factors([{i: d} for i, d in enumerate(torsion)])
+    return HomologyGroup(
+        sum(h.free_rank for h in groups), tuple(d for d in factors if d > 1)
+    )
+
+
 @dataclass
 class IntChainComplex:
-    """Free integer chain complex with explicit boundary matrices.
+    """Free integer chain complex with sparse boundary matrices.
 
     `ranks[k]` is the rank in dimension k; `boundaries[k]` maps dimension
-    k to k-1 and has shape (ranks[k-1], ranks[k]).  Dimension 0 needs no
-    matrix.  Labels are optional display names for basis elements.
+    k to k-1 as `ranks[k]` sparse columns with row indices below
+    `ranks[k-1]`.  Dimension 0 needs no matrix.  Labels are optional
+    display names for basis elements.
     """
 
     ranks: tuple[int, ...]
@@ -269,33 +280,27 @@ class IntChainComplex:
             if k < 1 or k >= len(self.ranks):
                 raise NotAComplex(f"boundary in dimension {k} out of range")
             rows, cols = self.ranks[k - 1], self.ranks[k]
-            if len(mat) != rows or any(len(r) != cols for r in mat):
+            if len(mat) != cols or any(
+                col and not 0 <= min(col) <= max(col) < rows for col in mat
+            ):
                 raise NotAComplex(
-                    f"boundary {k} has shape "
-                    f"{(len(mat), len(mat[0]) if mat else 0)}, expected {(rows, cols)}"
+                    f"boundary {k} has {len(mat)} columns or a row outside "
+                    f"{rows}, expected shape {(rows, cols)}"
                 )
 
     def boundary(self, k: int) -> Matrix:
-        rows = self.ranks[k - 1] if 0 < k < len(self.ranks) else 0
         cols = self.ranks[k] if 0 <= k < len(self.ranks) else 0
-        return self.boundaries.get(k, [[0] * cols for _ in range(rows)])
+        return self.boundaries.get(k, [{} for _ in range(cols)])
 
     def check_composition(self) -> None:
         """Verify boundary-of-boundary vanishes (sparse column walk)."""
         for k in range(2, len(self.ranks)):
-            upper = self.boundary(k)
             lower = self.boundary(k - 1)
-            lower_cols = [
-                {i: row[j] for i, row in enumerate(lower) if row[j]}
-                for j in range(self.ranks[k - 1])
-            ]
-            for j in range(self.ranks[k]):
+            for j, col in enumerate(self.boundary(k)):
                 acc: dict[int, int] = {}
-                for r in range(self.ranks[k - 1]):
-                    v = upper[r][j]
-                    if v:
-                        for i, w in lower_cols[r].items():
-                            acc[i] = acc.get(i, 0) + v * w
+                for r, v in col.items():
+                    for i, w in lower[r].items():
+                        acc[i] = acc.get(i, 0) + v * w
                 if any(acc.values()):
                     raise NotAComplex(
                         f"d_{k-1} after d_{k} is nonzero on column {j}"

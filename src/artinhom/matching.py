@@ -7,8 +7,9 @@ splitting or merging at the depth position, keyed on finishing sets.
 On the depth-essential cells a second matching does the same with the
 maximum-generator condition on the chain of tail sets.  The union is
 graded by eta(cell) = (length, essential flag), which every matched pair
-preserves, so acyclicity and perfect-matching can be audited one finite
-fiber at a time.
+preserves.  Matched pairs and merge faces also keep the product x of a
+cell's factors, so acyclicity and perfect-matching can be audited one
+finite (x, flag) fiber at a time.
 
 The paper trail for the two constructions defines only the collapsible
 (upper) side; the inverse splits used here are completed so that the
@@ -19,11 +20,17 @@ graph acyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from .artin import ArtinMonoid
-from .bar import BarCell, cell_length, iter_cells_of_grade, merge_faces
+from .bar import (
+    BarCell,
+    cell_length,
+    factorizations,
+    iter_cells_of_grade,
+    merge_faces,
+)
 from .coxeter import Word
 from .errors import AuditFailure, InternalError, NotMu1Essential
 
@@ -42,13 +49,29 @@ class MatchEdge:
 @dataclass
 class GradeAudit:
     grade: Grade
-    cells: int
-    edges: int
-    essential: list[BarCell]
+    cells: int = 0
+    edges: int = 0
+    essential: list[BarCell] = field(default_factory=list)
+
+
+@dataclass
+class LengthAudit:
+    """The audits of the grades (length, 0) and (length, 1), in that order."""
+
+    grades: tuple[GradeAudit, GradeAudit]
+
+    @property
+    def cells(self) -> int:
+        return sum(audit.cells for audit in self.grades)
 
 
 class BarMatching:
-    """Cell classification and partner computation for one monoid."""
+    """Cell classification and partner computation for one monoid.
+
+    The public predicates take a cell; each computes the cell's suffix
+    products once and hands them to the private helpers, which the
+    audit also calls with the products it already has.
+    """
 
     def __init__(self, mon: ArtinMonoid):
         self.mon = mon
@@ -74,60 +97,70 @@ class BarMatching:
             products[j] = self.mon.mul(cell[j], products[j + 1])
         return products
 
-    def mu1_essential(self, cell: BarCell) -> bool:
-        """Every tail product is a fundamental element."""
-        products = self.suffix_products(cell)
-        return all(products[j] in self.delta_of for j in range(len(cell)))
-
-    def d1(self, cell: BarCell) -> int:
-        """Least j (1-based) whose tail cell is depth-essential; n+1 if none."""
-        products = self.suffix_products(cell)
-        j = len(cell) + 1
+    def _depth(self, products: Sequence[Word]) -> int:
+        """Least j (1-based) whose tail products P[j-1..n-1] all lie in D."""
+        j = len(products)
         while j > 1 and products[j - 2] in self.delta_of:
             j -= 1
         return j
+
+    def mu1_essential(self, cell: BarCell) -> bool:
+        """Every tail product is a fundamental element."""
+        return self._depth(self.suffix_products(cell)) == 1
+
+    def d1(self, cell: BarCell) -> int:
+        """Least j (1-based) whose tail cell is depth-essential; n+1 if none."""
+        return self._depth(self.suffix_products(cell))
 
     def tail_sets(self, cell: BarCell) -> dict[int, frozenset[str]]:
         """The subsets I_j with product(x_j..x_n) = delta(I_j), plus I_{n+1} = {}."""
         products = self.suffix_products(cell)
         n = len(cell)
         out = {n + 1: frozenset()}
-        for j in range(self.d1(cell), n + 1):
+        for j in range(self._depth(products), n + 1):
             out[j] = self.delta_of[products[j - 1]]
         return out
 
+    def _m1_target(self, products: Sequence[Word], d: int) -> frozenset[str]:
+        """I_d, the tail set the finishing set is compared with at depth d."""
+        return self.delta_of[products[d - 1]] if d < len(products) else frozenset()
+
     def mu1_collapsible(self, cell: BarCell) -> bool:
-        d = self.d1(cell)
+        products = self.suffix_products(cell)
+        d = self._depth(products)
         if d < 2:
             return False
-        products = self.suffix_products(cell)
-        target = (
-            self.delta_of[products[d - 1]] if d <= len(cell) else frozenset()
-        )
-        return self.mon.finishing_set(products[d - 2]) == target
+        return self.mon.finishing_set(products[d - 2]) == self._m1_target(products, d)
 
     def m1_partner(self, cell: BarCell) -> MatchEdge | None:
         """The first-matching edge containing a non-essential cell."""
-        if self.mu1_essential(cell):
-            return None
-        d = self.d1(cell)
-        if self.mu1_collapsible(cell):
-            return MatchEdge(cell, self._merge_at(cell, d), "M1")
         products = self.suffix_products(cell)
+        if self._depth(products) == 1:
+            return None
+        return self._m1_edge(cell, products)
+
+    def _m1_edge(self, cell: BarCell, products: Sequence[Word]) -> MatchEdge:
+        d = self._depth(products)
         R = self.mon.finishing_set(products[d - 2])
-        upper = self._split_at(cell, d, R)
-        return MatchEdge(upper, cell, "M1")
+        if R == self._m1_target(products, d):
+            return MatchEdge(cell, self._merge_at(cell, d), "M1")
+        return MatchEdge(self._split_at(cell, products, d, R), cell, "M1")
 
     # -- the second matching, on depth-essential cells -----------------------
 
+    def _mu1_products(self, cell: BarCell) -> list[Word]:
+        """The suffix products of a cell that must be depth-essential."""
+        products = self.suffix_products(cell)
+        if self._depth(products) != 1:
+            raise NotMu1Essential(f"{cell} has a tail product outside D")
+        return products
+
     def _chain(self, cell: BarCell) -> list[frozenset[str]]:
         """I_1 .. I_{n+1} for a depth-essential cell (strictly decreasing)."""
-        if not self.mu1_essential(cell):
-            raise NotMu1Essential(f"{cell} has a tail product outside D")
-        products = self.suffix_products(cell)
-        sets = [self.delta_of[p] for p in products[:-1]]
-        sets.append(frozenset())
-        return sets
+        return self._sets(self._mu1_products(cell))
+
+    def _sets(self, products: Sequence[Word]) -> list[frozenset[str]]:
+        return [self.delta_of[p] for p in products[:-1]] + [frozenset()]
 
     def _chain_step_ok(self, sets: list[frozenset[str]], k: int) -> bool:
         """Whether I_k drops exactly the maximum of I_k (1-based k)."""
@@ -136,43 +169,51 @@ class BarMatching:
             sets[k - 1], key=self.system.index
         )
 
-    def mu2_essential(self, cell: BarCell) -> bool:
-        sets = self._chain(cell)
-        return all(self._chain_step_ok(sets, k) for k in range(1, len(cell) + 1))
-
-    def d2(self, cell: BarCell) -> int:
-        sets = self._chain(cell)
-        j = len(cell) + 1
+    def _max_depth(self, sets: list[frozenset[str]]) -> int:
+        j = len(sets)
         while j > 1 and self._chain_step_ok(sets, j - 1):
             j -= 1
         return j
 
-    def mu2_collapsible(self, cell: BarCell) -> bool:
-        d = self.d2(cell)
-        if d < 2 or d > len(cell):
+    def _m2_collapsible(self, sets: list[frozenset[str]], d: int) -> bool:
+        if d < 2 or d >= len(sets):
             return False
-        sets = self._chain(cell)
         key = self.system.index
         return max(sets[d - 2], key=key) == max(sets[d - 1], key=key)
 
+    def mu2_essential(self, cell: BarCell) -> bool:
+        return self._max_depth(self._chain(cell)) == 1
+
+    def d2(self, cell: BarCell) -> int:
+        return self._max_depth(self._chain(cell))
+
+    def mu2_collapsible(self, cell: BarCell) -> bool:
+        sets = self._chain(cell)
+        return self._m2_collapsible(sets, self._max_depth(sets))
+
     def m2_partner(self, cell: BarCell) -> MatchEdge | None:
         """The second-matching edge containing a depth-essential cell."""
-        sets = self._chain(cell)
-        if self.mu2_essential(cell):
+        return self._m2_edge(cell, self._mu1_products(cell))
+
+    def _m2_edge(self, cell: BarCell, products: Sequence[Word]) -> MatchEdge | None:
+        sets = self._sets(products)
+        d = self._max_depth(sets)
+        if d == 1:
             return None
-        d = self.d2(cell)
-        if self.mu2_collapsible(cell):
+        if self._m2_collapsible(sets, d):
             return MatchEdge(cell, self._merge_at(cell, d), "M2")
         top = max(sets[d - 2], key=self.system.index)
-        repaired = sets[d - 1] | {top}
-        upper = self._split_at(cell, d, repaired)
+        upper = self._split_at(cell, products, d, sets[d - 1] | {top})
         return MatchEdge(upper, cell, "M2")
 
     def partner(self, cell: BarCell) -> MatchEdge | None:
         """The unique matched edge containing the cell, None if essential."""
-        if self.mu1_essential(cell):
-            return self.m2_partner(cell)
-        return self.m1_partner(cell)
+        return self._edge(cell, self.suffix_products(cell))
+
+    def _edge(self, cell: BarCell, products: Sequence[Word]) -> MatchEdge | None:
+        if self._depth(products) == 1:
+            return self._m2_edge(cell, products)
+        return self._m1_edge(cell, products)
 
     # -- edge construction ----------------------------------------------------
 
@@ -183,10 +224,14 @@ class BarMatching:
             + cell[d:]
         )
 
-    def _split_at(self, cell: BarCell, d: int, target: frozenset[str]) -> BarCell:
+    def _split_at(
+        self, cell: BarCell, products: Sequence[Word], d: int, target: frozenset[str]
+    ) -> BarCell:
         """Split x_{d-1} = beta * y so the new tail product equals delta(target)."""
-        products = self.suffix_products(cell)
-        y = self.mon.right_quotient(self.mon.delta(target), products[d - 1])
+        delta = self.mon.deltas().get(target)
+        if delta is None:
+            raise InternalError(f"no fundamental element on {sorted(target)}")
+        y = self.mon.right_quotient(delta, products[d - 1])
         if y is None:
             raise InternalError(
                 f"tail of {cell} does not divide delta of {sorted(target)}"
@@ -237,22 +282,49 @@ class BarMatching:
         return edges
 
     def audit_grade(
-        self, grade: Grade, edges: set[MatchEdge] | None = None
-    ) -> GradeAudit:
-        """Certify the fiber: perfect matching off essentials, grading
-        compatibility, regular matched faces, and acyclicity."""
-        cells = self.fiber(grade)
-        cell_set = set(cells)
-        if edges is None:
-            edges = self.matching_for_grade(grade)
+        self, length: int, edges: set[MatchEdge] | None = None
+    ) -> LengthAudit:
+        """Certify both grades of one length: perfect matching off
+        essentials, grading compatibility, regular matched faces, and
+        acyclicity.
+
+        Merge faces and matched edges keep the product x of a cell's
+        factors, so the grades are audited one (x, flag) fiber at a time,
+        in one pass over the elements x of this length.  `edges`, when
+        given, is audited in place of the matching's own edges.
+        """
+        audits = (GradeAudit((length, 0)), GradeAudit((length, 1)))
+        given: dict[Word, set[MatchEdge]] | None = None
+        if edges is not None:
+            given = {}
+            for edge in edges:
+                given.setdefault(self.mon.mul(*edge.lower), set()).add(edge)
+        for x in self.mon.elements_of_length(length):
+            # cell -> (flag, essential, suffix products)
+            cells: dict[BarCell, tuple[int, bool, tuple[Word, ...]]] = {}
+            own: set[MatchEdge] = set()
+            for cell, products in factorizations(self.mon, x):
+                depth_essential = self._depth(products) == 1
+                essential = (
+                    depth_essential and self._max_depth(self._sets(products)) == 1
+                )
+                cells[cell] = (0 if depth_essential else 1, essential, products)
+                if given is None and not essential:
+                    own.add(self._edge(cell, products))
+            fiber_edges = own if given is None else given.pop(x, set())
+            self._audit_fiber(length, cells, fiber_edges, audits)
+        if given:
+            edge = next(iter(next(iter(given.values()))))
+            raise AuditFailure(
+                f"length {length}: edge endpoint {edge.lower} escapes the length"
+            )
+        return LengthAudit(audits)
+
+    def _audit_fiber(self, length, cells, edges, audits) -> None:
+        """Audit the cells of one x, split by flag, with their edges."""
         occurrences: dict[BarCell, int] = {}
         for edge in edges:
-            for endpoint in (edge.upper, edge.lower):
-                occurrences[endpoint] = occurrences.get(endpoint, 0) + 1
-                if endpoint not in cell_set:
-                    raise AuditFailure(
-                        f"{grade}: edge endpoint {endpoint} escapes the fiber"
-                    )
+            grade = (length, cells[edge.lower][0] if edge.lower in cells else 1)
             if len(edge.upper) != len(edge.lower) + 1:
                 raise AuditFailure(f"{grade}: edge {edge} is not codimension 1")
             incidence = sum(
@@ -263,51 +335,74 @@ class BarMatching:
                 raise AuditFailure(
                     f"{grade}: matched face of {edge.upper} has incidence {incidence}"
                 )
+            for endpoint in (edge.upper, edge.lower):
+                occurrences[endpoint] = occurrences.get(endpoint, 0) + 1
+                if endpoint not in cells or cells[endpoint][0] != grade[1]:
+                    raise AuditFailure(
+                        f"{grade}: edge endpoint {endpoint} escapes the fiber"
+                    )
             expected = "M2" if grade[1] == 0 else "M1"
             if edge.kind != expected:
                 raise AuditFailure(f"{grade}: edge {edge} has kind {edge.kind}")
+            audits[grade[1]].edges += 1
         for cell, count in occurrences.items():
             if count > 1:
-                raise AuditFailure(f"{grade}: cell {cell} lies on {count} edges")
-        essential = []
-        for cell in cells:
+                raise AuditFailure(
+                    f"{(length, cells[cell][0])}: cell {cell} lies on {count} edges"
+                )
+        for cell, (flag, essential, _) in cells.items():
             matched = cell in occurrences
-            is_essential = self.mu1_essential(cell) and self.mu2_essential(cell)
-            if is_essential and matched:
-                raise AuditFailure(f"{grade}: essential cell {cell} is matched")
-            if not is_essential and not matched:
-                raise AuditFailure(f"{grade}: cell {cell} is unmatched")
-            if is_essential:
-                essential.append(cell)
-        self._check_fiber_acyclic(grade, cells, cell_set, edges)
-        return GradeAudit(grade, len(cells), len(edges), essential)
+            if essential and matched:
+                raise AuditFailure(f"{(length, flag)}: essential cell {cell} is matched")
+            if not essential and not matched:
+                raise AuditFailure(f"{(length, flag)}: cell {cell} is unmatched")
+            audits[flag].cells += 1
+            if essential:
+                audits[flag].essential.append(cell)
+        for flag in (0, 1):
+            self._check_fiber_acyclic(
+                (length, flag),
+                {products: cell for cell, (f, _, products) in cells.items() if f == flag},
+                {
+                    (cells[edge.upper][2], cells[edge.lower][2])
+                    for edge in edges
+                    if cells[edge.lower][0] == flag
+                },
+            )
 
-    def _check_fiber_acyclic(self, grade, cells, cell_set, edges):
-        reversed_pairs = {(edge.upper, edge.lower) for edge in edges}
-        successors: dict[BarCell, list[BarCell]] = {cell: [] for cell in cells}
-        indegree: dict[BarCell, int] = {cell: 0 for cell in cells}
-        for cell in cells:
-            for _, face in merge_faces(self.mon, cell):
-                if face not in cell_set:
+    def _check_fiber_acyclic(self, grade, cell_of, reversed_pairs) -> None:
+        """Kahn's sort of one (x, flag) fiber, keyed by suffix products.
+
+        Merging x_i with x_{i+1} deletes P[i], so the faces inside the
+        fiber are found by deletion; matched pairs point upwards.
+        """
+        successors: dict[tuple[Word, ...], list[tuple[Word, ...]]] = {
+            node: [] for node in cell_of
+        }
+        indegree = dict.fromkeys(cell_of, 0)
+        for node in cell_of:
+            for i in range(1, len(node) - 1):
+                face = node[:i] + node[i + 1 :]
+                if face not in cell_of:
                     continue
-                if (cell, face) in reversed_pairs:
-                    source, target = face, cell
+                if (node, face) in reversed_pairs:
+                    source, target = face, node
                 else:
-                    source, target = cell, face
+                    source, target = node, face
                 successors[source].append(target)
                 indegree[target] += 1
-        queue = [cell for cell in cells if indegree[cell] == 0]
+        queue = [node for node, degree in indegree.items() if degree == 0]
         visited = 0
         while queue:
-            cell = queue.pop()
+            node = queue.pop()
             visited += 1
-            for target in successors[cell]:
+            for target in successors[node]:
                 indegree[target] -= 1
                 if indegree[target] == 0:
                     queue.append(target)
-        if visited != len(cells):
+        if visited != len(cell_of):
             stuck = sorted(
-                (cell for cell in cells if indegree[cell] > 0),
+                (cell_of[node] for node, degree in indegree.items() if degree > 0),
                 key=lambda c: (len(c), c),
             )
             raise AuditFailure(

@@ -128,7 +128,7 @@ class MorseComplex:
         k = len(T)
         row = self.cells_by_dim[k - 1].index(R)
         col = self.cells_by_dim[k].index(T)
-        return self.boundaries[k][row][col]
+        return self.boundaries[k][col].get(row, 0)
 
 
 def reduced_complex(matching: BarMatching) -> MorseComplex:
@@ -151,11 +151,13 @@ def reduced_complex(matching: BarMatching) -> MorseComplex:
     index = {T: i for dim_cells in by_dim for i, T in enumerate(dim_cells)}
     boundaries: dict[int, Matrix] = {}
     for k in range(1, top + 1):
-        mat = [[0] * len(by_dim[k]) for _ in range(len(by_dim[k - 1]))]
-        for T in by_dim[k]:
-            for target, value in boundaries_by_cell[cells[T]].items():
-                mat[index[label_of[target]]][index[T]] = value
-        boundaries[k] = mat
+        boundaries[k] = [
+            {
+                index[label_of[target]]: value
+                for target, value in boundaries_by_cell[cells[T]].items()
+            }
+            for T in by_dim[k]
+        ]
     return MorseComplex(by_dim, boundaries)
 
 

@@ -115,12 +115,13 @@ def simplicial_complex_homology(simplices: Sequence[tuple]) -> list[HomologyGrou
     ranks = tuple(len(by_dim[k]) for k in range(top + 1))
     boundaries: dict[int, Matrix] = {}
     for k in range(1, top + 1):
-        mat = [[0] * ranks[k] for _ in range(ranks[k - 1])]
-        for j, simplex in enumerate(by_dim[k]):
+        boundaries[k] = []
+        for simplex in by_dim[k]:
+            column: dict[int, int] = {}
             for i in range(len(simplex)):
-                face = simplex[:i] + simplex[i + 1 :]
-                mat[index[k - 1][face]][j] += -1 if i % 2 else 1
-        boundaries[k] = mat
+                row = index[k - 1][simplex[:i] + simplex[i + 1 :]]
+                column[row] = column.get(row, 0) + (-1 if i % 2 else 1)
+            boundaries[k].append({row: v for row, v in column.items() if v})
     return IntChainComplex(ranks, boundaries).homology()
 
 

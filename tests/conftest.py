@@ -134,6 +134,15 @@ def dihedral_of_word(word, m):
     return sign, shift
 
 
+# -- sparse matrices ---------------------------------------------------------
+
+
+def columns(dense):
+    """Sparse columns (row -> nonzero entry) of a matrix given by its rows."""
+    width = len(dense[0]) if dense else 0
+    return [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(width)]
+
+
 def all_words(letters, max_len):
     words = [()]
     frontier = [()]

@@ -11,7 +11,12 @@ import time
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
-from artinhom.bar import cell_length, grade_complex, iter_cells_of_grade, merge_faces
+from artinhom.bar import (
+    cell_length,
+    iter_cells_of_grade,
+    layer_homology,
+    merge_faces,
+)
 from artinhom.homology import (
     HomologyGroup,
     abelianized_presentation_h1,
@@ -93,8 +98,7 @@ def test_criterion_02_matching_audit(stack):
     for name in ("A2", "m=inf"):
         _, _, matching = stack[name]
         for length in range(9):
-            for flag in (0, 1):
-                matching.audit_grade((length, flag))
+            matching.audit_grade(length)
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"audit exceeded 60s ({elapsed:.1f}s)"
     report(2, "matching audit to length 8", started)
@@ -141,7 +145,7 @@ def test_criterion_05_pipeline_equivalence(stack):
         census = reduced_complex(matching).census()
         summed = [0] * len(census)
         for n in range(top_length + 1):
-            layer = homology_groups(grade_complex(mon, n))
+            layer = layer_homology(mon, n)
             expected = {}
             for T, cell in essentials.items():
                 if cell_length(cell) == n:
@@ -153,7 +157,7 @@ def test_criterion_05_pipeline_equivalence(stack):
                     summed[k] += group.free_rank
         assert tuple(summed) == census, name
         for n in (top_length + 1, top_length + 2):
-            layer = homology_groups(grade_complex(mon, n))
+            layer = layer_homology(mon, n)
             assert all(group.is_trivial for group in layer), (name, n)
     elapsed = time.monotonic() - started
     assert elapsed < 120, f"pipeline equivalence exceeded 120s ({elapsed:.1f}s)"

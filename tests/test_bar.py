@@ -1,13 +1,19 @@
+import pytest
+
+from artinhom import ArtinMonoid
 from artinhom.bar import (
     boundary,
     cell_length,
     cells_of_grade,
+    factorizations,
     faces,
-    grade_complex,
+    fiber_complex,
     iter_cells_of_grade,
     merge_faces,
 )
+from artinhom.homology import HomologyGroup
 from artinhom.matching import BarMatching
+from conftest import make_a2, make_a3, make_b2, make_i25
 
 
 def W(text):
@@ -94,9 +100,60 @@ class TestBoundarySquaresToZero:
                     assert not any(acc.values()), cell
 
     def test_grade_complexes_validate(self, mon_a2, mon_b2):
+        # every fiber's differential is the merge differential on its cells
         for mon in (mon_a2, mon_b2):
             for n in range(6):
-                grade_complex(mon, n).check_composition()
+                for x in mon.elements_of_length(n):
+                    complex_ = fiber_complex(mon, x)
+                    complex_.check_composition()
+                    for k in range(2, len(complex_.ranks)):
+                        row = {c: i for i, c in enumerate(complex_.labels[k - 1])}
+                        for cell, column in zip(
+                            complex_.labels[k], complex_.boundary(k)
+                        ):
+                            expected = {}
+                            for sign, face in merge_faces(mon, cell):
+                                expected[row[face]] = expected.get(row[face], 0) + sign
+                            assert column == {
+                                i: v for i, v in expected.items() if v
+                            }, cell
+
+
+class TestFibers:
+    def test_factorizations_partition_each_layer(self, mon_a2, mon_ainf):
+        for mon in (mon_a2, mon_ainf):
+            matching = BarMatching(mon)
+            for n in range(7):
+                by_product = {}
+                for cell in iter_cells_of_grade(mon, n):
+                    by_product.setdefault(mon.mul(*cell), []).append(cell)
+                assert sorted(by_product) == sorted(mon.elements_of_length(n))
+                for x, cells in by_product.items():
+                    found = factorizations(mon, x)
+                    assert sorted(cell for cell, _ in found) == sorted(cells)
+                    for cell, products in found:
+                        assert list(products) == matching.suffix_products(cell)
+
+    @pytest.mark.parametrize(
+        "maker, top",
+        [(make_a2, 8), (make_b2, 8), (make_i25, 8), (make_a3, 6)],
+        ids=["A2", "B2", "I2(5)", "A3"],
+    )
+    def test_fiber_homology_is_concentrated_on_fundamental_elements(
+        self, maker, top
+    ):
+        # the factorizations of x have homology Z in degree |T| when
+        # x = delta_T, and none otherwise
+        system = maker()
+        mon = ArtinMonoid(system)
+        subset_of = {mon.delta(T): T for T in system.sf()}
+        for n in range(top + 1):
+            for x in mon.elements_of_length(n):
+                groups = fiber_complex(mon, x).homology()
+                expected = [HomologyGroup(0)] * (n + 1)
+                if x in subset_of:
+                    expected[len(subset_of[x])] = HomologyGroup(1)
+                assert groups == expected, x
 
 
 class TestEta:

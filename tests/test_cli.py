@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,26 @@ from artinhom.errors import (
 )
 
 A2_TEXT = "gens: a b\nm a b 3\n"
+REPO = Path(__file__).resolve().parents[1]
+USAGE_ERRORS = {
+    "missing-argument": ["boundary2", "a"],
+    "non-integer-option": ["matching-audit", "--max-len", "x"],
+}
+
+
+def run_child(argv, **kwargs):
+    """Run Python on argv from the repository root, importing src/."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, paths))
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=600,
+        **kwargs,
+    )
 
 
 @pytest.fixture
@@ -177,12 +202,25 @@ class TestExitCodes:
         assert main(["--system", a2_file, "boundary2", "a", "a"]) == 1
         assert capsys.readouterr().out.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error_is_one(self, a2_file, capsys, argv):
+        assert main(["--system", a2_file, *argv]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert len(out.splitlines()) == 1
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_audit_failure_is_two(self, a2_file, capsys, monkeypatch):
         from artinhom.errors import AuditFailure
         from artinhom.matching import BarMatching
 
-        def sabotaged(self, grade, edges=None):
-            raise AuditFailure(f"{grade}: forced failure")
+        def sabotaged(self, length, edges=None):
+            raise AuditFailure(f"length {length}: forced failure")
 
         monkeypatch.setattr(BarMatching, "audit_grade", sabotaged)
         assert main(["--system", a2_file, "matching-audit", "--max-len", "2"]) == 2
@@ -216,3 +254,42 @@ class TestJsonLines:
         record = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert record["record"] == "error"
         assert record["code"] == "bad-diagonal"
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error_has_a_code(self, a2_file, capsys, argv):
+        assert main(["--system", a2_file, "--format", "jsonl", *argv]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["record"] for r in records] == ["meta", "error"]
+        assert records[-1]["code"] == "usage"
+
+
+class TestChildProcesses:
+    def test_a3_verify_fits_in_512_mb(self, tmp_path):
+        path = tmp_path / "a3.system"
+        path.write_text("gens: a b c\nm a b 3\nm b c 3\n")
+        limit = 512 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        argv = ["--system", str(path), "--format", "jsonl", "homology", "--verify"]
+        result = run_child(
+            ["-m", "artinhom.cli", *argv], preexec_fn=cap_address_space
+        )
+        assert result.returncode == 0, result.stderr
+        records = [json.loads(line) for line in result.stdout.splitlines()]
+        groups = [
+            (r["free_rank"], r["torsion"]) for r in records if r["record"] == "homology"
+        ]
+        # H_*(Br_4) = Z, Z, Z/2, 0 (Arnold 1970)
+        assert groups == [(1, []), (1, []), (0, [2]), (0, [])]
+        (verdict,) = [r for r in records if r["record"] == "verification"]
+        assert verdict["h1_agrees"] and verdict["grades_agree"]
+
+    def test_benchmark_tracer_runs_verify(self, a2_file, tmp_path):
+        trace = tmp_path / "trace.json"
+        argv = ["--system", a2_file, "--format", "jsonl", "homology", "--verify"]
+        result = run_child(["perfbench/tracer.py", str(trace), "--", *argv])
+        assert result.returncode == 0, result.stderr
+        names = {name for _, name, _, _ in json.loads(trace.read_text())["nodes"]}
+        assert {"cli.main", "homology.invariant_factors"} <= names

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from artinhom import CoxeterSystem
+from artinhom import ArtinMonoid, CoxeterSystem
 from artinhom.errors import (
     AsymmetricMatrix,
     BadDiagonal,
@@ -110,9 +110,14 @@ class TestCanonicalForm:
         capped = CoxeterSystem("ab", {("a", "b"): 3})
         monkeypatch.delenv(CACHE_LIMIT_ENV)
         reference = CoxeterSystem("ab", {("a", "b"): 3})
+        capped_mon, reference_mon = ArtinMonoid(capped), ArtinMonoid(reference)
         for word in all_words("ab", 5):
             assert capped.canon(word) == reference.canon(word)
+            assert capped_mon.canon(word) == reference_mon.canon(word)
+            assert capped_mon.normal_form(word) == reference_mon.normal_form(word)
         assert len(capped._canon) <= 5
+        assert len(capped._closure) <= 5
+        assert len(capped._least) <= 5
 
     def test_non_integer_cache_limit_is_a_domain_error(
         self, monkeypatch, tmp_path, capsys

@@ -9,10 +9,12 @@ from artinhom.homology import (
     HomologyGroup,
     IntChainComplex,
     abelianized_presentation_h1,
+    direct_sum,
     homology_groups,
     invariant_factors,
     smith_normal_form,
 )
+from conftest import columns
 
 
 def matmul(A, B):
@@ -62,7 +64,19 @@ class TestSmithNormalForm:
                 product = matmul(matmul(result.left, matrix), result.right)
                 assert product == result.matrix()
             # the sparse route agrees with the dense one
-            assert invariant_factors(matrix) == [d for d in diagonal if d]
+            assert invariant_factors(columns(matrix)) == [d for d in diagonal if d]
+
+    def test_sparse_elimination_on_larger_unit_matrices(self):
+        # many unit pivots whose fill revisits earlier columns
+        rng = random.Random(3)
+        for _ in range(40):
+            rows, cols = rng.randint(5, 25), rng.randint(5, 25)
+            matrix = [
+                [rng.choice((-1, 1, 2)) if rng.random() < 0.2 else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            expected = [d for d in smith_normal_form(matrix).diagonal if d]
+            assert invariant_factors(columns(matrix)) == expected
 
     def test_sparse_elimination_on_structured_input(self):
         # entries sharing a unit pivot's row are absorbed, not new factors
@@ -72,7 +86,7 @@ class TestSmithNormalForm:
             [0, 0, 4, 0],
             [0, 0, 0, 0],
         ]
-        assert invariant_factors(matrix) == [1, 1, 4]
+        assert invariant_factors(columns(matrix)) == [1, 1, 4]
         # a non-unit core still gets its divisibility chain repaired
         matrix = [
             [1, 0, 0, 0],
@@ -80,21 +94,21 @@ class TestSmithNormalForm:
             [0, 0, 4, 0],
             [0, 0, 0, 6],
         ]
-        assert invariant_factors(matrix) == [1, 1, 2, 12]
+        assert invariant_factors(columns(matrix)) == [1, 1, 2, 12]
 
 
 class TestChainComplexes:
     def test_shape_validation(self):
         with pytest.raises(NotAComplex):
-            IntChainComplex((1, 2), {1: [[0]]})
+            IntChainComplex((1, 2), {1: columns([[0]])})
 
     def test_composition_validation(self):
-        bad = IntChainComplex((1, 1, 1), {1: [[1]], 2: [[1]]})
+        bad = IntChainComplex((1, 1, 1), {1: columns([[1]]), 2: columns([[1]])})
         with pytest.raises(NotAComplex):
             bad.homology()
 
     def test_projective_plane(self):
-        complex_ = IntChainComplex((1, 1, 1), {1: [[0]], 2: [[2]]})
+        complex_ = IntChainComplex((1, 1, 1), {1: columns([[0]]), 2: columns([[2]])})
         assert complex_.homology() == [
             HomologyGroup(1),
             HomologyGroup(0, (2,)),
@@ -102,7 +116,9 @@ class TestChainComplexes:
         ]
 
     def test_klein_bottle(self):
-        complex_ = IntChainComplex((1, 2, 1), {1: [[0, 0]], 2: [[2], [0]]})
+        complex_ = IntChainComplex(
+            (1, 2, 1), {1: columns([[0, 0]]), 2: columns([[2], [0]])}
+        )
         assert complex_.homology() == [
             HomologyGroup(1),
             HomologyGroup(1, (2,)),
@@ -110,7 +126,9 @@ class TestChainComplexes:
         ]
 
     def test_torus(self):
-        complex_ = IntChainComplex((1, 2, 1), {1: [[0, 0]], 2: [[0], [0]]})
+        complex_ = IntChainComplex(
+            (1, 2, 1), {1: columns([[0, 0]]), 2: columns([[0], [0]])}
+        )
         assert complex_.homology() == [
             HomologyGroup(1),
             HomologyGroup(2),
@@ -122,10 +140,9 @@ class TestChainComplexes:
 
     def test_invariance_under_signed_permutations(self):
         rng = random.Random(7)
-        base = IntChainComplex(
-            (2, 3, 2),
-            {1: [[0, 0, 0], [0, 0, 0]], 2: [[2, 0], [0, 0], [0, 3]]},
-        )
+        d1 = [[0, 0, 0], [0, 0, 0]]
+        d2 = [[2, 0], [0, 0], [0, 3]]
+        base = IntChainComplex((2, 3, 2), {1: columns(d1), 2: columns(d2)})
         reference = base.homology()
         for _ in range(25):
 
@@ -153,11 +170,24 @@ class TestChainComplexes:
             changed = IntChainComplex(
                 (2, 3, 2),
                 {
-                    1: matmul(matmul(P0, base.boundary(1)), inverse(P1)),
-                    2: matmul(matmul(P1, base.boundary(2)), inverse(P2)),
+                    1: columns(matmul(matmul(P0, d1), inverse(P1))),
+                    2: columns(matmul(matmul(P1, d2), inverse(P2))),
                 },
             )
             assert changed.homology() == reference
+
+
+class TestDirectSum:
+    def test_torsion_merges_into_invariant_factors(self):
+        groups = [HomologyGroup(1, (2,)), HomologyGroup(0, (3,)), HomologyGroup(2)]
+        assert direct_sum(groups) == HomologyGroup(3, (6,))
+        assert direct_sum([HomologyGroup(0, (2,))] * 2) == HomologyGroup(0, (2, 2))
+        assert direct_sum(
+            [HomologyGroup(0, (2, 4)), HomologyGroup(0, (6,))]
+        ) == HomologyGroup(0, (2, 2, 12))
+
+    def test_empty_sum_is_trivial(self):
+        assert direct_sum([]) == HomologyGroup(0)
 
 
 class TestPresentationOracle:

@@ -136,14 +136,17 @@ class TestAudits:
     def test_a2_and_free_pass(self, m_a2, m_ainf):
         for matching in (m_a2, m_ainf):
             for n in range(7):
-                for flag in (0, 1):
-                    matching.audit_grade((n, flag))
+                audit = matching.audit_grade(n)
+                assert [g.grade for g in audit.grades] == [(n, 0), (n, 1)]
+                for grade in audit.grades:
+                    assert grade.cells == len(matching.fiber(grade.grade))
+                    assert grade.edges == len(matching.matching_for_grade(grade.grade))
 
     def test_essential_census_from_audit(self, m_a2):
         found = {}
         for n in range(7):
-            for flag in (0, 1):
-                for cell in m_a2.audit_grade((n, flag)).essential:
+            for grade in m_a2.audit_grade(n).grades:
+                for cell in grade.essential:
                     found.setdefault(len(cell), []).append(cell)
         assert sorted(found) == [0, 1, 2]
         assert found[0] == [()]
@@ -154,13 +157,13 @@ class TestAudits:
         edges = m_a2.matching_for_grade((2, 1))
         edges.discard(MatchEdge((W("a"), W("a")), (W("aa"),), "M1"))
         with pytest.raises(AuditFailure, match="unmatched"):
-            m_a2.audit_grade((2, 1), edges)
+            m_a2.audit_grade(2, edges)
 
     def test_doubled_cell_fails(self, m_a2):
         edges = m_a2.matching_for_grade((2, 1))
         edges.add(MatchEdge((W("a"), W("b")), (W("aa"),), "M1"))
         with pytest.raises(AuditFailure):
-            m_a2.audit_grade((2, 1), edges)
+            m_a2.audit_grade(2, edges)
 
     def test_crossed_pairs_fail_regularity(self, m_a2):
         # [ba] is not a face of [a|b]; pairing them violates regularity
@@ -171,4 +174,20 @@ class TestAudits:
             MatchEdge((W("b"), W("a")), (W("ab"),), "M1"),
         }
         with pytest.raises(AuditFailure, match="incidence"):
-            m_a2.audit_grade((2, 1), edges)
+            m_a2.audit_grade(2, edges)
+
+    def test_edge_of_another_length_fails(self, m_a2):
+        edges = m_a2.matching_for_grade((2, 1))
+        edges.add(MatchEdge((W("ba"), W("b")), (W("aba"),), "M2"))
+        with pytest.raises(AuditFailure, match="escapes"):
+            m_a2.audit_grade(2, edges)
+
+    def test_cycle_through_matched_pairs_fails(self, m_a2):
+        # two 2-cells sharing both faces, each matched with a different one:
+        # low_p -> top1 -> low_q -> top2 -> low_p (nodes are suffix products)
+        top1, top2 = ("x", "p", "q", ()), ("x", "q", "p", ())
+        low_p, low_q = ("x", "p", ()), ("x", "q", ())
+        nodes = {node: node for node in (top1, top2, low_p, low_q)}
+        with pytest.raises(AuditFailure, match="cycle"):
+            m_a2._check_fiber_acyclic((3, 1), nodes, {(top1, low_p), (top2, low_q)})
+        m_a2._check_fiber_acyclic((3, 1), nodes, {(top1, low_p)})

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
-from artinhom.bar import cell_length, grade_complex
+from artinhom.bar import cell_length, layer_homology
 from artinhom.errors import InfiniteM, InternalError, NonAcyclicInput
 from artinhom.homology import HomologyGroup, homology_groups
 from artinhom.matching import BarMatching, MatchEdge
@@ -16,6 +16,7 @@ from artinhom.morse import (
     morse_boundary,
     reduced_complex,
 )
+from conftest import columns
 
 
 def W(text):
@@ -86,20 +87,20 @@ class TestReducedComplex:
 
     def test_one_cells_have_zero_boundary(self, mon_a2):
         complex_ = reduced_complex(BarMatching(mon_a2))
-        assert complex_.boundaries[1] == [[0, 0]]
+        assert complex_.boundaries[1] == columns([[0, 0]])
 
     def test_two_cell_boundary_odd_and_even(self, mon_a2, mon_a1a1, mon_b2):
         # odd order: the two edge coefficients differ by sign; even: cancel
         odd = reduced_complex(BarMatching(mon_a2))
-        assert sorted(row[0] for row in odd.boundaries[2]) == [-1, 1]
+        assert odd.boundaries[2] in (columns([[-1], [1]]), columns([[1], [-1]]))
         for mon in (mon_a1a1, mon_b2):
             even = reduced_complex(BarMatching(mon))
-            assert [row[0] for row in even.boundaries[2]] == [0, 0]
+            assert even.boundaries[2] == columns([[0], [0]])
 
     def test_free_case_has_no_two_cells(self, mon_ainf):
         complex_ = reduced_complex(BarMatching(mon_ainf))
         assert complex_.census() == (1, 2)
-        assert complex_.boundaries[1] == [[0, 0]]
+        assert complex_.boundaries[1] == columns([[0, 0]])
 
     def test_composition_vanishes_in_rank_three(self, mon_a3):
         reduced_complex(BarMatching(mon_a3)).chain_complex().check_composition()
@@ -180,7 +181,7 @@ class TestPerGradeCollapse:
                 census[key] = census.get(key, 0) + 1
             top = max(n for n, _ in census)
             for n in range(top + 3):
-                layer = homology_groups(grade_complex(mon, n))
+                layer = layer_homology(mon, n)
                 for k, group in enumerate(layer):
                     assert group == Z(census.get((n, k), 0)), (n, k)
 
