@@ -226,13 +226,15 @@ class ArtinMonoid:
     # -- fundamental elements ----------------------------------------------
 
     def delta(self, T: Iterable[str]) -> Word:
-        """Fundamental element on T: the positive lift of the longest element."""
+        """Fundamental element on T: the positive lift of the longest element.
+
+        Its reduced words form its monoid class, so the group's canonical
+        word is the monoid's too.
+        """
         T = self.system.check_subset(T)
-        if not T:
-            return ()
         if not self.system.is_finite_type(T):
             raise InfiniteType(f"no fundamental element on {sorted(T)}")
-        return self.canon(self.system.longest_element(T))
+        return self.system.longest_element(T)
 
     def deltas(self) -> dict[frozenset[str], Word]:
         """Fundamental elements for every non-empty finite-type subset."""
@@ -246,12 +248,7 @@ class ArtinMonoid:
 
     def finishing_set(self, x: Iterable[str]) -> frozenset[str]:
         """Generators whose letter right divides x."""
-        x = self.system.check_word(x)
-        return frozenset(w[-1] for w in self.equiv_class(x) if w)
-
-    def starting_set(self, x: Iterable[str]) -> frozenset[str]:
-        x = self.system.check_word(x)
-        return frozenset(w[0] for w in self.equiv_class(x) if w)
+        return self.system.descents(self.system.check_word(x))
 
     def is_squarefree(self, x: Iterable[str]) -> bool:
         """No word in the class contains a repeated adjacent letter."""

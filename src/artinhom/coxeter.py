@@ -1,14 +1,15 @@
 """Coxeter systems: matrix validation, the word problem, finite-type tools.
 
 Group elements are plain words (tuples of generator names).  Equality is
-decided exactly by rewriting: the defining relations split into braid
-moves, which preserve word length, and square deletions ``ss -> 1``,
-which shorten.  Any word can therefore be reduced by alternating braid
-closure with square deletion, and all reduced words of an element form a
-single braid-closure class.  The ShortLex-least reduced word (with
-respect to the generator order given at construction) is the canonical
-form; that same generator order is the total order consumed by the
-matching machinery downstream, so there is one global convention.
+decided exactly by Tits' solution of the word problem and Matsumoto's
+theorem: the reduced words of one element form a single braid-closure
+class, and for reduced w, l(ws) < l(w) exactly when some word of that
+class ends in s.  `descents` reads those last letters; `canon` multiplies
+the letters on one at a time and so only ever builds classes of reduced
+words.  The ShortLex-least reduced word (with respect to the generator
+order given at construction) is the canonical form; that same generator
+order is the total order consumed by the matching machinery downstream,
+so there is one global convention.
 
 Finite-type recognition classifies each connected component of the
 Coxeter graph against the catalogue A_n, B_n, D_n, E6, E7, E8, F4, H3,
@@ -29,7 +30,6 @@ from .errors import (
     BadEnvironment,
     DuplicateGenerator,
     InfiniteType,
-    InternalError,
     UnknownGenerator,
 )
 
@@ -191,36 +191,28 @@ class CoxeterSystem:
             )
         return least
 
+    def descents(self, word: Word) -> frozenset[str]:
+        """Last letters over the braid class of `word`.
+
+        For a reduced word this is its right descent set; for a positive
+        word it is the finishing set of its monoid element.
+        """
+        return frozenset(w[-1] for w in self.braid_closure(word) if w)
+
     def canon(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element `word` represents."""
         word = self.check_word(word)
-        current = word
-        trace = []
-        while True:
-            hit = self._canon.get(current)
-            if hit is not None:
-                result = hit
-                break
-            trace.append(current)
+        result = self._canon.get(word)
+        if result is not None:
+            return result
+        current: Word = ()
+        for s in word:
+            # `current` is reduced, so s either deletes or lengthens (exchange)
             closure = self.braid_closure(current)
-            shorter = None
-            for w in closure:
-                for i in range(len(w) - 1):
-                    if w[i] == w[i + 1]:
-                        shorter = w[:i] + w[i + 2 :]
-                        break
-                if shorter is not None:
-                    break
-            if shorter is None:
-                # every word in the closure is reduced (Tits)
-                result = self.least_word(closure)
-                for w in closure:
-                    cache_put(self._canon, w, result, self._limit)
-                break
-            current = shorter
-        for w in trace:
-            cache_put(self._canon, w, result, self._limit)
-        return result
+            shorter = next((w[:-1] for w in closure if w and w[-1] == s), None)
+            product = current + (s,) if shorter is None else shorter
+            current = self.least_word(self.braid_closure(product))
+        return cache_put(self._canon, word, current, self._limit)
 
     def length(self, word: Iterable[str]) -> int:
         return len(self.canon(word))
@@ -301,20 +293,22 @@ class CoxeterSystem:
         return sorted(seen, key=lambda w: (len(w), self.key(w)))
 
     def longest_element(self, T: Iterable[str]) -> Word:
-        elements = self.enumerate_group(T)
-        top = max(len(w) for w in elements)
-        longest = [w for w in elements if len(w) == top]
-        if len(longest) != 1:
-            raise InternalError(
-                f"length maximum not unique on {sorted(T)}: {longest}"
-            )
-        return longest[0]
+        """Canonical word of the longest element of W_T: climb by ascents."""
+        T = self.check_subset(T)
+        if not self.is_finite_type(T):
+            raise InfiniteType(f"subgroup on {sorted(T)} is infinite")
+        letters = self.sorted_subset(T)
+        w: Word = ()
+        while True:
+            below = self.descents(w)
+            ascent = next((s for s in letters if s not in below), None)
+            if ascent is None:
+                return w
+            w = self.least_word(self.braid_closure(w + (ascent,)))
 
     def is_t_minimal(self, word: Iterable[str], T: Iterable[str]) -> bool:
-        """Shortest-in-coset test via the descent criterion."""
-        T = self.check_subset(T)
-        w = self.canon(word)
-        return all(len(self.canon(w + (s,))) > len(w) for s in T)
+        """Shortest-in-coset test: no letter of T is a right descent."""
+        return self.check_subset(T).isdisjoint(self.descents(self.canon(word)))
 
 
 def _finite_component(comp: list[str], m) -> bool:

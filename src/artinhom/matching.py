@@ -32,7 +32,7 @@ from .bar import (
     merge_faces,
 )
 from .coxeter import Word
-from .errors import AuditFailure, InternalError, NotMu1Essential
+from .errors import AuditFailure, InfiniteType, InternalError, NotMu1Essential
 
 Grade = tuple[int, int]
 
@@ -249,13 +249,14 @@ class BarMatching:
     def essential_cell(self, T: Iterable[str]) -> BarCell:
         """The unique fully essential cell whose top tail set is T."""
         T = self.system.check_subset(T)
+        if not self.system.is_finite_type(T):
+            raise InfiniteType(f"no fundamental element on {sorted(T)}")
+        deltas = self.mon.deltas()
         factors = []
         current = T
         while current:
             rest = current - {max(current, key=self.system.index)}
-            factor = self.mon.right_quotient(
-                self.mon.delta(current), self.mon.delta(rest)
-            )
+            factor = self.mon.right_quotient(deltas[current], deltas.get(rest, ()))
             if factor is None:
                 raise InternalError(f"fundamental elements on {sorted(T)} do not nest")
             factors.append(factor)

@@ -2,8 +2,9 @@
 
 The oracles here decide the word problem through faithful models that
 never touch the rewriting code under test: symmetric groups acting by
-adjacent transpositions for the linear diagrams, and affine maps
-x -> sign*x + shift on Z (mod 2m) for the dihedral systems.
+adjacent transpositions for the linear diagrams, affine maps
+x -> sign*x + shift on Z (mod 2m) for the dihedral systems, and window
+notation for the affine permutations of the affine Weyl group A~2.
 """
 
 import math
@@ -35,6 +36,10 @@ def make_ainf():
 
 def make_a3():
     return CoxeterSystem("abc", {("a", "b"): 3, ("b", "c"): 3})
+
+
+def make_affine_a2():
+    return CoxeterSystem("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 3})
 
 
 @pytest.fixture(scope="session")
@@ -132,6 +137,34 @@ def dihedral_of_word(word, m):
     if m != math.inf:
         shift %= 2 * m
     return sign, shift
+
+
+# -- affine permutation oracle (A~2, infinite) ----------------------------------
+
+
+def affine_window(word):
+    """Window (w(1), w(2), w(3)) of a word over {a, b, c} as an affine
+    permutation of Z with w(i + 3) = w(i) + 3; a and b swap adjacent
+    entries and c acts as s_0."""
+    w1, w2, w3 = 1, 2, 3
+    for s in word:
+        if s == "a":
+            w1, w2 = w2, w1
+        elif s == "b":
+            w2, w3 = w3, w2
+        else:
+            w1, w3 = w3 - 3, w1 + 3
+    return w1, w2, w3
+
+
+def affine_length(window):
+    """Coxeter length by Shi's formula: sum over i < j of |floor((w_j - w_i)/3)|."""
+    n = len(window)
+    return sum(
+        abs((window[j] - window[i]) // n)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
 
 
 # -- sparse matrices ---------------------------------------------------------

@@ -286,10 +286,20 @@ class TestChildProcesses:
         (verdict,) = [r for r in records if r["record"] == "verification"]
         assert verdict["h1_agrees"] and verdict["grades_agree"]
 
-    def test_benchmark_tracer_runs_verify(self, a2_file, tmp_path):
+    @pytest.mark.parametrize(
+        "text, command, spans",
+        [
+            (A2_TEXT, ["homology", "--verify"], {"cli.main", "homology.invariant_factors"}),
+            ("gens: a b\nm a b 5\n", ["salvetti-stats"], {"cli.main", "coxeter.canon"}),
+        ],
+        ids=["A2-homology-verify", "I25-salvetti-stats"],
+    )
+    def test_benchmark_tracer_runs_verify(self, tmp_path, text, command, spans):
+        path = tmp_path / "system"
+        path.write_text(text)
         trace = tmp_path / "trace.json"
-        argv = ["--system", a2_file, "--format", "jsonl", "homology", "--verify"]
+        argv = ["--system", str(path), "--format", "jsonl", *command]
         result = run_child(["perfbench/tracer.py", str(trace), "--", *argv])
         assert result.returncode == 0, result.stderr
         names = {name for _, name, _, _ in json.loads(trace.read_text())["nodes"]}
-        assert {"cli.main", "homology.invariant_factors"} <= names
+        assert spans <= names

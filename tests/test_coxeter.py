@@ -13,7 +13,15 @@ from artinhom.errors import (
     InfiniteType,
     UnknownGenerator,
 )
-from conftest import all_words, dihedral_of_word, inversions, perm_of_word
+from conftest import (
+    affine_length,
+    affine_window,
+    all_words,
+    dihedral_of_word,
+    inversions,
+    make_affine_a2,
+    perm_of_word,
+)
 
 
 class TestValidation:
@@ -92,6 +100,19 @@ class TestCanonicalForm:
         for word in all_words("ab", 6):
             by_canon.setdefault(system.canon(word), set()).add(word)
             by_oracle.setdefault(dihedral_of_word(word, m), set()).add(word)
+        assert set(map(frozenset, by_canon.values())) == set(
+            map(frozenset, by_oracle.values())
+        )
+
+    def test_constant_on_classes_affine_a2(self):
+        system = make_affine_a2()
+        by_canon = {}
+        by_oracle = {}
+        for word in all_words("abc", 6):
+            canonical = system.canon(word)
+            assert len(canonical) == affine_length(affine_window(canonical))
+            by_canon.setdefault(canonical, set()).add(word)
+            by_oracle.setdefault(affine_window(word), set()).add(word)
         assert set(map(frozenset, by_canon.values())) == set(
             map(frozenset, by_oracle.values())
         )
@@ -289,19 +310,23 @@ class TestSubsetsAndSubgroups:
         with pytest.raises(InfiniteType):
             ainf.enumerate_group("ab")
 
-    def test_longest_element(self, a2, a1a1, a3):
+    def test_longest_element(self, a2, a1a1, a3, ainf):
         assert a2.longest_element("ab") == ("a", "b", "a")
         assert a2.longest_element("a") == ("a",)
         assert a1a1.longest_element("ab") == ("a", "b")
         longest = a3.longest_element("abc")
         assert len(longest) == 6
         assert perm_of_word(longest, "abc", 4) == (3, 2, 1, 0)
+        with pytest.raises(InfiniteType):
+            ainf.longest_element("ab")
 
     def test_longest_element_is_unique_maximum(self, a2, b2, i25):
         for system in (a2, b2, i25):
             elements = system.enumerate_group(system.gens)
             top = max(len(w) for w in elements)
-            assert sum(1 for w in elements if len(w) == top) == 1
+            assert [w for w in elements if len(w) == top] == [
+                system.longest_element(system.gens)
+            ]
 
 
 class TestTMinimal:

@@ -1,7 +1,7 @@
 import pytest
 
 from artinhom.bar import cell_length, iter_cells_of_grade
-from artinhom.errors import AuditFailure, NotMu1Essential
+from artinhom.errors import AuditFailure, InfiniteType, NotMu1Essential
 from artinhom.matching import BarMatching, MatchEdge
 
 
@@ -80,6 +80,8 @@ class TestMaxClassification:
         assert m_a2.essential_cell("a") == (W("a"),)
         assert m_a2.essential_cell("ab") == (W("ab"), W("a"))
         assert m_ainf.essential_cell("b") == (W("b"),)
+        with pytest.raises(InfiniteType):
+            m_ainf.essential_cell("ab")
         m_a3 = BarMatching(mon_a3)
         top = m_a3.essential_cell("abc")
         assert len(top) == 3

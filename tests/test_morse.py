@@ -133,8 +133,18 @@ class TestReducedComplex:
                 {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3},
                 [Z(1), Z(1), Z(0, 2), Z(0), Z(0)],
             ),
+            (
+                "abcd",
+                {("a", "b"): 3, ("b", "c"): 3, ("b", "d"): 3},
+                [Z(1), Z(1), Z(0, 2, 2, 2), Z(1), Z(1)],
+            ),
+            (
+                "abcd",
+                {("a", "b"): 4, ("b", "c"): 3, ("c", "d"): 3},
+                [Z(1), Z(2), Z(2, 2), Z(2), Z(1)],
+            ),
         ],
-        ids=["B3", "H3", "A4"],
+        ids=["B3", "H3", "A4", "D4", "B4"],
     )
     def test_homology_of_larger_finite_types(
         self, gens, orders, expected
