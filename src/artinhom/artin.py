@@ -44,21 +44,11 @@ class ArtinMonoid:
     def canon(self, word: Iterable[str]) -> Word:
         return self.system.least_word(self.equiv_class(word))
 
-    def equal(self, x: Iterable[str], y: Iterable[str]) -> bool:
-        return self.canon(x) == self.canon(y)
-
     def mul(self, *words: Iterable[str]) -> Word:
         combined: tuple[str, ...] = ()
         for w in words:
             combined = combined + tuple(w)
         return self.canon(combined)
-
-    def length(self, word: Iterable[str]) -> int:
-        return len(tuple(word))
-
-    def project(self, word: Iterable[str]) -> Word:
-        """Image in the Coxeter group (same letters, group rewriting)."""
-        return self.system.canon(word)
 
     def rev(self, word: Iterable[str]) -> Word:
         return self.canon(tuple(reversed(tuple(word))))
@@ -101,13 +91,6 @@ class ArtinMonoid:
             for k in range(len(w) + 1)
         }
 
-    def right_divisors(self, x: Iterable[str]) -> set[Word]:
-        return {
-            self.canon(w[k:])
-            for w in self.equiv_class(x)
-            for k in range(len(w) + 1)
-        }
-
     def left_splits(self, x: Iterable[str]) -> list[tuple[Word, Word]]:
         """All pairs (d, q) of non-identity elements with d * q = x,
         ShortLex-ordered by d."""
@@ -129,18 +112,6 @@ class ArtinMonoid:
         for w in self.equiv_class(x):
             if self.canon(w[len(w) - k :]) == d:
                 return self.canon(w[: len(w) - k])
-        return None
-
-    def left_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
-        """The y with d*y = x, or None when d does not left divide x."""
-        d = self.canon(d)
-        x = self.system.check_word(x)
-        k = len(d)
-        if k > len(x):
-            return None
-        for w in self.equiv_class(x):
-            if self.canon(w[:k]) == d:
-                return self.canon(w[k:])
         return None
 
     # -- gcd / lcm ----------------------------------------------------------
@@ -244,19 +215,11 @@ class ArtinMonoid:
             }
         return self._deltas
 
-    # -- finishing sets and squarefreeness -----------------------------------
+    # -- finishing sets --------------------------------------------------------
 
     def finishing_set(self, x: Iterable[str]) -> frozenset[str]:
         """Generators whose letter right divides x."""
         return self.system.descents(self.system.check_word(x))
-
-    def is_squarefree(self, x: Iterable[str]) -> bool:
-        """No word in the class contains a repeated adjacent letter."""
-        return not any(
-            w[i] == w[i + 1]
-            for w in self.equiv_class(x)
-            for i in range(len(w) - 1)
-        )
 
     # -- normal form ---------------------------------------------------------
 
@@ -284,10 +247,3 @@ class ArtinMonoid:
             parts.append(T)
             rest = quotient
         return tuple(parts)
-
-    def recompose(self, parts: Iterable[Iterable[str]]) -> Word:
-        """Inverse of normal_form: multiply delta(T_k) ... delta(T_1)."""
-        word: tuple[str, ...] = ()
-        for T in reversed(list(parts)):
-            word = word + self.delta(T)
-        return self.canon(word)

@@ -13,12 +13,12 @@ the boundary is a differential on each fixed-length layer.  Merging also
 keeps the product of the factors, so each layer splits further as a
 direct sum over the elements x of that length of the complex of
 factorizations of x.  These finite fibers are what `homology --verify`
-and the matching audits consume, one at a time.
+and the matching audits consume, one at a time; no whole layer of cells
+is ever listed (the test suite keeps such an enumerator as an
+independent oracle for `factorizations`).
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .artin import ArtinMonoid
 from .coxeter import Word
@@ -31,21 +31,12 @@ def cell_length(cell: BarCell) -> int:
     return sum(len(x) for x in cell)
 
 
-def cell_dim(cell: BarCell) -> int:
-    return len(cell)
-
-
 def faces(mon: ArtinMonoid, cell: BarCell) -> list[tuple[int, BarCell]]:
     """All simplicial faces in order with signs +1, -1, +1, ..., (-1)^n."""
     n = len(cell)
     if n == 0:
         return []
-    out: list[tuple[int, BarCell]] = [(1, cell[1:])]
-    for i in range(1, n):
-        merged = cell[: i - 1] + (mon.mul(cell[i - 1], cell[i]),) + cell[i + 1 :]
-        out.append((-1 if i % 2 else 1, merged))
-    out.append((-1 if n % 2 else 1, cell[:-1]))
-    return out
+    return [(1, cell[1:]), *merge_faces(mon, cell), (-1 if n % 2 else 1, cell[:-1])]
 
 
 def merge_faces(mon: ArtinMonoid, cell: BarCell) -> list[tuple[int, BarCell]]:
@@ -68,22 +59,6 @@ def boundary(mon: ArtinMonoid, cell: BarCell) -> dict[BarCell, int]:
         elif face in acc:
             del acc[face]
     return acc
-
-
-def iter_cells_of_grade(mon: ArtinMonoid, n: int) -> Iterator[BarCell]:
-    """All cells of total length n, i.e. ordered factorizations into
-    nontrivial elements of every element of length n."""
-    if n == 0:
-        yield ()
-        return
-    for first_len in range(1, n + 1):
-        for x in mon.elements_of_length(first_len):
-            for rest in iter_cells_of_grade(mon, n - first_len):
-                yield (x,) + rest
-
-
-def cells_of_grade(mon: ArtinMonoid, n: int) -> list[BarCell]:
-    return list(iter_cells_of_grade(mon, n))
 
 
 def factorizations(

@@ -35,11 +35,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .homology import (
-    HomologyGroup,
-    abelianized_presentation_h1,
-    homology_groups,
-)
+from .homology import HomologyGroup, abelianized_presentation_h1
 from .matching import BarMatching
 from .morse import (
     boundary_word_2cell,
@@ -50,7 +46,6 @@ from .morse import (
 from .salvetti import (
     cell_pair_check,
     polygon_boundary_word,
-    polygon_vertices,
     quotient_census,
     sal_poset,
 )
@@ -248,7 +243,7 @@ def cmd_morse_cells(args, system, out):
     )
     for dim, cells in enumerate(complex_.cells_by_dim):
         for T in cells:
-            cell = matching.essential_cell(T)
+            cell = complex_.essential[T]
             out.emit(
                 f"dim {dim}: e{subset_str(system, T)} "
                 f"= [{('|'.join(word_str(system, x) for x in cell)) or ' '}] "
@@ -264,9 +259,8 @@ def cmd_morse_cells(args, system, out):
 
 def cmd_homology(args, system, out):
     mon = ArtinMonoid(system)
-    matching = BarMatching(mon)
-    complex_ = reduced_complex(matching).chain_complex()
-    groups = homology_groups(complex_)
+    reduced = reduced_complex(BarMatching(mon))
+    groups = reduced.chain_complex().homology()
     for k, h in enumerate(groups):
         out.emit(
             f"H_{k} = {h}",
@@ -280,18 +274,20 @@ def cmd_homology(args, system, out):
         oracle = abelianized_presentation_h1(system)
         h1 = groups[1] if len(groups) > 1 else HomologyGroup(0)
         ok_h1 = h1 == oracle
-        max_len = max(
-            (len(mon.delta(T)) for T in system.sf() if T), default=0
-        )
+        max_len = max((len(delta) for delta in mon.deltas().values()), default=0)
+        # essential cells per (length, dimension)
+        expected: dict[tuple[int, int], int] = {}
+        for T, cell in reduced.essential.items():
+            key = (cell_length(cell), len(T))
+            expected[key] = expected.get(key, 0) + 1
         per_grade_ok = True
         for n in range(max_len + 3):
             layer = layer_homology(mon, n)
-            expected = _essential_counts_by_grade(matching, n)
             got = tuple(
                 (h.free_rank, h.torsion) for h in layer
             )
             want = tuple(
-                (expected.get(k, 0), ()) for k in range(len(layer))
+                (expected.get((n, k), 0), ()) for k in range(len(layer))
             )
             if got != want:
                 per_grade_ok = False
@@ -307,15 +303,6 @@ def cmd_homology(args, system, out):
         if not ok:
             code = 2
     return code
-
-
-def _essential_counts_by_grade(matching, n):
-    counts: dict[int, int] = {}
-    for T in matching.system.sf():
-        cell = matching.essential_cell(T)
-        if cell_length(cell) == n:
-            counts[len(T)] = counts.get(len(T), 0) + 1
-    return counts
 
 
 def cmd_matching_audit(args, system, out):
@@ -402,6 +389,17 @@ COMMANDS = {
 }
 
 
+def _non_negative(text: str) -> int:
+    """Option type for counts and bounds: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; need an integer >= 0")
+    return value
+
+
 class Parser(argparse.ArgumentParser):
     """Reports a usage error as `UsageError` instead of exiting with 2,
     which the exit contract reserves for failed audits and checks."""
@@ -436,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     side = p.add_mutually_exclusive_group()
     side.add_argument("--left", action="store_true")
     side.add_argument("--right", action="store_true")
-    p.add_argument("--bound", type=int, default=None, help="search length bound")
+    p.add_argument(
+        "--bound", type=_non_negative, default=None, help="search length bound"
+    )
 
     p = sub.add_parser("gcd", help="greatest common divisor")
     p.add_argument("words", nargs="+")
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("matching-audit", help="audit the matching per grade")
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=_non_negative, default=6)
 
     sub.add_parser("salvetti-stats", help="poset census and cell pair checks")
 

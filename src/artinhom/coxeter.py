@@ -148,16 +148,6 @@ class CoxeterSystem:
     def sorted_subset(self, T: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(T, key=self._index.__getitem__))
 
-    def validate(self) -> None:
-        """Re-check all invariants; construction already enforces them."""
-        assert len(set(self.gens)) == len(self.gens)
-        for s, t in combinations(self.gens, 2):
-            m = self.m(s, t)
-            assert m == self.m(t, s)
-            assert m == math.inf or (isinstance(m, int) and m >= 2)
-        for s in self.gens:
-            assert self.m(s, s) == 1
-
     # -- word problem ----------------------------------------------------
 
     def braid_closure(self, word: Word) -> frozenset[Word]:
@@ -214,9 +204,6 @@ class CoxeterSystem:
             current = self.least_word(self.braid_closure(product))
         return cache_put(self._canon, word, current, self._limit)
 
-    def length(self, word: Iterable[str]) -> int:
-        return len(self.canon(word))
-
     def mul(self, *words: Iterable[str]) -> Word:
         combined: tuple[str, ...] = ()
         for w in words:
@@ -226,9 +213,6 @@ class CoxeterSystem:
     def inverse(self, word: Iterable[str]) -> Word:
         # generators are involutions, so reversal inverts
         return self.canon(tuple(reversed(tuple(word))))
-
-    def equal(self, u: Iterable[str], v: Iterable[str]) -> bool:
-        return self.canon(u) == self.canon(v)
 
     # -- finite-type recognition ------------------------------------------
 

@@ -53,10 +53,6 @@ class Undecided(DomainError):
     code = "undecided"
 
 
-class NotMu1Essential(DomainError):
-    code = "not-mu1-essential"
-
-
 class ParseError(DomainError):
     code = "parse-error"
 

@@ -325,10 +325,6 @@ class IntChainComplex:
         return out
 
 
-def homology_groups(complex_: IntChainComplex) -> list[HomologyGroup]:
-    return complex_.homology()
-
-
 def abelianized_presentation_h1(system: CoxeterSystem) -> HomologyGroup:
     """First homology predicted from the standard presentation.
 

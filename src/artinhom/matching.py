@@ -6,10 +6,11 @@ x_k...x_n lies in D; the first matching pairs the remaining cells by
 splitting or merging at the depth position, keyed on finishing sets.
 On the depth-essential cells a second matching does the same with the
 maximum-generator condition on the chain of tail sets.  The union is
-graded by eta(cell) = (length, essential flag), which every matched pair
-preserves.  Matched pairs and merge faces also keep the product x of a
-cell's factors, so acyclicity and perfect-matching can be audited one
-finite (x, flag) fiber at a time.
+graded by (length, flag), the flag being 0 exactly on depth-essential
+cells, and every matched pair preserves the grade.  Matched pairs and
+merge faces also keep the product x of a cell's factors, so
+acyclicity and perfect-matching can be audited one finite (x, flag)
+fiber at a time.
 
 The paper trail for the two constructions defines only the collapsible
 (upper) side; the inverse splits used here are completed so that the
@@ -24,15 +25,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .artin import ArtinMonoid
-from .bar import (
-    BarCell,
-    cell_length,
-    factorizations,
-    iter_cells_of_grade,
-    merge_faces,
-)
+from .bar import BarCell, factorizations, merge_faces
 from .coxeter import Word
-from .errors import AuditFailure, InfiniteType, InternalError, NotMu1Essential
+from .errors import AuditFailure, InfiniteType, InternalError
 
 Grade = tuple[int, int]
 
@@ -68,9 +63,11 @@ class LengthAudit:
 class BarMatching:
     """Cell classification and partner computation for one monoid.
 
-    The public predicates take a cell; each computes the cell's suffix
-    products once and hands them to the private helpers, which the
-    audit also calls with the products it already has.
+    `partner` is the one entry point that takes a bare cell: it computes
+    the cell's suffix products once and hands them to the private
+    helpers, which the audit also calls with the products that
+    `factorizations` already built.  A cell's flag is 0 exactly when its
+    partner is None or an "M2" edge.
     """
 
     def __init__(self, mon: ArtinMonoid):
@@ -104,40 +101,9 @@ class BarMatching:
             j -= 1
         return j
 
-    def mu1_essential(self, cell: BarCell) -> bool:
-        """Every tail product is a fundamental element."""
-        return self._depth(self.suffix_products(cell)) == 1
-
-    def d1(self, cell: BarCell) -> int:
-        """Least j (1-based) whose tail cell is depth-essential; n+1 if none."""
-        return self._depth(self.suffix_products(cell))
-
-    def tail_sets(self, cell: BarCell) -> dict[int, frozenset[str]]:
-        """The subsets I_j with product(x_j..x_n) = delta(I_j), plus I_{n+1} = {}."""
-        products = self.suffix_products(cell)
-        n = len(cell)
-        out = {n + 1: frozenset()}
-        for j in range(self._depth(products), n + 1):
-            out[j] = self.delta_of[products[j - 1]]
-        return out
-
     def _m1_target(self, products: Sequence[Word], d: int) -> frozenset[str]:
         """I_d, the tail set the finishing set is compared with at depth d."""
         return self.delta_of[products[d - 1]] if d < len(products) else frozenset()
-
-    def mu1_collapsible(self, cell: BarCell) -> bool:
-        products = self.suffix_products(cell)
-        d = self._depth(products)
-        if d < 2:
-            return False
-        return self.mon.finishing_set(products[d - 2]) == self._m1_target(products, d)
-
-    def m1_partner(self, cell: BarCell) -> MatchEdge | None:
-        """The first-matching edge containing a non-essential cell."""
-        products = self.suffix_products(cell)
-        if self._depth(products) == 1:
-            return None
-        return self._m1_edge(cell, products)
 
     def _m1_edge(self, cell: BarCell, products: Sequence[Word]) -> MatchEdge:
         d = self._depth(products)
@@ -148,18 +114,8 @@ class BarMatching:
 
     # -- the second matching, on depth-essential cells -----------------------
 
-    def _mu1_products(self, cell: BarCell) -> list[Word]:
-        """The suffix products of a cell that must be depth-essential."""
-        products = self.suffix_products(cell)
-        if self._depth(products) != 1:
-            raise NotMu1Essential(f"{cell} has a tail product outside D")
-        return products
-
-    def _chain(self, cell: BarCell) -> list[frozenset[str]]:
-        """I_1 .. I_{n+1} for a depth-essential cell (strictly decreasing)."""
-        return self._sets(self._mu1_products(cell))
-
     def _sets(self, products: Sequence[Word]) -> list[frozenset[str]]:
+        """I_1 .. I_{n+1} for a depth-essential cell (strictly decreasing)."""
         return [self.delta_of[p] for p in products[:-1]] + [frozenset()]
 
     def _chain_step_ok(self, sets: list[frozenset[str]], k: int) -> bool:
@@ -180,20 +136,6 @@ class BarMatching:
             return False
         key = self.system.index
         return max(sets[d - 2], key=key) == max(sets[d - 1], key=key)
-
-    def mu2_essential(self, cell: BarCell) -> bool:
-        return self._max_depth(self._chain(cell)) == 1
-
-    def d2(self, cell: BarCell) -> int:
-        return self._max_depth(self._chain(cell))
-
-    def mu2_collapsible(self, cell: BarCell) -> bool:
-        sets = self._chain(cell)
-        return self._m2_collapsible(sets, self._max_depth(sets))
-
-    def m2_partner(self, cell: BarCell) -> MatchEdge | None:
-        """The second-matching edge containing a depth-essential cell."""
-        return self._m2_edge(cell, self._mu1_products(cell))
 
     def _m2_edge(self, cell: BarCell, products: Sequence[Word]) -> MatchEdge | None:
         sets = self._sets(products)
@@ -243,9 +185,6 @@ class BarMatching:
 
     # -- grading and per-fiber audits ------------------------------------------
 
-    def eta(self, cell: BarCell) -> Grade:
-        return (cell_length(cell), 0 if self.mu1_essential(cell) else 1)
-
     def essential_cell(self, T: Iterable[str]) -> BarCell:
         """The unique fully essential cell whose top tail set is T."""
         T = self.system.check_subset(T)
@@ -265,22 +204,6 @@ class BarMatching:
 
     def essential_cells(self) -> dict[frozenset[str], BarCell]:
         return {T: self.essential_cell(T) for T in self.system.sf()}
-
-    def fiber(self, grade: Grade) -> list[BarCell]:
-        length, flag = grade
-        return [
-            cell
-            for cell in iter_cells_of_grade(self.mon, length)
-            if self.mu1_essential(cell) == (flag == 0)
-        ]
-
-    def matching_for_grade(self, grade: Grade) -> set[MatchEdge]:
-        edges = set()
-        for cell in self.fiber(grade):
-            edge = self.partner(cell)
-            if edge is not None:
-                edges.add(edge)
-        return edges
 
     def audit_grade(
         self, length: int, edges: set[MatchEdge] | None = None

@@ -110,10 +110,14 @@ def morse_boundary(
 
 @dataclass
 class MorseComplex:
-    """The reduced complex: one cell per finite-type subset."""
+    """The reduced complex: one cell per finite-type subset.
+
+    `essential` maps each subset to the essential bar cell it labels.
+    """
 
     cells_by_dim: list[list[frozenset[str]]]
     boundaries: dict[int, Matrix]
+    essential: dict[frozenset[str], BarCell]
 
     def chain_complex(self) -> IntChainComplex:
         ranks = tuple(len(cells) for cells in self.cells_by_dim)
@@ -122,13 +126,6 @@ class MorseComplex:
 
     def census(self) -> tuple[int, ...]:
         return tuple(len(cells) for cells in self.cells_by_dim)
-
-    def entry(self, T: frozenset, R: frozenset) -> int:
-        """Boundary coefficient of the R-cell in the boundary of the T-cell."""
-        k = len(T)
-        row = self.cells_by_dim[k - 1].index(R)
-        col = self.cells_by_dim[k].index(T)
-        return self.boundaries[k][col].get(row, 0)
 
 
 def reduced_complex(matching: BarMatching) -> MorseComplex:
@@ -158,7 +155,7 @@ def reduced_complex(matching: BarMatching) -> MorseComplex:
             }
             for T in by_dim[k]
         ]
-    return MorseComplex(by_dim, boundaries)
+    return MorseComplex(by_dim, boundaries, cells)
 
 
 # -- attaching words in dimension 2 -------------------------------------------

@@ -59,10 +59,6 @@ class SalvettiPoset:
     def down_set(self, cell: SalCell) -> list[SalCell]:
         return [c for c in self.cells if self.leq(c, cell)]
 
-    def act(self, w: Iterable[str], cell: SalCell) -> SalCell:
-        u, T = cell
-        return (self.system.mul(w, u), T)
-
 
 def sal_poset(system: CoxeterSystem) -> SalvettiPoset:
     """The full poset; requires the whole group to be finite."""

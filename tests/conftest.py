@@ -5,6 +5,7 @@ never touch the rewriting code under test: symmetric groups acting by
 adjacent transpositions for the linear diagrams, affine maps
 x -> sign*x + shift on Z (mod 2m) for the dihedral systems, and window
 notation for the affine permutations of the affine Weyl group A~2.
+Library surface that only the tests need lives here too.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
+from artinhom.bar import cell_length
 
 
 def make_a2():
@@ -183,3 +185,51 @@ def all_words(letters, max_len):
         frontier = [w + (s,) for w in frontier for s in letters]
         words.extend(frontier)
     return words
+
+
+# -- monoid, cell and matching oracles -------------------------------------------
+
+
+def iter_cells_of_grade(mon, n):
+    """All cells of length n, from the element lists alone; checks
+    `bar.factorizations`, which builds each product's cells by splitting."""
+    if n == 0:
+        yield ()
+        return
+    for first_len in range(1, n + 1):
+        for x in mon.elements_of_length(first_len):
+            for rest in iter_cells_of_grade(mon, n - first_len):
+                yield (x,) + rest
+
+
+def is_squarefree(mon, x):
+    """Brieskorn-Saito: no word of the class repeats a letter adjacently."""
+    return not any(w[i] == w[i + 1] for w in mon.equiv_class(x) for i in range(len(w) - 1))
+
+
+def recompose(mon, parts):
+    """Inverse of `normal_form`: the product delta(T_k) ... delta(T_1)."""
+    return mon.mul(*(mon.delta(T) for T in reversed(parts)))
+
+
+def entry(complex_, T, R):
+    """Coefficient of the R-cell in the boundary of the T-cell."""
+    row = complex_.cells_by_dim[len(T) - 1].index(R)
+    col = complex_.cells_by_dim[len(T)].index(T)
+    return complex_.boundaries[len(T)][col].get(row, 0)
+
+
+def tail_data(matching, cell):
+    """(d1, tail sets I_j for j >= d1, d2) read by the matching's helpers;
+    I_{n+1} is empty and d2 is None off the depth-essential cells."""
+    products = matching.suffix_products(cell)
+    d1 = matching._depth(products)
+    sets = {j: matching.delta_of[products[j - 1]] for j in range(d1, len(cell) + 1)}
+    sets[len(cell) + 1] = frozenset()
+    return d1, sets, matching._max_depth(matching._sets(products)) if d1 == 1 else None
+
+
+def grade(matching, cell):
+    """(length, flag); the flag is 0 exactly when `partner` gives None or M2."""
+    edge = matching.partner(cell)
+    return cell_length(cell), 0 if edge is None or edge.kind == "M2" else 1

@@ -21,6 +21,8 @@ REPO = Path(__file__).resolve().parents[1]
 USAGE_ERRORS = {
     "missing-argument": ["boundary2", "a"],
     "non-integer-option": ["matching-audit", "--max-len", "x"],
+    "negative-max-len": ["matching-audit", "--max-len", "-2"],
+    "negative-bound": ["lcm", "ab", "ba", "--bound", "-1"],
 }
 
 
@@ -261,6 +263,60 @@ class TestJsonLines:
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["record"] for r in records] == ["meta", "error"]
         assert records[-1]["code"] == "usage"
+
+
+B2_TEXT = "gens: a b\nm a b 4\n"
+# B2 `--format jsonl` records after the meta line, pinned as they were
+# before the per-grade cell path was deleted
+B2_GOLDEN = {
+    "morse-cells": [
+        '{"counts":[1,2,1],"record":"census"}',
+        '{"cell":[],"dim":0,"length":0,"record":"essential-cell","subset":[]}',
+        '{"cell":[["a"]],"dim":1,"length":1,"record":"essential-cell","subset":["a"]}',
+        '{"cell":[["b"]],"dim":1,"length":1,"record":"essential-cell","subset":["b"]}',
+        '{"cell":[["b","a","b"],["a"]],"dim":2,"length":4,"record":"essential-cell",'
+        '"subset":["a","b"]}',
+    ],
+    "homology --verify": [
+        '{"dim":0,"free_rank":1,"record":"homology","torsion":[]}',
+        '{"dim":1,"free_rank":2,"record":"homology","torsion":[]}',
+        '{"dim":2,"free_rank":1,"record":"homology","torsion":[]}',
+        '{"grades_agree":true,"h1_agrees":true,"presentation_h1":[2,[]],'
+        '"record":"verification"}',
+    ],
+    "matching-audit --max-len 4": [
+        '{"cells":1,"edges":0,"essential":1,"grade":[0,0],"record":"grade-audit"}',
+        '{"cells":2,"edges":0,"essential":2,"grade":[1,0],"record":"grade-audit"}',
+        '{"cells":8,"edges":4,"essential":0,"grade":[2,1],"record":"grade-audit"}',
+        '{"cells":32,"edges":16,"essential":0,"grade":[3,1],"record":"grade-audit"}',
+        '{"cells":3,"edges":1,"essential":1,"grade":[4,0],"record":"grade-audit"}',
+        '{"cells":124,"edges":62,"essential":0,"grade":[4,1],"record":"grade-audit"}',
+    ],
+    "nf abab": [
+        '{"canonical":["a","b","a","b"],"parts":[["a","b"]],"record":"normal-form",'
+        '"word":["a","b","a","b"]}',
+    ],
+    "lcm a b": [
+        '{"lcm":["a","b","a","b"],"record":"lcm","side":"right","words":[["a"],["b"]]}',
+    ],
+    "gcd aba bab": [
+        '{"gcd":[],"record":"gcd","side":"left","words":[["a","b","a"],["b","a","b"]]}',
+    ],
+    "divides ab aba": [
+        '{"record":"divides","result":true,"side":"left","x":["a","b"],'
+        '"y":["a","b","a"]}',
+    ],
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command", B2_GOLDEN, ids=B2_GOLDEN)
+    def test_b2_records(self, tmp_path, capsys, command):
+        path = tmp_path / "b2.system"
+        path.write_text(B2_TEXT)
+        argv = ["--system", str(path), "--format", "jsonl", *command.split()]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == B2_GOLDEN[command]
 
 
 class TestChildProcesses:

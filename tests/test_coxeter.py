@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import pytest
 
@@ -27,7 +28,13 @@ from conftest import (
 class TestValidation:
     def test_smallest_valid_system(self):
         system = CoxeterSystem("ab", {("a", "b"): 3})
-        system.validate()
+        assert len(set(system.gens)) == len(system.gens)
+        for s, t in combinations(system.gens, 2):
+            m = system.m(s, t)
+            assert m == system.m(t, s)
+            assert m == math.inf or (isinstance(m, int) and m >= 2)
+        for s in system.gens:
+            assert system.m(s, s) == 1
         assert system.m("a", "b") == system.m("b", "a") == 3
         assert system.m("a", "a") == 1
 
@@ -159,15 +166,15 @@ class TestCanonicalForm:
 
 class TestLength:
     def test_examples(self, a2):
-        assert a2.length(()) == 0
-        assert a2.length("aba") == 3
-        assert a2.length("ab") == 2
+        assert len(a2.canon(())) == 0
+        assert len(a2.canon("aba")) == 3
+        assert len(a2.canon("ab")) == 2
 
     def test_exchange_condition(self, a2, b2):
         for system in (a2, b2):
             for w in system.enumerate_group(system.gens):
                 for s in system.gens:
-                    assert abs(system.length(w + (s,)) - len(w)) == 1
+                    assert abs(len(system.canon(w + (s,))) - len(w)) == 1
 
 
 class TestFiniteType:

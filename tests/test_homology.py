@@ -10,7 +10,6 @@ from artinhom.homology import (
     IntChainComplex,
     abelianized_presentation_h1,
     direct_sum,
-    homology_groups,
     invariant_factors,
     smith_normal_form,
 )

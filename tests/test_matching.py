@@ -1,12 +1,29 @@
 import pytest
 
-from artinhom.bar import cell_length, iter_cells_of_grade
-from artinhom.errors import AuditFailure, InfiniteType, NotMu1Essential
+from artinhom.bar import cell_length
+from artinhom.errors import AuditFailure, InfiniteType
 from artinhom.matching import BarMatching, MatchEdge
+from conftest import grade, iter_cells_of_grade, tail_data
 
 
 def W(text):
     return tuple(text)
+
+
+def grade_cells(matching, n, flag):
+    """The cells of grade (n, flag), from the cell enumerator oracle."""
+    return [
+        cell
+        for cell in iter_cells_of_grade(matching.mon, n)
+        if grade(matching, cell)[1] == flag
+    ]
+
+
+def grade_edges(matching, n, flag):
+    """The matched edges of grade (n, flag), by `partner` on its cells."""
+    edges = {matching.partner(cell) for cell in grade_cells(matching, n, flag)}
+    edges.discard(None)
+    return edges
 
 
 @pytest.fixture(scope="module")
@@ -21,59 +38,74 @@ def m_ainf(mon_ainf):
 
 class TestDepthClassification:
     def test_mu1_essential(self, m_a2):
-        assert m_a2.mu1_essential((W("ab"), W("a")))
-        assert not m_a2.mu1_essential((W("a"), W("a")))
-        assert m_a2.mu1_essential(())
+        # depth-essential: d1 = 1, which is also where the flag is 0
+        for cell, depth_essential in (
+            ((W("ab"), W("a")), True),
+            ((W("a"), W("a")), False),
+            ((), True),
+        ):
+            assert (tail_data(m_a2, cell)[0] == 1) == depth_essential
+            assert (grade(m_a2, cell)[1] == 0) == depth_essential
 
     def test_d1(self, m_a2):
-        assert m_a2.d1((W("ab"), W("a"))) == 1
-        assert m_a2.d1((W("a"), W("a"))) == 2
-        assert m_a2.d1((W("aa"),)) == 2
+        assert tail_data(m_a2, (W("ab"), W("a")))[0] == 1
+        assert tail_data(m_a2, (W("a"), W("a")))[0] == 2
+        assert tail_data(m_a2, (W("aa"),))[0] == 2
 
     def test_tail_sets(self, m_a2):
-        assert m_a2.tail_sets((W("ab"), W("a"))) == {
+        assert tail_data(m_a2, (W("ab"), W("a")))[1] == {
             1: frozenset("ab"),
             2: frozenset("a"),
             3: frozenset(),
         }
-        assert m_a2.tail_sets((W("a"), W("a"))) == {
+        assert tail_data(m_a2, (W("a"), W("a")))[1] == {
             2: frozenset("a"),
             3: frozenset(),
         }
 
     def test_mu1_collapsible(self, m_a2):
-        assert m_a2.mu1_collapsible((W("a"), W("a")))
-        assert m_a2.mu1_collapsible((W("b"), W("a"), W("a")))
-        assert not m_a2.mu1_collapsible((W("ab"), W("a")))
-        assert not m_a2.mu1_collapsible((W("aa"),))
+        # collapsible: the upper end of its first-matching edge
+        def collapsible(cell):
+            edge = m_a2.partner(cell)
+            return edge is not None and edge.kind == "M1" and edge.upper == cell
+
+        assert collapsible((W("a"), W("a")))
+        assert collapsible((W("b"), W("a"), W("a")))
+        assert not collapsible((W("ab"), W("a")))
+        assert not collapsible((W("aa"),))
 
     def test_m1_partner(self, m_a2):
         edge = MatchEdge((W("a"), W("a")), (W("aa"),), "M1")
-        assert m_a2.m1_partner((W("aa"),)) == edge
-        assert m_a2.m1_partner((W("a"), W("a"))) == edge
-        assert m_a2.m1_partner((W("ab"), W("a"))) is None
+        assert m_a2.partner((W("aa"),)) == edge
+        assert m_a2.partner((W("a"), W("a"))) == edge
+        assert m_a2.partner((W("ab"), W("a"))) is None
 
 
 class TestMaxClassification:
     def test_mu2_essential(self, m_a2):
-        assert m_a2.mu2_essential((W("ab"), W("a")))
-        assert not m_a2.mu2_essential((W("ba"), W("b")))
-        assert m_a2.mu2_essential(())
-
-    def test_requires_depth_essential(self, m_a2):
-        with pytest.raises(NotMu1Essential):
-            m_a2.mu2_essential((W("a"), W("a")))
+        # max-essential: depth-essential with d2 = 1, so partner gives None
+        for cell, essential in (
+            ((W("ab"), W("a")), True),
+            ((W("ba"), W("b")), False),
+            ((), True),
+        ):
+            d1, _, d2 = tail_data(m_a2, cell)
+            assert d1 == 1
+            assert (d2 == 1) == essential
+            assert (m_a2.partner(cell) is None) == essential
 
     def test_d2_convention_at_the_top(self, m_a2):
         # no tail of [aba] is max-essential, so the depth falls off the end
-        assert m_a2.d2((W("aba"),)) == 2
-        assert not m_a2.mu2_collapsible((W("aba"),))
+        assert tail_data(m_a2, (W("aba"),))[2] == 2
+        # not collapsible: [aba] is the lower end of its second-matching edge
+        edge = m_a2.partner((W("aba"),))
+        assert edge.kind == "M2" and edge.upper != (W("aba"),)
 
     def test_m2_partner(self, m_a2):
         edge = MatchEdge((W("ba"), W("b")), (W("aba"),), "M2")
-        assert m_a2.m2_partner((W("aba"),)) == edge
-        assert m_a2.m2_partner((W("ba"), W("b"))) == edge
-        assert m_a2.m2_partner((W("ab"), W("a"))) is None
+        assert m_a2.partner((W("aba"),)) == edge
+        assert m_a2.partner((W("ba"), W("b"))) == edge
+        assert m_a2.partner((W("ab"), W("a"))) is None
 
     def test_essential_cell_construction(self, m_a2, m_ainf, mon_a3):
         assert m_a2.essential_cell(()) == ()
@@ -86,7 +118,9 @@ class TestMaxClassification:
         top = m_a3.essential_cell("abc")
         assert len(top) == 3
         assert cell_length(top) == 6
-        assert m_a3.mu2_essential(top)
+        d1, _, d2 = tail_data(m_a3, top)
+        assert d1 == d2 == 1
+        assert m_a3.partner(top) is None
 
 
 class TestPartnersAreAMatching:
@@ -104,32 +138,32 @@ class TestPartnersAreAMatching:
             for cell in iter_cells_of_grade(m_a2.mon, n):
                 edge = m_a2.partner(cell)
                 if edge is not None:
-                    assert m_a2.eta(edge.upper) == m_a2.eta(edge.lower)
+                    assert grade(m_a2, edge.upper) == grade(m_a2, edge.lower)
 
     def test_kinds_separate_by_flag(self, m_a2):
         for n in range(6):
             for flag in (0, 1):
-                for edge in m_a2.matching_for_grade((n, flag)):
+                for edge in grade_edges(m_a2, n, flag):
                     assert edge.kind == ("M2" if flag == 0 else "M1")
 
 
 class TestMatchingForGrade:
     def test_square_edges(self, m_a2):
-        edges = m_a2.matching_for_grade((2, 1))
+        edges = grade_edges(m_a2, 2, 1)
         assert MatchEdge((W("a"), W("a")), (W("aa"),), "M1") in edges
         assert MatchEdge((W("b"), W("b")), (W("bb"),), "M1") in edges
         assert len(edges) == 4
 
     def test_point_grade_empty(self, m_a2):
-        assert m_a2.matching_for_grade((0, 0)) == set()
+        assert grade_edges(m_a2, 0, 0) == set()
 
     def test_top_essential_grade(self, m_a2):
-        edges = m_a2.matching_for_grade((3, 0))
+        edges = grade_edges(m_a2, 3, 0)
         assert edges == {MatchEdge((W("ba"), W("b")), (W("aba"),), "M2")}
         essential = [
             cell
-            for cell in m_a2.fiber((3, 0))
-            if m_a2.mu2_essential(cell)
+            for cell in grade_cells(m_a2, 3, 0)
+            if tail_data(m_a2, cell)[2] == 1
         ]
         assert essential == [(W("ab"), W("a"))]
 
@@ -140,15 +174,15 @@ class TestAudits:
             for n in range(7):
                 audit = matching.audit_grade(n)
                 assert [g.grade for g in audit.grades] == [(n, 0), (n, 1)]
-                for grade in audit.grades:
-                    assert grade.cells == len(matching.fiber(grade.grade))
-                    assert grade.edges == len(matching.matching_for_grade(grade.grade))
+                for report in audit.grades:
+                    assert report.cells == len(grade_cells(matching, *report.grade))
+                    assert report.edges == len(grade_edges(matching, *report.grade))
 
     def test_essential_census_from_audit(self, m_a2):
         found = {}
         for n in range(7):
-            for grade in m_a2.audit_grade(n).grades:
-                for cell in grade.essential:
+            for report in m_a2.audit_grade(n).grades:
+                for cell in report.essential:
                     found.setdefault(len(cell), []).append(cell)
         assert sorted(found) == [0, 1, 2]
         assert found[0] == [()]
@@ -156,13 +190,13 @@ class TestAudits:
         assert found[2] == [(W("ab"), W("a"))]
 
     def test_missing_edge_fails(self, m_a2):
-        edges = m_a2.matching_for_grade((2, 1))
+        edges = grade_edges(m_a2, 2, 1)
         edges.discard(MatchEdge((W("a"), W("a")), (W("aa"),), "M1"))
         with pytest.raises(AuditFailure, match="unmatched"):
             m_a2.audit_grade(2, edges)
 
     def test_doubled_cell_fails(self, m_a2):
-        edges = m_a2.matching_for_grade((2, 1))
+        edges = grade_edges(m_a2, 2, 1)
         edges.add(MatchEdge((W("a"), W("b")), (W("aa"),), "M1"))
         with pytest.raises(AuditFailure):
             m_a2.audit_grade(2, edges)
@@ -179,7 +213,7 @@ class TestAudits:
             m_a2.audit_grade(2, edges)
 
     def test_edge_of_another_length_fails(self, m_a2):
-        edges = m_a2.matching_for_grade((2, 1))
+        edges = grade_edges(m_a2, 2, 1)
         edges.add(MatchEdge((W("ba"), W("b")), (W("aba"),), "M2"))
         with pytest.raises(AuditFailure, match="escapes"):
             m_a2.audit_grade(2, edges)
