@@ -494,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
             f"error: {err}", record="error", code=err.code, message=str(err)
         )
         return 1
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         out.emit(
             f"error: {err}", record="error", code="io-error", message=str(err)
         )

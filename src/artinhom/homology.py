@@ -1,12 +1,12 @@
 """Integer chain complexes, Smith normal form, homology groups.
 
 Boundary matrices are sparse columns: column j is a dict from row index
-to its nonzero coefficient.  Invariant factors come from a sparse
+to its nonzero coefficient.  Invariant factors come from one sparse
 eliminator that peels off unit pivots first (boundary matrices here are
-overwhelmingly sparse with entries in {-1, 0, 1}) and hands the small
-remaining core to a dense textbook reduction, which can also return the
-unimodular witnesses.  Both run on Python integers, so intermediate
-growth promotes to arbitrary precision for free.
+overwhelmingly sparse with entries in {-1, 0, 1}) and then reduces the
+small remaining core on the same columns, pivoting on its least entry.
+Both phases run on Python integers, so intermediate growth promotes to
+arbitrary precision for free.
 """
 
 from __future__ import annotations
@@ -14,147 +14,42 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .coxeter import CoxeterSystem
 from .errors import NotAComplex
 
 Matrix = list[dict[int, int]]
-Dense = list[list[int]]
 
 
-def _identity(n: int) -> Dense:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def _subtract_column(cols, rows, k: int, col: dict[int, int], factor: int) -> None:
+    """Column k -= factor * col, keeping the row index in step."""
+    target = cols[k]
+    for i, v in col.items():
+        new = target.get(i, 0) - factor * v
+        if new:
+            if i not in target:
+                rows[i].add(k)
+            target[i] = new
+        else:
+            del target[i]
+            rows[i].discard(k)
 
 
-@dataclass
-class SmithForm:
-    """Diagonal of the Smith normal form, with optional witnesses.
-
-    When witnesses are present, left * A * right == diagonal matrix.
-    """
-
-    shape: tuple[int, int]
-    diagonal: list[int]
-    left: Dense | None = None
-    right: Dense | None = None
-
-    def matrix(self) -> Dense:
-        rows, cols = self.shape
-        out = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(self.diagonal):
-            out[i][i] = d
-        return out
+def _subtract_row(cols, rows, i: int, p: int, factor: int) -> None:
+    """Row i -= factor * row p, keeping the row index in step."""
+    for k in list(rows[p]):
+        target = cols[k]
+        new = target.get(i, 0) - factor * target[p]
+        if new:
+            target[i] = new
+            rows[i].add(k)
+        else:
+            del target[i]
+            rows[i].discard(k)
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]], witnesses: bool = False) -> SmithForm:
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    The diagonal satisfies the divisibility chain d1 | d2 | ... and is
-    non-negative.  With `witnesses` the transformations are tracked and
-    returned (left acting on rows, right on columns).
-    """
-    D = [list(map(int, row)) for row in matrix]
-    m = len(D)
-    n = len(D[0]) if m else 0
-    for row in D:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-    S = _identity(m) if witnesses else None
-    T = _identity(n) if witnesses else None
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        if S is not None:
-            S[i], S[j] = S[j], S[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        if T is not None:
-            for row in T:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        if q:
-            Dd, Ds = D[dst], D[src]
-            for j in range(n):
-                Dd[j] += q * Ds[j]
-            if S is not None:
-                Sd, Ss = S[dst], S[src]
-                for j in range(m):
-                    Sd[j] += q * Ss[j]
-
-    def add_col(dst, src, q):
-        if q:
-            for row in D:
-                row[dst] += q * row[src]
-            if T is not None:
-                for row in T:
-                    row[dst] += q * row[src]
-
-    def negate_row(i):
-        D[i] = [-v for v in D[i]]
-        if S is not None:
-            S[i] = [-v for v in S[i]]
-
-    t = 0
-    while t < min(m, n):
-        # smallest nonzero entry of the trailing submatrix becomes the pivot
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(D[i][j])
-                if v and (pivot is None or v < pivot[0]):
-                    pivot = (v, i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            # clear below, retrying whenever a remainder survives
-            dirty = False
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    add_row(i, t, -q)
-                    if D[i][t]:
-                        swap_rows(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    add_col(j, t, -q)
-                    if D[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide every remaining entry for the chain property
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % D[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if D[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    diagonal = [D[k][k] for k in range(min(m, n))]
-    return SmithForm((m, n), diagonal, S, T)
-
-
-def _sparse_unit_elimination(matrix: Matrix) -> tuple[int, Dense]:
+def _sparse_unit_elimination(matrix: Matrix) -> tuple[int, dict, dict]:
     """Strip unit pivots off sparse columns by exact unimodular steps.
 
     Columns are visited in order; a column holding a +/-1 entry takes it
@@ -163,7 +58,8 @@ def _sparse_unit_elimination(matrix: Matrix) -> tuple[int, Dense]:
     which row and column split off as diag(1) (+) rest, so the remaining
     invariant factors are those of the rest.  A column changed by such a
     subtraction is visited again.  Returns the unit count and the
-    leftover core, which has no unit entry, as a dense matrix.
+    leftover core, which has no unit entry, as sparse columns with their
+    row index.
     """
     cols = {j: {i: v for i, v in col.items() if v} for j, col in enumerate(matrix)}
     rows: dict[int, set[int]] = {}
@@ -190,36 +86,52 @@ def _sparse_unit_elimination(matrix: Matrix) -> tuple[int, Dense]:
             rows[i].discard(j)
         pv = col.pop(pivot)
         for k in rows.pop(pivot):
-            target = cols[k]
-            factor = target.pop(pivot) * pv  # target -= factor * col
-            for i, v in col.items():
-                new = target.get(i, 0) - factor * v
-                if new:
-                    if i not in target:
-                        rows[i].add(k)
-                    target[i] = new
-                else:
-                    del target[i]
-                    rows[i].discard(k)
+            _subtract_column(cols, rows, k, col, cols[k].pop(pivot) * pv)
             if k not in queued:
                 queue.append(k)
                 queued.add(k)
         units += 1
-    live_cols = sorted(j for j, col in cols.items() if col)
-    live_rows = sorted({i for j in live_cols for i in cols[j]})
-    row_pos = {i: k for k, i in enumerate(live_rows)}
-    core = [[0] * len(live_cols) for _ in live_rows]
-    for k, j in enumerate(live_cols):
-        for i, v in cols[j].items():
-            core[row_pos[i]][k] = v
-    return units, core
+    return units, cols, rows
+
+
+def _core_factors(cols, rows) -> list[int]:
+    """Nonzero invariant factors of sparse columns, as a divisor chain.
+
+    The entry of least absolute value is the pivot.  One column operation
+    per other entry of its row and one row operation per other entry of
+    its column reduce those entries mod the pivot; a nonzero remainder is
+    a smaller entry, so the pivot is chosen again and the least |entry|
+    strictly drops at every restart.  Once the pivot stands alone, a row
+    holding an entry it does not divide is added to the pivot row, which
+    forces such a restart; so each pivot that splits off divides every
+    entry left, and the pivots form the chain d1 | d2 | ...
+    """
+    factors = []
+    while True:
+        entries = [(abs(v), i, j) for j, col in cols.items() for i, v in col.items()]
+        if not entries:
+            return factors
+        _, p, j = min(entries)
+        pivot = cols[j]
+        pv = pivot[p]
+        for k in rows[p] - {j}:
+            _subtract_column(cols, rows, k, pivot, cols[k][p] // pv)
+        for i in [i for i in pivot if i != p]:
+            _subtract_row(cols, rows, i, p, pivot[i] // pv)
+        if len(pivot) > 1 or len(rows[p]) > 1:
+            continue
+        offender = next((i for col in cols.values() for i, v in col.items() if v % pv), None)
+        if offender is None:
+            factors.append(abs(pv))
+            del cols[j], rows[p]
+        else:
+            _subtract_row(cols, rows, p, offender, -1)
 
 
 def invariant_factors(matrix: Matrix) -> list[int]:
     """Nonzero Smith invariant factors of sparse columns, units first."""
-    units, core = _sparse_unit_elimination(matrix)
-    rest = [d for d in smith_normal_form(core).diagonal if d]
-    return [1] * units + rest
+    units, cols, rows = _sparse_unit_elimination(matrix)
+    return [1] * units + _core_factors(cols, rows)
 
 
 @dataclass(frozen=True)

@@ -169,13 +169,89 @@ def affine_length(window):
     )
 
 
-# -- sparse matrices ---------------------------------------------------------
+# -- sparse matrices and the dense Smith reference ----------------------------
 
 
 def columns(dense):
     """Sparse columns (row -> nonzero entry) of a matrix given by its rows."""
     width = len(dense[0]) if dense else 0
     return [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(width)]
+
+
+def smith_normal_form(matrix):
+    """Dense Smith normal form with unimodular witnesses, the reference the
+    sparse `invariant_factors` is checked against.
+
+    Returns (diagonal, left, right) with left * matrix * right equal to the
+    diagonal matrix of the input's shape; the diagonal is non-negative and
+    satisfies the divisibility chain d1 | d2 | ...
+    """
+    D = [list(map(int, row)) for row in matrix]
+    m = len(D)
+    n = len(D[0]) if m else 0
+    S = [[int(i == j) for j in range(m)] for i in range(m)]
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        S[i], S[j] = S[j], S[i]
+
+    def swap_cols(i, j):
+        for row in D + T:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        for M in (D, S):
+            M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
+
+    def add_col(dst, src, q):
+        for row in D + T:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(m, n):
+        # smallest nonzero entry of the trailing submatrix becomes the pivot
+        pivot = min(
+            ((abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n) if D[i][j]),
+            default=None,
+        )
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        while True:
+            # clear below, retrying whenever a remainder survives
+            dirty = False
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    add_row(i, t, -(D[i][t] // D[t][t]))
+                    if D[i][t]:
+                        swap_rows(i, t)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    add_col(j, t, -(D[t][j] // D[t][t]))
+                    if D[t][j]:
+                        swap_cols(j, t)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # pivot must divide every remaining entry for the chain property
+            offender = next(
+                (i for i in range(t + 1, m) for j in range(t + 1, n) if D[i][j] % D[t][t]),
+                None,
+            )
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if D[t][t] < 0:
+            D[t], S[t] = [-v for v in D[t]], [-v for v in S[t]]
+        t += 1
+    return [D[k][k] for k in range(min(m, n))], S, T
 
 
 def all_words(letters, max_len):

@@ -191,8 +191,20 @@ class TestExitCodes:
         assert main(["--system", inf_file, "lcm", "a", "b"]) == 0
         assert "none" in capsys.readouterr().out
 
-    def test_missing_file_is_one(self, capsys):
-        assert main(["--system", "/nonexistent.system", "sf"]) == 1
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf-8"])
+    def test_missing_file_is_one(self, tmp_path, capsys, content, fmt):
+        path = tmp_path / "a.system"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["--system", str(path), "--format", fmt, "sf"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        if fmt == "text":
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            records = [json.loads(line) for line in lines]
+            assert [r["record"] for r in records] == ["meta", "error"]
+            assert records[-1]["code"] == "io-error"
 
     def test_bad_system_file_is_one(self, tmp_path, capsys):
         path = tmp_path / "bad.system"

@@ -1,12 +1,15 @@
 """Every public function and method of the library has a caller in it.
 
-The check matches by name, not by resolved binding: a public name
+The check matches by name, not by resolved binding.  A public function
 counts as used when some `ast.Name`, `ast.Attribute` or import alias
 spelled the same way appears anywhere in `src/artinhom` outside that
-name's own definition.  So a name shared with a live variable or
-attribute passes; a name that only the tests reach fails.  Dunders and
-methods overriding a base-class attribute (such as `Parser.error`) are
-called by the framework and are skipped.
+name's own definition.  A public method is reached through an object,
+so only an `ast.Attribute` or import alias of its name counts: a bare
+`ast.Name`, such as a local variable that happens to share the name, is
+no call of the method.  So a name shared with a live attribute passes; a
+name that only the tests reach fails.  Dunders and methods overriding a
+base-class attribute (such as `Parser.error`) are called by the
+framework and are skipped.
 """
 
 import ast
@@ -75,6 +78,10 @@ def test_every_public_name_has_a_caller_in_the_library():
     unused = []
     for module, qualified, name in public_definitions():
         inside = {id(n) for n in ast.walk(definition_node(trees[module], qualified))}
-        if all(id(node) in inside for node in mentions.get(name, [])):
+        is_method = "." in qualified
+        if all(
+            id(node) in inside or (is_method and isinstance(node, ast.Name))
+            for node in mentions.get(name, [])
+        ):
             unused.append(f"{module}.{qualified}")
     assert not unused, f"public names no library code refers to: {unused}"
