@@ -1,26 +1,66 @@
 """Exact arithmetic in the positive (Artin) monoid of a Coxeter system.
 
-Monoid elements are positive words; the defining relations all preserve
-length, so an element's equivalence class is a finite set of words and
-every question here reduces to finite search over such classes.  The
-canonical form of an element is the ShortLex-least word in its class.
+Monoid elements are positive words.  The defining relations preserve
+length, and the canonical form of an element is the ShortLex-least word
+equal to it.  Words go in and canonical words come out; inside, an
+element is its left-greedy normal form s_1 | ... | s_k, a tuple of
+simple elements (the positive lifts of Coxeter-group elements), s_1
+being the greatest simple left divisor of the product, s_2 that of the
+rest, and so on.
 
-Divisibility is decided by prefix/suffix search over classes, on purpose:
-it is independent of the Garside normal form computed at the end of the
-module and therefore serves as its oracle.  Least common multiples use
-bounded iterative-deepening search; for a set of single generators the
-existence question is settled first through finite-type recognition, so
-`none` is only ever reported when non-existence is a theorem.
+Write L(s) and R(s) for the letters dividing a simple s on the left and
+on the right.  By Michel ("A note on words in braid monoids", J. Algebra
+215, 1999) a sequence of simples is in normal form exactly when
+L(s_{i+1}) is contained in R(s_i) for every i, in every Artin monoid,
+finite type or not.  So a pair u | v is normalized by moving letters
+a in L(v) but not in R(u) across, and the simples form a Garside family
+(Dehornoy-Digne-Godelle-Krammer-Michel, *Foundations of Garside Theory*,
+EMS 2015): after multiplying by a letter on the right one right-to-left
+sweep of pair normalizations restores the form, and after dividing by a
+letter on the left one left-to-right sweep does.
+
+A simple is named by its ShortLex-least reduced word.  Its L, R and one
+word starting with each letter of L come from a single braid closure of
+that word (its reduced words, by Matsumoto); every transition between
+simples (times a letter, strip a letter) and every pair normalization is
+memoized.  No class of positive words is ever enumerated; the test suite
+keeps braid-class enumeration as the oracle for everything here.
+
+The ShortLex-least word peels min L(s_1) off repeatedly.  Right-hand
+questions go through the reversal anti-automorphism.  Least common
+multiples use bounded search.  `none` is reported only when
+non-existence is a theorem: every common multiple is left-divisible by
+all letters that left-divide an argument, and a set of letters has a
+common multiple only when it is of finite type (Brieskorn-Saito).
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .coxeter import CoxeterSystem, Word
-from .errors import InfiniteType, InternalError, NotAChain, Undecided
+from .coxeter import CoxeterSystem, Word, cache_limit, cache_put
+from .errors import InfiniteType, InternalError, Undecided
 
 DEFAULT_SEARCH_BOUND = 16
+
+# a simple element, named by its ShortLex-least reduced word
+Simple = Word
+# the left-greedy normal form of an element: non-identity simples
+Normal = tuple[Simple, ...]
+
+
+class _SimpleData:
+    """L(s), R(s), and for each a in L(s) a word of a^-1 s."""
+
+    __slots__ = ("left", "right", "tails")
+
+    def __init__(self, closure: frozenset[Word]):
+        self.tails: dict[str, Word] = {}
+        for w in closure:
+            if w:
+                self.tails.setdefault(w[0], w[1:])
+        self.left = frozenset(self.tails)
+        self.right = frozenset(w[-1] for w in closure if w)
 
 
 class ArtinMonoid:
@@ -30,19 +70,148 @@ class ArtinMonoid:
         self.system = system
         self._elements_by_length: list[list[Word]] = [[()]]
         self._deltas: dict[frozenset[str], Word] | None = None
+        self._limit = cache_limit()
+        self._simples: dict[Simple, _SimpleData] = {}
+        self._times: dict[tuple[Simple, str], Simple | None] = {}
+        self._strip: dict[tuple[str, Simple], Simple] = {}
+        self._pairs: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
+        self._normals: dict[Word, Normal] = {}
+        self._words: dict[Normal, Word] = {}
+        self._canon: dict[Word, Word] = {}
+        self._splits: dict[Word, list[tuple[Word, Word]]] = {}
+        self._quotients: dict[tuple[Word, Word], Word | None] = {}
+        self._finishing: dict[Word, frozenset[str]] = {}
+
+    # -- simple elements ---------------------------------------------------
+
+    def _intern(self, word: Word) -> Simple:
+        """Name the simple element with reduced word `word`."""
+        return self._lookup(word)[0]
+
+    def _data(self, s: Simple) -> _SimpleData:
+        """L, R and tails of a named simple."""
+        data = self._simples.get(s)
+        return self._lookup(s)[1] if data is None else data
+
+    def _lookup(self, word: Word) -> tuple[Simple, _SimpleData]:
+        """The simple's name and data, from one braid closure of `word`."""
+        closure = self.system.braid_closure(word)
+        least = self.system.least_word(closure)
+        data = self._simples.get(least)
+        if data is None:
+            data = cache_put(self._simples, least, _SimpleData(closure), self._limit)
+        return least, data
+
+    def _times_letter(self, s: Simple, a: str) -> Simple | None:
+        """s * a when that is simple (a not in R(s)), else None."""
+        key = (s, a)
+        try:
+            return self._times[key]
+        except KeyError:
+            pass
+        product = None if a in self._data(s).right else self._intern(s + (a,))
+        return cache_put(self._times, key, product, self._limit)
+
+    def _strip_letter(self, a: str, s: Simple) -> Simple:
+        """a^-1 * s, for a in L(s)."""
+        key = (a, s)
+        quotient = self._strip.get(key)
+        if quotient is None:
+            quotient = cache_put(
+                self._strip, key, self._intern(self._data(s).tails[a]), self._limit
+            )
+        return quotient
+
+    def _normalize(self, u: Simple, v: Simple) -> tuple[Simple, Simple]:
+        """(u', v') with u'v' = uv and u' | v' normal: move the letters of
+        L(v) that u can absorb, one at a time."""
+        key = (u, v)
+        pair = self._pairs.get(key)
+        if pair is None:
+            while v:
+                movable = self._data(v).left - self._data(u).right
+                if not movable:
+                    break
+                a = next(iter(movable))
+                u, v = self._times_letter(u, a), self._strip_letter(a, v)
+            pair = cache_put(self._pairs, key, (u, v), self._limit)
+        return pair
+
+    # -- normal forms --------------------------------------------------------
+
+    def _append(self, normal: Normal, a: str) -> Normal:
+        """Normal form of x * a: one right-to-left sweep."""
+        parts = list(normal)
+        last = self._times_letter(parts[-1], a) if parts else None
+        if last is None:
+            parts.append(self._intern((a,)))
+        else:
+            parts[-1] = last
+        for i in range(len(parts) - 1, 0, -1):
+            u, v = self._normalize(parts[i - 1], parts[i])
+            if u == parts[i - 1]:
+                break
+            parts[i - 1], parts[i] = u, v
+        while not parts[-1]:
+            parts.pop()
+        return tuple(parts)
+
+    def _strip_front(self, a: str, normal: Normal) -> Normal:
+        """Normal form of a^-1 * x, for a in L(x) = L(s_1): one
+        left-to-right sweep."""
+        head = self._strip_letter(a, normal[0])
+        if not head:
+            return normal[1:]
+        parts = [head, *normal[1:]]
+        for i in range(len(parts) - 1):
+            u, v = self._normalize(parts[i], parts[i + 1])
+            if v == parts[i + 1]:
+                break
+            parts[i], parts[i + 1] = u, v
+        while not parts[-1]:
+            parts.pop()
+        return tuple(parts)
+
+    def _normal(self, word: Word) -> Normal:
+        """Normal form of a checked word, letter by letter."""
+        normal = self._normals.get(word)
+        if normal is None:
+            normal = ()
+            for a in word:
+                normal = self._append(normal, a)
+            cache_put(self._normals, word, normal, self._limit)
+        return normal
+
+    def _left(self, normal: Normal) -> frozenset[str]:
+        """The letters that left-divide the element."""
+        return self._data(normal[0]).left if normal else frozenset()
+
+    def _word(self, normal: Normal) -> Word:
+        """ShortLex-least word: peel min L(s_1) until nothing is left."""
+        word = self._words.get(normal)
+        if word is None:
+            peeled: list[tuple[Normal, str]] = []
+            rest = normal
+            while rest and rest not in self._words:
+                a = min(self._left(rest), key=self.system.index)
+                peeled.append((rest, a))
+                rest = self._strip_front(a, rest)
+            word = self._words.get(rest, ())
+            for rest, a in reversed(peeled):
+                word = cache_put(self._words, rest, (a,) + word, self._limit)
+        return word
 
     # -- equivalence ------------------------------------------------------
 
-    def equiv_class(self, word: Iterable[str]) -> frozenset[Word]:
-        """All positive words equal to `word`; finite by length preservation.
-
-        Monoid relations are exactly the braid moves, so this is the
-        system's memoized braid closure.
-        """
-        return self.system.braid_closure(self.system.check_word(word))
-
     def canon(self, word: Iterable[str]) -> Word:
-        return self.system.least_word(self.equiv_class(word))
+        word = tuple(word)
+        result = self._canon.get(word)
+        if result is None:
+            word = self.system.check_word(word)
+            result = cache_put(
+                self._canon, word, self._word(self._normal(word)), self._limit
+            )
+        return result
 
     def mul(self, *words: Iterable[str]) -> Word:
         combined: tuple[str, ...] = ()
@@ -68,67 +237,96 @@ class ArtinMonoid:
 
     # -- divisibility -----------------------------------------------------
 
+    def _left_quotient(self, normal: Normal, d: Word) -> Normal | None:
+        """Normal form of d^-1 * x, or None when the word d does not
+        left-divide x: strip d's letters one at a time."""
+        for a in d:
+            if a not in self._left(normal):
+                return None
+            normal = self._strip_front(a, normal)
+        return normal
+
     def left_divides(self, x: Iterable[str], y: Iterable[str]) -> bool:
-        x = self.canon(x)
+        x = self.system.check_word(x)
         y = self.system.check_word(y)
-        k = len(x)
-        if k > len(y):
+        if len(x) > len(y):
             return False
-        return any(self.canon(w[:k]) == x for w in self.equiv_class(y))
+        return self._left_quotient(self._normal(y), x) is not None
 
     def right_divides(self, x: Iterable[str], y: Iterable[str]) -> bool:
-        x = self.canon(x)
-        y = self.system.check_word(y)
-        k = len(x)
-        if k > len(y):
-            return False
-        return any(self.canon(w[len(w) - k :]) == x for w in self.equiv_class(y))
-
-    def left_divisors(self, x: Iterable[str]) -> set[Word]:
-        return {
-            self.canon(w[:k])
-            for w in self.equiv_class(x)
-            for k in range(len(w) + 1)
-        }
+        return self.left_divides(tuple(x)[::-1], tuple(y)[::-1])
 
     def left_splits(self, x: Iterable[str]) -> list[tuple[Word, Word]]:
         """All pairs (d, q) of non-identity elements with d * q = x,
-        ShortLex-ordered by d."""
-        quotient: dict[Word, Word] = {}
-        for w in self.equiv_class(x):
-            for k in range(1, len(w)):
-                d = self.canon(w[:k])
-                if d not in quotient:
-                    quotient[d] = self.canon(w[k:])
-        return sorted(quotient.items(), key=lambda pair: self.system.key(pair[0]))
+        ShortLex-ordered by d.
+
+        Searches the left divisors d of x from the identity up, extending
+        d by each letter a in L(d^-1 x).
+        """
+        x = self.canon(x)
+        splits = self._splits.get(x)
+        if splits is None:
+            # normal form of d -> normal form of d^-1 x
+            quotient_of: dict[Normal, Normal] = {(): self._normal(x)}
+            frontier: list[Normal] = [()]
+            while frontier:
+                grown = []
+                for d in frontier:
+                    q = quotient_of[d]
+                    for a in self._left(q):
+                        e = self._append(d, a)
+                        if e not in quotient_of:
+                            quotient_of[e] = self._strip_front(a, q)
+                            grown.append(e)
+                frontier = grown
+            splits = sorted(
+                (
+                    (self._word(d), self._word(q))
+                    for d, q in quotient_of.items()
+                    if d and q
+                ),
+                key=lambda pair: self.system.key(pair[0]),
+            )
+            cache_put(self._splits, x, splits, self._limit)
+        return splits
 
     def right_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
         """The y with y*d = x, or None when d does not right divide x."""
-        d = self.canon(d)
-        x = self.system.check_word(x)
-        k = len(d)
-        if k > len(x):
-            return None
-        for w in self.equiv_class(x):
-            if self.canon(w[len(w) - k :]) == d:
-                return self.canon(w[: len(w) - k])
-        return None
+        key = (tuple(x), tuple(d))
+        try:
+            return self._quotients[key]
+        except KeyError:
+            pass
+        x = self.system.check_word(key[0])
+        d = self.system.check_word(key[1])
+        # rev(d) * rev(y) = rev(x)
+        quotient = (
+            self._left_quotient(self._normal(x[::-1]), d[::-1])
+            if len(d) <= len(x)
+            else None
+        )
+        result = None if quotient is None else self.rev(self._word(quotient))
+        return cache_put(self._quotients, key, result, self._limit)
 
     # -- gcd / lcm ----------------------------------------------------------
 
     def left_gcd(self, elems: Iterable[Iterable[str]]) -> Word:
-        """Greatest common left divisor of a non-empty set."""
-        elems = [self.canon(e) for e in elems]
-        if not elems:
+        """Greatest common left divisor of a non-empty set.
+
+        A letter divides the gcd exactly when it divides every argument,
+        so peeling the least such letter spells the gcd's canonical word.
+        """
+        normals = [self._normal(self.system.check_word(e)) for e in elems]
+        if not normals:
             raise ValueError("left_gcd of an empty set")
-        common = set.intersection(*(self.left_divisors(e) for e in elems))
-        top = max(len(d) for d in common)
-        best = [d for d in common if len(d) == top]
-        if len(best) != 1 or not all(
-            self.left_divides(d, best[0]) for d in common
-        ):
-            raise NotAChain(f"common left divisors of {elems} have no maximum")
-        return best[0]
+        gcd: list[str] = []
+        while True:
+            common = frozenset.intersection(*(self._left(n) for n in normals))
+            if not common:
+                return tuple(gcd)
+            a = min(common, key=self.system.index)
+            gcd.append(a)
+            normals = [self._strip_front(a, n) for n in normals]
 
     def right_gcd(self, elems: Iterable[Iterable[str]]) -> Word:
         reverse = [tuple(reversed(self.system.check_word(e))) for e in elems]
@@ -139,10 +337,11 @@ class ArtinMonoid:
     ) -> Word | None:
         """Least common right multiple; None only on proven non-existence.
 
-        For a set of single generators, existence is equivalent to the
-        pair-restricted matrix being of finite type, which also supplies
-        the exact search bound.  For general sets a configurable bound
-        applies and exhausting it raises Undecided.
+        A common right multiple is left-divisible by every letter that
+        left-divides an argument, so those letters must be of finite
+        type.  For a set of single generators that is also sufficient
+        and supplies the exact search bound.  For general sets a
+        configurable bound applies and exhausting it raises Undecided.
         """
         elems = sorted(
             {self.canon(e) for e in elems}, key=lambda w: (len(w), self.system.key(w))
@@ -151,12 +350,12 @@ class ArtinMonoid:
             raise ValueError("right_lcm of an empty set")
         if len(elems) == 1:
             return elems[0]
+        letters = frozenset().union(*(self._left(self._normal(e)) for e in elems))
+        if not self.system.is_finite_type(letters):
+            return None
         guaranteed = False
         if all(len(e) == 1 for e in elems):
-            T = frozenset(s for (s,) in elems)
-            if not self.system.is_finite_type(T):
-                return None
-            bound = len(self.delta(T))
+            bound = len(self.delta(letters))
             guaranteed = True
         elif bound is None:
             bound = DEFAULT_SEARCH_BOUND
@@ -218,8 +417,15 @@ class ArtinMonoid:
     # -- finishing sets --------------------------------------------------------
 
     def finishing_set(self, x: Iterable[str]) -> frozenset[str]:
-        """Generators whose letter right divides x."""
-        return self.system.descents(self.system.check_word(x))
+        """Generators whose letter right divides x: L of the reversal."""
+        x = tuple(x)
+        finishing = self._finishing.get(x)
+        if finishing is None:
+            reverse = self.system.check_word(x)[::-1]
+            finishing = cache_put(
+                self._finishing, x, self._left(self._normal(reverse)), self._limit
+            )
+        return finishing
 
     # -- normal form ---------------------------------------------------------
 

@@ -182,11 +182,8 @@ class CoxeterSystem:
         return least
 
     def descents(self, word: Word) -> frozenset[str]:
-        """Last letters over the braid class of `word`.
-
-        For a reduced word this is its right descent set; for a positive
-        word it is the finishing set of its monoid element.
-        """
+        """Last letters over the braid class of `word`: for a reduced
+        word, its right descent set."""
         return frozenset(w[-1] for w in self.braid_closure(word) if w)
 
     def canon(self, word: Iterable[str]) -> Word:

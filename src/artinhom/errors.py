@@ -95,12 +95,6 @@ class CheckFailed(VerificationError):
     code = "check-failed"
 
 
-class NotAChain(RuntimeError):
-    """Internal consistency check failed where theory guarantees success."""
-
-    code = "not-a-chain"
-
-
 class InternalError(RuntimeError):
     """Reached a state the underlying theory rules out; signals a bug."""
 

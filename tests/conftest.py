@@ -3,12 +3,16 @@
 The oracles here decide the word problem through faithful models that
 never touch the rewriting code under test: symmetric groups acting by
 adjacent transpositions for the linear diagrams, affine maps
-x -> sign*x + shift on Z (mod 2m) for the dihedral systems, and window
-notation for the affine permutations of the affine Weyl group A~2.
-Library surface that only the tests need lives here too.
+x -> sign*x + shift on Z (mod 2m) for the dihedral systems, window
+notation for the affine permutations of the affine Weyl group A~2, and
+signed permutations for B3.  The positive monoid is checked against
+enumeration of braid classes of positive words (`BraidClassMonoid`),
+which shares no code with `artin.py`.  Library surface that only the
+tests need lives here too.
 """
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -38,6 +42,10 @@ def make_ainf():
 
 def make_a3():
     return CoxeterSystem("abc", {("a", "b"): 3, ("b", "c"): 3})
+
+
+def make_b3():
+    return CoxeterSystem("abc", {("a", "b"): 4, ("b", "c"): 3})
 
 
 def make_affine_a2():
@@ -169,6 +177,141 @@ def affine_length(window):
     )
 
 
+# -- signed permutation oracle (B3) ---------------------------------------------
+
+
+def signed_perm_of_word(word):
+    """Image of a word over {a, b, c} in the hyperoctahedral group B3, with
+    m(a, b) = 4 and m(b, c) = 3: a negates the first coordinate, b swaps
+    the first two and c the last two (acting on positions, on the right)."""
+    w = [1, 2, 3]
+    for s in word:
+        if s == "a":
+            w[0] = -w[0]
+        elif s == "b":
+            w[0], w[1] = w[1], w[0]
+        else:
+            w[1], w[2] = w[2], w[1]
+    return tuple(w)
+
+
+# -- braid-class oracle (positive monoids) -------------------------------------
+
+
+def braid_class(system, word):
+    """All positive words equal to `word` in the monoid: the defining
+    relations are the braid moves, which preserve length, so the class is
+    the finite set of words reachable from `word` by moves alone."""
+    moves = []
+    for s, t in combinations(system.gens, 2):
+        m = system.m(s, t)
+        if m != math.inf:
+            left = tuple(s if i % 2 == 0 else t for i in range(m))
+            right = tuple(t if i % 2 == 0 else s for i in range(m))
+            moves += [(left, right), (right, left)]
+    word = tuple(word)
+    seen = {word}
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        for pattern, replacement in moves:
+            k = len(pattern)
+            for i in range(len(w) - k + 1):
+                if w[i : i + k] == pattern:
+                    new = w[:i] + replacement + w[i + k :]
+                    if new not in seen:
+                        seen.add(new)
+                        stack.append(new)
+    return frozenset(seen)
+
+
+class BraidClassMonoid:
+    """Positive-monoid arithmetic by search over braid classes.
+
+    Every answer is read off the classes of the words involved: equality
+    is membership, x left-divides y when some word of y's class starts
+    with a word of x's class, and so on.  It is the reference for
+    `ArtinMonoid`; only the system's Coxeter matrix, its generator order
+    and, for the normal form, the Coxeter group's longest elements are
+    shared with the library.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        self._classes = {}
+
+    def braid_class(self, word):
+        word = tuple(word)
+        found = self._classes.get(word)
+        if found is None:
+            found = braid_class(self.system, word)
+            for w in found:
+                self._classes[w] = found
+        return found
+
+    def canon(self, word):
+        return min(self.braid_class(word), key=self.system.key)
+
+    def rev(self, word):
+        return self.canon(tuple(word)[::-1])
+
+    def left_divisors(self, x):
+        return {self.canon(w[:k]) for w in self.braid_class(x) for k in range(len(w) + 1)}
+
+    def left_divides(self, x, y):
+        x = self.canon(x)
+        return any(self.canon(w[: len(x)]) == x for w in self.braid_class(y))
+
+    def right_divides(self, x, y):
+        return self.left_divides(tuple(x)[::-1], tuple(y)[::-1])
+
+    def right_quotient(self, x, d):
+        d = self.canon(d)
+        for w in self.braid_class(x):
+            if len(d) <= len(w) and self.canon(w[len(w) - len(d) :]) == d:
+                return self.canon(w[: len(w) - len(d)])
+        return None
+
+    def left_splits(self, x):
+        quotient = {}
+        for w in self.braid_class(x):
+            for k in range(1, len(w)):
+                quotient.setdefault(self.canon(w[:k]), self.canon(w[k:]))
+        return sorted(quotient.items(), key=lambda pair: self.system.key(pair[0]))
+
+    def finishing_set(self, x):
+        return frozenset(w[-1] for w in self.braid_class(x) if w)
+
+    def left_gcd(self, elems):
+        common = set.intersection(*(self.left_divisors(e) for e in elems))
+        return max(common, key=len)
+
+    def right_lcm(self, elems, bound):
+        """The least common right multiple of length at most `bound`, or
+        None when there is no common right multiple that short."""
+        elems = sorted({self.canon(e) for e in elems}, key=len)
+        base, others = elems[-1], elems[:-1]
+        multiples = {base}
+        for total in range(len(base), bound + 1):
+            if total > len(base):
+                multiples = {self.canon(w + (s,)) for w in multiples for s in self.system.gens}
+            found = [w for w in multiples if all(self.left_divides(e, w) for e in others)]
+            if found:
+                (least,) = found
+                return least
+        return None
+
+    def normal_form(self, x):
+        """Each T_j is the finishing set of the rest, and delta(T_j) is the
+        longest element of W_{T_j}, from the Coxeter layer."""
+        rest, parts = self.canon(x), []
+        while rest:
+            T = self.finishing_set(rest)
+            rest = self.right_quotient(rest, self.system.longest_element(T))
+            parts.append(T)
+        return tuple(parts)
+
+
 # -- sparse matrices and the dense Smith reference ----------------------------
 
 
@@ -280,7 +423,9 @@ def iter_cells_of_grade(mon, n):
 
 def is_squarefree(mon, x):
     """Brieskorn-Saito: no word of the class repeats a letter adjacently."""
-    return not any(w[i] == w[i + 1] for w in mon.equiv_class(x) for i in range(len(w) - 1))
+    return not any(
+        w[i] == w[i + 1] for w in braid_class(mon.system, x) for i in range(len(w) - 1)
+    )
 
 
 def recompose(mon, parts):

@@ -27,6 +27,7 @@ from artinhom.salvetti import (
     sal_poset,
 )
 from conftest import (
+    BraidClassMonoid,
     entry,
     is_squarefree,
     iter_cells_of_grade,
@@ -183,7 +184,7 @@ def test_criterion_07_fundamental_element_properties(stack):
         # (i) reversal fixes it
         assert mon.rev(delta) == delta, name
         # (ii) left and right divisors coincide
-        left = mon.left_divisors(delta)
+        left = BraidClassMonoid(system).left_divisors(delta)
         right = {
             x
             for n in range(len(delta) + 1)

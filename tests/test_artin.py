@@ -1,10 +1,19 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
-from artinhom.errors import InfiniteType, NotAChain, Undecided
-from conftest import all_words, is_squarefree, recompose
+from artinhom.errors import InfiniteType, Undecided
+from conftest import (
+    BraidClassMonoid,
+    all_words,
+    braid_class,
+    is_squarefree,
+    make_affine_a2,
+    recompose,
+)
 
 
 def W(text):
@@ -13,14 +22,15 @@ def W(text):
 
 class TestEquivalence:
     def test_class_examples(self, mon_a2):
-        assert mon_a2.equiv_class(W("aba")) == {W("aba"), W("bab")}
-        assert mon_a2.equiv_class(W("ab")) == {W("ab")}
-        assert mon_a2.equiv_class(W("a")) == {W("a")}
+        assert braid_class(mon_a2.system, W("aba")) == {W("aba"), W("bab")}
+        assert braid_class(mon_a2.system, W("ab")) == {W("ab")}
+        assert braid_class(mon_a2.system, W("a")) == {W("a")}
+        assert mon_a2.canon(W("bab")) == W("aba")
 
     def test_classes_preserve_length(self, mon_a2, mon_a3):
         for mon, letters in ((mon_a2, "ab"), (mon_a3, "abc")):
             for word in all_words(letters, 4):
-                assert {len(w) for w in mon.equiv_class(word)} == {len(word)}
+                assert {len(w) for w in braid_class(mon.system, word)} == {len(word)}
 
     def test_length_additivity(self, mon_a2):
         words = all_words("ab", 3)
@@ -97,13 +107,14 @@ class TestGcdLcm:
         assert mon_a2.left_gcd([W("aba"), W("bab")]) == W("aba")
 
     def test_gcd_is_greatest(self, mon_a2):
+        oracle = BraidClassMonoid(mon_a2.system)
         words = all_words("ab", 4)
         for x in words[1:]:
             for y in words[1:]:
                 gcd = mon_a2.left_gcd([x, y])
                 assert mon_a2.left_divides(gcd, x)
                 assert mon_a2.left_divides(gcd, y)
-                common = mon_a2.left_divisors(x) & mon_a2.left_divisors(y)
+                common = oracle.left_divisors(x) & oracle.left_divisors(y)
                 assert all(mon_a2.left_divides(d, gcd) for d in common)
 
     def test_right_gcd_mirrors_left(self, mon_a2):
@@ -138,9 +149,19 @@ class TestGcdLcm:
                     if mon_a2.left_divides(y, candidate):
                         assert mon_a2.left_divides(lcm, candidate)
 
-    def test_undecided_when_bound_exhausted(self, mon_ainf):
+    def test_undecided_when_bound_exhausted(self):
+        # a and b left-divide the arguments and generate the finite A2, so
+        # the left letters cannot rule a common multiple out
+        mon = ArtinMonoid(make_affine_a2())
         with pytest.raises(Undecided):
-            mon_ainf.right_lcm([W("ab"), W("ba")], bound=6)
+            mon.right_lcm([W("ab"), W("bc")], bound=6)
+
+    def test_none_when_left_letters_are_of_infinite_type(self, mon_ainf):
+        # every common multiple of ab and ba is left-divisible by a and b,
+        # which have none when m = inf
+        assert mon_ainf.right_lcm([W("ab"), W("ba")]) is None
+        assert mon_ainf.right_lcm([W("ab"), W("ba")], bound=6) is None
+        assert mon_ainf.left_lcm([W("ab"), W("ba")]) is None
 
     def test_left_lcm_of_generators(self, mon_b2):
         assert mon_b2.left_lcm([W("a"), W("b")]) == W("abab")
@@ -244,3 +265,113 @@ class TestNormalForm:
             if not word:
                 continue
             assert competitors(word) == [mon_a2.normal_form(word)]
+
+
+def test_capped_monoid_caches_do_not_change_answers(monkeypatch):
+    from artinhom.coxeter import CACHE_LIMIT_ENV
+
+    orders = {("a", "b"): 4, ("b", "c"): 3}
+    monkeypatch.setenv(CACHE_LIMIT_ENV, "5")
+    capped = ArtinMonoid(CoxeterSystem("abc", orders))
+    monkeypatch.delenv(CACHE_LIMIT_ENV)
+    reference = ArtinMonoid(CoxeterSystem("abc", orders))
+    for word in all_words("abc", 4):
+        assert capped.canon(word) == reference.canon(word)
+        assert capped.normal_form(word) == reference.normal_form(word)
+        assert capped.left_splits(word) == reference.left_splits(word)
+        assert capped.right_quotient(word, "b") == reference.right_quotient(word, "b")
+    memos = [value for value in vars(capped).values() if isinstance(value, dict)]
+    assert len(memos) >= 10 and all(len(memo) <= 5 for memo in memos)
+
+
+def random_system(rng):
+    """A Coxeter system of rank <= 4 with m in {2, 3, 4, 5, 6, inf} and its
+    generators in a random order."""
+    gens = "abcd"[: rng.randint(1, 4)]
+    orders = {pair: rng.choice([2, 3, 4, 5, 6, math.inf]) for pair in combinations(gens, 2)}
+    order = list(gens)
+    rng.shuffle(order)
+    return CoxeterSystem(order, orders)
+
+
+class TestAgainstBraidClasses:
+    """Seeded differential test against braid-class enumeration."""
+
+    SYSTEMS = 60
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(20240611)
+        found = []
+        for _ in range(self.SYSTEMS):
+            system = random_system(rng)
+            words = [
+                tuple(rng.choice(system.gens) for _ in range(rng.randint(0, 10)))
+                for _ in range(6)
+            ]
+            found.append((ArtinMonoid(system), BraidClassMonoid(system), words))
+        return found
+
+    def test_systems_cover_the_matrix_entries(self, cases):
+        entries = {
+            mon.system.m(s, t)
+            for mon, _, _ in cases
+            for s, t in combinations(mon.system.gens, 2)
+        }
+        assert entries == {2, 3, 4, 5, 6, math.inf}
+        finite = [mon.system.is_finite_type(mon.system.gens) for mon, _, _ in cases]
+        assert any(finite) and not all(finite)
+
+    def test_canon_mul_rev_and_finishing_sets(self, cases):
+        for mon, oracle, words in cases:
+            for x, y in zip(words, words[1:] + words[:1]):
+                assert mon.canon(x) == oracle.canon(x), (mon.system.gens, x)
+                assert mon.rev(x) == oracle.rev(x), (mon.system.gens, x)
+                assert mon.finishing_set(x) == oracle.finishing_set(x), (mon.system.gens, x)
+                if len(x) + len(y) <= 10:
+                    assert mon.mul(x, y) == oracle.canon(x + y), (mon.system.gens, x, y)
+
+    def test_divisibility_quotients_and_splits(self, cases):
+        for mon, oracle, words in cases:
+            for y in words:
+                for k in (0, 1, len(y) // 2, len(y)):
+                    for x in (y[:k], y[k:], y[::-1][:k]):
+                        args = (mon.system.gens, x, y)
+                        assert mon.left_divides(x, y) == oracle.left_divides(x, y), args
+                        assert mon.right_divides(x, y) == oracle.right_divides(x, y), args
+                        assert mon.right_quotient(y, x) == oracle.right_quotient(y, x), args
+                assert mon.left_splits(y) == oracle.left_splits(y), (mon.system.gens, y)
+
+    def test_normal_form_and_gcd(self, cases):
+        for mon, oracle, words in cases:
+            for x, y in zip(words, words[1:] + words[:1]):
+                assert mon.normal_form(x) == oracle.normal_form(x), (mon.system.gens, x)
+                if x and y:
+                    args = (mon.system.gens, x, y)
+                    assert mon.left_gcd([x, y]) == oracle.left_gcd([x, y]), args
+                    reverse = [x[::-1], y[::-1]]
+                    assert mon.right_gcd([x, y]) == oracle.rev(oracle.left_gcd(reverse)), args
+
+    def test_lcm_on_finite_types(self, cases):
+        checked = 0
+        for mon, oracle, words in cases:
+            if not mon.system.is_finite_type(mon.system.gens):
+                continue
+            letters = [(s,) for s in mon.system.gens]
+            for x, y in [*zip(words, words[1:]), *combinations(letters, 2)]:
+                if not x or not y or len(x) + len(y) > 6:
+                    continue
+                if len(x) == len(y) == 1:
+                    # the letters' lcm is their alternating word of length m
+                    expected = oracle.right_lcm([x, y], mon.system.m(x[0], y[0]))
+                    found = mon.right_lcm([x, y])
+                else:
+                    bound = max(len(x), len(y)) + 3
+                    expected = oracle.right_lcm([x, y], bound)
+                    try:
+                        found = mon.right_lcm([x, y], bound=bound)
+                    except Undecided:
+                        found = None
+                assert found == expected, (mon.system.gens, x, y)
+                checked += 1
+        assert checked > 20

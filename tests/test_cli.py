@@ -15,8 +15,21 @@ from artinhom.errors import (
     ParseError,
     UnknownGenerator,
 )
+from conftest import (
+    BraidClassMonoid,
+    braid_class,
+    make_a3,
+    make_b3,
+    signed_perm_of_word,
+)
 
 A2_TEXT = "gens: a b\nm a b 3\n"
+A3_TEXT = "gens: a b c\nm a b 3\nm b c 3\n"
+B3_TEXT = "gens: a b c\nm a b 4\nm b c 3\n"
+AFFINE_A2_TEXT = "gens: a b c\nm a b 3\nm b c 3\nm a c 3\n"
+# reduced words of the longest elements; (abc)^3 is w0 = -1 of B3
+A3_DELTA = "acb" * 2
+B3_DELTA = "abc" * 3
 REPO = Path(__file__).resolve().parents[1]
 USAGE_ERRORS = {
     "missing-argument": ["boundary2", "a"],
@@ -181,11 +194,22 @@ class TestExitCodes:
         assert main(["--system", inf_file, "delta", "a", "b"]) == 1
         assert "error" in capsys.readouterr().out
 
-    def test_undecided_is_one(self, inf_file, capsys):
+    def test_undecided_is_one(self, tmp_path, capsys):
+        # the left letters a and b are of finite type, so only the bound
+        # can stop the search
+        path = tmp_path / "affine.system"
+        path.write_text(AFFINE_A2_TEXT)
         code = main(
-            ["--system", inf_file, "lcm", "ab", "ba", "--bound", "5"]
+            ["--system", str(path), "--format", "jsonl", "lcm", "ab", "bc", "--bound", "6"]
         )
         assert code == 1
+        record = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert record["record"] == "error"
+        assert record["code"] == "undecided"
+
+    def test_none_from_left_letters_is_success(self, inf_file, capsys):
+        assert main(["--system", inf_file, "lcm", "ab", "ba"]) == 0
+        assert capsys.readouterr().out == "right lcm = none\n"
 
     def test_none_result_is_success(self, inf_file, capsys):
         assert main(["--system", inf_file, "lcm", "a", "b"]) == 0
@@ -319,6 +343,46 @@ B2_GOLDEN = {
         '"y":["a","b","a"]}',
     ],
 }
+
+
+def jsonl_record(tmp_path, capsys, text, *argv):
+    """The one record after the meta line of a jsonl run that exits 0."""
+    path = tmp_path / "system"
+    path.write_text(text)
+    assert main(["--system", str(path), "--format", "jsonl", *argv]) == 0
+    (line,) = capsys.readouterr().out.splitlines()[1:]
+    return json.loads(line)
+
+
+class TestMonoidReach:
+    """Powers of the fundamental element past the reach of braid-class
+    enumeration (Delta^3 on A3 has 251,080 words), each answer checked
+    without the monoid arithmetic under test."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_b3_nf_of_delta_powers(self, tmp_path, capsys, k):
+        record = jsonl_record(tmp_path, capsys, B3_TEXT, "nf", B3_DELTA * k)
+        assert record["parts"] == [["a", "b", "c"]] * k
+        canonical = record["canonical"]
+        assert len(canonical) == 9 * k
+        # w0 = -1 in the signed permutations, so Delta^k maps to (-1)^k
+        sign = -1 if k % 2 else 1
+        assert signed_perm_of_word(canonical) == (sign, 2 * sign, 3 * sign)
+
+    def test_b3_simple_divides_delta_cubed(self, tmp_path, capsys):
+        # cbc is squarefree, hence simple, hence a divisor of Delta
+        assert all(
+            w[i] != w[i + 1] for w in braid_class(make_b3(), "cbc") for i in range(2)
+        )
+        record = jsonl_record(tmp_path, capsys, B3_TEXT, "divides", "cbc", B3_DELTA * 3)
+        assert record["result"] is True
+
+    def test_a3_gcd_of_delta_powers(self, tmp_path, capsys):
+        record = jsonl_record(
+            tmp_path, capsys, A3_TEXT, "gcd", A3_DELTA * 3, A3_DELTA * 2
+        )
+        expected = BraidClassMonoid(make_a3()).canon(A3_DELTA * 2)
+        assert tuple(record["gcd"]) == expected
 
 
 class TestGoldenOutput:
