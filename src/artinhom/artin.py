@@ -19,12 +19,13 @@ EMS 2015): after multiplying by a letter on the right one right-to-left
 sweep of pair normalizations restores the form, and after dividing by a
 letter on the left one left-to-right sweep does.
 
-A simple is named by its ShortLex-least reduced word.  Its L, R and one
-word starting with each letter of L come from a single braid closure of
-that word (its reduced words, by Matsumoto); every transition between
-simples (times a letter, strip a letter) and every pair normalization is
-memoized.  No class of positive words is ever enumerated; the test suite
-keeps braid-class enumeration as the oracle for everything here.
+A simple is named by the canonical word of the Coxeter-group element it
+lifts, so its L and R are that element's descent sets and the
+transitions between simples (times a letter, strip a letter) are the
+group's: all are read from the element table of `CoxeterSystem`.  Every
+pair normalization is memoized.  No class of positive words is ever
+enumerated; the test suite keeps braid-class enumeration as the oracle
+for everything here.
 
 The ShortLex-least word peels min L(s_1) off repeatedly.  Right-hand
 questions go through the reversal anti-automorphism.  Least common
@@ -49,20 +50,6 @@ Simple = Word
 Normal = tuple[Simple, ...]
 
 
-class _SimpleData:
-    """L(s), R(s), and for each a in L(s) a word of a^-1 s."""
-
-    __slots__ = ("left", "right", "tails")
-
-    def __init__(self, closure: frozenset[Word]):
-        self.tails: dict[str, Word] = {}
-        for w in closure:
-            if w:
-                self.tails.setdefault(w[0], w[1:])
-        self.left = frozenset(self.tails)
-        self.right = frozenset(w[-1] for w in closure if w)
-
-
 class ArtinMonoid:
     """Positive monoid attached to a Coxeter system."""
 
@@ -71,9 +58,6 @@ class ArtinMonoid:
         self._elements_by_length: list[list[Word]] = [[()]]
         self._deltas: dict[frozenset[str], Word] | None = None
         self._limit = cache_limit()
-        self._simples: dict[Simple, _SimpleData] = {}
-        self._times: dict[tuple[Simple, str], Simple | None] = {}
-        self._strip: dict[tuple[str, Simple], Simple] = {}
         self._pairs: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
         self._normals: dict[Word, Normal] = {}
         self._words: dict[Normal, Word] = {}
@@ -82,45 +66,7 @@ class ArtinMonoid:
         self._quotients: dict[tuple[Word, Word], Word | None] = {}
         self._finishing: dict[Word, frozenset[str]] = {}
 
-    # -- simple elements ---------------------------------------------------
-
-    def _intern(self, word: Word) -> Simple:
-        """Name the simple element with reduced word `word`."""
-        return self._lookup(word)[0]
-
-    def _data(self, s: Simple) -> _SimpleData:
-        """L, R and tails of a named simple."""
-        data = self._simples.get(s)
-        return self._lookup(s)[1] if data is None else data
-
-    def _lookup(self, word: Word) -> tuple[Simple, _SimpleData]:
-        """The simple's name and data, from one braid closure of `word`."""
-        closure = self.system.braid_closure(word)
-        least = self.system.least_word(closure)
-        data = self._simples.get(least)
-        if data is None:
-            data = cache_put(self._simples, least, _SimpleData(closure), self._limit)
-        return least, data
-
-    def _times_letter(self, s: Simple, a: str) -> Simple | None:
-        """s * a when that is simple (a not in R(s)), else None."""
-        key = (s, a)
-        try:
-            return self._times[key]
-        except KeyError:
-            pass
-        product = None if a in self._data(s).right else self._intern(s + (a,))
-        return cache_put(self._times, key, product, self._limit)
-
-    def _strip_letter(self, a: str, s: Simple) -> Simple:
-        """a^-1 * s, for a in L(s)."""
-        key = (a, s)
-        quotient = self._strip.get(key)
-        if quotient is None:
-            quotient = cache_put(
-                self._strip, key, self._intern(self._data(s).tails[a]), self._limit
-            )
-        return quotient
+    # -- normal forms --------------------------------------------------------
 
     def _normalize(self, u: Simple, v: Simple) -> tuple[Simple, Simple]:
         """(u', v') with u'v' = uv and u' | v' normal: move the letters of
@@ -129,22 +75,21 @@ class ArtinMonoid:
         pair = self._pairs.get(key)
         if pair is None:
             while v:
-                movable = self._data(v).left - self._data(u).right
+                movable = self.system.descents(v)[0] - self.system.descents(u)[1]
                 if not movable:
                     break
                 a = next(iter(movable))
-                u, v = self._times_letter(u, a), self._strip_letter(a, v)
+                u, v = self.system.times(u, a), self.system.strip(a, v)
             pair = cache_put(self._pairs, key, (u, v), self._limit)
         return pair
-
-    # -- normal forms --------------------------------------------------------
 
     def _append(self, normal: Normal, a: str) -> Normal:
         """Normal form of x * a: one right-to-left sweep."""
         parts = list(normal)
-        last = self._times_letter(parts[-1], a) if parts else None
+        last = self.system.times(parts[-1], a) if parts else None
         if last is None:
-            parts.append(self._intern((a,)))
+            # the identity times a: the simple a, one shared tuple
+            parts.append(self.system.times((), a))
         else:
             parts[-1] = last
         for i in range(len(parts) - 1, 0, -1):
@@ -159,7 +104,7 @@ class ArtinMonoid:
     def _strip_front(self, a: str, normal: Normal) -> Normal:
         """Normal form of a^-1 * x, for a in L(x) = L(s_1): one
         left-to-right sweep."""
-        head = self._strip_letter(a, normal[0])
+        head = self.system.strip(a, normal[0])
         if not head:
             return normal[1:]
         parts = [head, *normal[1:]]
@@ -184,7 +129,7 @@ class ArtinMonoid:
 
     def _left(self, normal: Normal) -> frozenset[str]:
         """The letters that left-divide the element."""
-        return self._data(normal[0]).left if normal else frozenset()
+        return self.system.descents(normal[0])[0] if normal else frozenset()
 
     def _word(self, normal: Normal) -> Word:
         """ShortLex-least word: peel min L(s_1) until nothing is left."""

@@ -4,12 +4,15 @@ Group elements are plain words (tuples of generator names).  Equality is
 decided exactly by Tits' solution of the word problem and Matsumoto's
 theorem: the reduced words of one element form a single braid-closure
 class, and for reduced w, l(ws) < l(w) exactly when some word of that
-class ends in s.  `descents` reads those last letters; `canon` multiplies
-the letters on one at a time and so only ever builds classes of reduced
-words.  The ShortLex-least reduced word (with respect to the generator
-order given at construction) is the canonical form; that same generator
-order is the total order consumed by the matching machinery downstream,
-so there is one global convention.
+class ends in s.  The ShortLex-least reduced word (with respect to the
+generator order given at construction) is the canonical form; that same
+generator order is the total order consumed by the matching machinery
+downstream, so there is one global convention.
+
+One table keyed by canonical words holds what is known of an element,
+read off one braid closure: L(w), R(w), the transitions ws (None when s
+is in R(w)) and the strips a^-1 w.  `canon` folds letters through it,
+and the Artin monoid's simples (the positive lifts of W) read it too.
 
 Finite-type recognition classifies each connected component of the
 Coxeter graph against the catalogue A_n, B_n, D_n, E6, E7, E8, F4, H3,
@@ -65,6 +68,23 @@ def _pair(s: str, t: str) -> tuple[str, str]:
     return (s, t) if s <= t else (t, s)
 
 
+class _Element:
+    """L(w), R(w), and words of a^-1 w for a in L(w) and of ws for s in R(w)."""
+
+    __slots__ = ("left", "right", "tails", "heads")
+
+    def __init__(self, closure: frozenset[Word]):
+        tails: dict[str, Word] = {}
+        heads: dict[str, Word] = {}
+        for w in closure:
+            if w and w[0] not in tails:
+                tails[w[0]] = w[1:]
+            if w and w[-1] not in heads:
+                heads[w[-1]] = w[:-1]
+        self.tails, self.heads = tails, heads
+        self.left, self.right = frozenset(tails), frozenset(heads)
+
+
 class CoxeterSystem:
     """An ordered generating set with a validated Coxeter matrix.
 
@@ -93,7 +113,7 @@ class CoxeterSystem:
                     f"({self._m[key]} vs {value})"
                 )
             self._m[key] = value
-        # braid-move substitutions, shared by the Coxeter and Artin rewriters
+        # braid-move substitutions, which generate each reduced-word class
         self._moves: list[tuple[Word, Word]] = []
         for s, t in combinations(self.gens, 2):
             m = self.m(s, t)
@@ -105,6 +125,9 @@ class CoxeterSystem:
         self._limit = cache_limit()
         self._closure: dict[Word, frozenset[Word]] = {}
         self._least: dict[frozenset[Word], Word] = {}
+        self._elements: dict[Word, _Element] = {}
+        self._times: dict[tuple[Word, str], Word | None] = {}
+        self._strip: dict[tuple[str, Word], Word] = {}
         self._canon: dict[Word, Word] = {}
         self._finite: dict[frozenset[str], bool] = {}
 
@@ -172,19 +195,44 @@ class CoxeterSystem:
             cache_put(self._closure, w, closure, self._limit)
         return closure
 
-    def least_word(self, closure: frozenset[Word]) -> Word:
-        """ShortLex-least word of a braid-closure class, memoized per class."""
+    def _lookup(self, word: Word) -> tuple[Word, _Element]:
+        """Canonical word and table entry of the element with reduced word `word`."""
+        closure = self.braid_closure(word)
         least = self._least.get(closure)
         if least is None:
-            least = cache_put(
-                self._least, closure, min(closure, key=self.key), self._limit
-            )
-        return least
+            least = cache_put(self._least, closure, min(closure, key=self.key), self._limit)
+        entry = self._elements.get(least)
+        if entry is None:
+            entry = cache_put(self._elements, least, _Element(closure), self._limit)
+        return least, entry
 
-    def descents(self, word: Word) -> frozenset[str]:
-        """Last letters over the braid class of `word`: for a reduced
-        word, its right descent set."""
-        return frozenset(w[-1] for w in self.braid_closure(word) if w)
+    def _entry(self, w: Word) -> _Element:
+        entry = self._elements.get(w)
+        return self._lookup(w)[1] if entry is None else entry
+
+    def descents(self, w: Word) -> tuple[frozenset[str], frozenset[str]]:
+        """(L(w), R(w)) for a reduced word w."""
+        entry = self._entry(w)
+        return entry.left, entry.right
+
+    def times(self, w: Word, s: str) -> Word | None:
+        """Canonical word of ws for a reduced word w, or None when s is in R(w)."""
+        key = (w, s)
+        try:
+            return self._times[key]
+        except KeyError:
+            pass
+        product = None if s in self._entry(w).right else self._lookup(w + (s,))[0]
+        return cache_put(self._times, key, product, self._limit)
+
+    def strip(self, a: str, w: Word) -> Word:
+        """Canonical word of a^-1 w, for a in L(w)."""
+        key = (a, w)
+        quotient = self._strip.get(key)
+        if quotient is None:
+            tail = self._lookup(self._entry(w).tails[a])[0]
+            quotient = cache_put(self._strip, key, tail, self._limit)
+        return quotient
 
     def canon(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element `word` represents."""
@@ -194,11 +242,9 @@ class CoxeterSystem:
             return result
         current: Word = ()
         for s in word:
-            # `current` is reduced, so s either deletes or lengthens (exchange)
-            closure = self.braid_closure(current)
-            shorter = next((w[:-1] for w in closure if w and w[-1] == s), None)
-            product = current + (s,) if shorter is None else shorter
-            current = self.least_word(self.braid_closure(product))
+            # `current` is reduced, so s either lengthens it or deletes (exchange)
+            up = self.times(current, s)
+            current = self._lookup(self._entry(current).heads[s])[0] if up is None else up
         return cache_put(self._canon, word, current, self._limit)
 
     def mul(self, *words: Iterable[str]) -> Word:
@@ -260,18 +306,14 @@ class CoxeterSystem:
         if not self.is_finite_type(T):
             raise InfiniteType(f"subgroup on {sorted(T)} is infinite")
         letters = self.sorted_subset(T)
-        seen = {()}
-        frontier = [()]
-        while frontier:
-            new = []
-            for w in frontier:
-                for s in letters:
-                    u = self.canon(w + (s,))
-                    if u not in seen:
-                        seen.add(u)
-                        new.append(u)
-            frontier = new
-        return sorted(seen, key=lambda w: (len(w), self.key(w)))
+        # canonical words are prefix-closed: each element comes once, in ShortLex order
+        elements: list[Word] = [()]
+        for w in elements:
+            for s in letters:
+                u = self.times(w, s)
+                if u is not None and u[:-1] == w:
+                    elements.append(u)
+        return elements
 
     def longest_element(self, T: Iterable[str]) -> Word:
         """Canonical word of the longest element of W_T: climb by ascents."""
@@ -281,15 +323,15 @@ class CoxeterSystem:
         letters = self.sorted_subset(T)
         w: Word = ()
         while True:
-            below = self.descents(w)
+            below = self.descents(w)[1]
             ascent = next((s for s in letters if s not in below), None)
             if ascent is None:
                 return w
-            w = self.least_word(self.braid_closure(w + (ascent,)))
+            w = self.times(w, ascent)
 
     def is_t_minimal(self, word: Iterable[str], T: Iterable[str]) -> bool:
         """Shortest-in-coset test: no letter of T is a right descent."""
-        return self.check_subset(T).isdisjoint(self.descents(self.canon(word)))
+        return self.check_subset(T).isdisjoint(self.descents(self.canon(word))[1])
 
 
 def _finite_component(comp: list[str], m) -> bool:

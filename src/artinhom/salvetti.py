@@ -43,6 +43,9 @@ class SalvettiPoset:
     system: CoxeterSystem
     cells: list[SalCell]
 
+    def __post_init__(self):
+        self._members = frozenset(self.cells)
+
     def leq(self, low: SalCell, high: SalCell) -> bool:
         return sal_leq(self.system, low, high)
 
@@ -57,7 +60,17 @@ class SalvettiPoset:
         return tuple(counts)
 
     def down_set(self, cell: SalCell) -> list[SalCell]:
-        return [c for c in self.cells if self.leq(c, cell)]
+        """The poset's cells below (v, R): the (v b, T) with T <= R and b a
+        T-minimal element of W_R."""
+        v, R = cell
+        subsets = [T for T in self.system.sf() if T <= R]
+        below = (
+            (self.system.mul(v, beta), T)
+            for beta in self.system.enumerate_group(R)
+            for T in subsets
+            if self.system.is_t_minimal(beta, T)
+        )
+        return [c for c in below if c in self._members]
 
 
 def sal_poset(system: CoxeterSystem) -> SalvettiPoset:

@@ -280,7 +280,14 @@ def test_capped_monoid_caches_do_not_change_answers(monkeypatch):
         assert capped.normal_form(word) == reference.normal_form(word)
         assert capped.left_splits(word) == reference.left_splits(word)
         assert capped.right_quotient(word, "b") == reference.right_quotient(word, "b")
-    memos = [value for value in vars(capped).values() if isinstance(value, dict)]
+    # the monoid's memos and the Coxeter element table it reads from;
+    # `_index` and `_m` are the system's data, not memos
+    memos = [
+        value
+        for owner in (capped, capped.system)
+        for name, value in vars(owner).items()
+        if isinstance(value, dict) and name not in ("_index", "_m")
+    ]
     assert len(memos) >= 10 and all(len(memo) <= 5 for memo in memos)
 
 

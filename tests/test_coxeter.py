@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     affine_length,
     affine_window,
     all_words,
+    braid_class,
     dihedral_of_word,
     inversions,
     make_affine_a2,
@@ -359,3 +361,88 @@ class TestTMinimal:
                 assert len(minimal) == 1
                 # the descent criterion picks out the shortest element
                 assert len(minimal[0]) == min(len(v) for v in coset)
+
+
+def tits_canon(system, word):
+    """ShortLex-least reduced word by Tits' solution of the word problem: a
+    word is reduced exactly when no word of its braid class has a square
+    ss, and deleting such a square keeps the element."""
+    words = braid_class(system, word)
+    while True:
+        shorter = next(
+            (w[:i] + w[i + 2 :] for w in words for i in range(len(w) - 1) if w[i] == w[i + 1]),
+            None,
+        )
+        if shorter is None:
+            return min(words, key=system.key)
+        words = braid_class(system, shorter)
+
+
+class TestAgainstTits:
+    """Seeded differential test of W arithmetic against Tits' word problem."""
+
+    SYSTEMS = 60
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(20261018)
+        found = []
+        for _ in range(self.SYSTEMS):
+            gens = "abcd"[: rng.randint(1, 4)]
+            orders = {
+                pair: rng.choice([2, 3, 4, 5, 6, 8, math.inf])
+                for pair in combinations(gens, 2)
+            }
+            order = list(gens)
+            rng.shuffle(order)
+            system = CoxeterSystem(order, orders)
+            words = [
+                tuple(rng.choice(system.gens) for _ in range(rng.randint(0, 10)))
+                for _ in range(6)
+            ]
+            found.append((system, words))
+        return found
+
+    def test_systems_cover_the_matrix_entries(self, cases):
+        entries = {
+            system.m(s, t) for system, _ in cases for s, t in combinations(system.gens, 2)
+        }
+        assert entries == {2, 3, 4, 5, 6, 8, math.inf}
+        finite = [system.is_finite_type(system.gens) for system, _ in cases]
+        assert any(finite) and not all(finite)
+        assert max(len(T) for system, _ in cases for T in system.sf()) >= 3
+
+    def test_canon_mul_and_inverse(self, cases):
+        for system, words in cases:
+            for x, y in zip(words, words[1:] + words[:1]):
+                args = (system.gens, x, y)
+                assert system.canon(x) == tits_canon(system, x), args
+                assert system.inverse(x) == tits_canon(system, x[::-1]), args
+                assert system.mul(x, y) == tits_canon(system, x + y), args
+
+    def test_descents_and_t_minimality(self, cases):
+        for system, words in cases:
+            subsets = [
+                frozenset(T)
+                for k in range(system.rank + 1)
+                for T in combinations(system.gens, k)
+            ]
+            for x in words:
+                w = tits_canon(system, x)
+                left = {s for s in system.gens if len(tits_canon(system, (s,) + w)) < len(w)}
+                right = {s for s in system.gens if len(tits_canon(system, w + (s,))) < len(w)}
+                assert system.descents(w) == (left, right), (system.gens, x)
+                for T in subsets:
+                    assert system.is_t_minimal(x, T) == right.isdisjoint(T), (system.gens, x, T)
+
+    def test_longest_element_on_finite_types(self, cases):
+        checked = 0
+        for system, _ in cases:
+            for T in system.sf():
+                # the element of W_T with every letter of T as a right descent
+                w0 = system.longest_element(T)
+                assert set(w0) <= T and tits_canon(system, w0) == w0, (system.gens, T)
+                for s in T:
+                    assert len(tits_canon(system, w0 + (s,))) < len(w0), (system.gens, T)
+                checked += len(T) >= 2
+        assert checked > 20

@@ -105,6 +105,25 @@ class TestPoset:
             assert len(orbit) == 6
         assert tuple(counts[k] for k in sorted(counts)) == quotient_census(a2)
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            CoxeterSystem("abc", {("a", "b"): 3, ("b", "c"): 3}),
+            CoxeterSystem("abc", {("a", "b"): 3}),
+            CoxeterSystem("ab", {("a", "b"): 5}),
+            CoxeterSystem("ab", {("a", "b"): 6}),
+            CoxeterSystem("abc", {("a", "b"): 4, ("b", "c"): 3}),
+        ],
+        ids=["A3", "A2xA1", "I2(5)", "G2", "B3"],
+    )
+    def test_down_set_is_every_cell_below(self, system):
+        # the listed down-set against the defining order, cell by cell
+        poset = sal_poset(system)
+        for high in poset.cells:
+            below = {low for low in poset.cells if sal_leq(system, low, high)}
+            listed = poset.down_set(high)
+            assert len(listed) == len(set(listed)) and set(listed) == below, high
+
 
 class TestOrderComplex:
     def test_two_element_chain(self):
