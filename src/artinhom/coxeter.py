@@ -253,10 +253,6 @@ class CoxeterSystem:
             combined = combined + tuple(w)
         return self.canon(combined)
 
-    def inverse(self, word: Iterable[str]) -> Word:
-        # generators are involutions, so reversal inverts
-        return self.canon(tuple(reversed(tuple(word))))
-
     # -- finite-type recognition ------------------------------------------
 
     def is_finite_type(self, T: Iterable[str]) -> bool:

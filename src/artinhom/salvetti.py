@@ -2,10 +2,12 @@
 
 Cells are pairs (u, T) of a group element and a finite-type subset,
 ordered by (u, T) <= (v, R) when T is contained in R, v^-1 u lies in the
-standard subgroup on R, and v^-1 u is T-minimal.  The geometric
-realization of the derived complex carries one cell per pair, of
-dimension |T|; the group acts freely by left multiplication and the
-quotient keeps one cell per finite-type subset.
+standard subgroup on R, and v^-1 u is T-minimal.  The library defines
+this order once, by listing: the cells below (v, R) are the (v b, T)
+with T <= R and b a T-minimal element of W_R (`SalvettiPoset.down_set`).
+The geometric realization of the derived complex carries one cell per
+pair, of dimension |T|; the group acts freely by left multiplication and
+the quotient keeps one cell per finite-type subset.
 
 `cell_pair_check` certifies the local structure: the closed down-set of
 a pair must have the homology of a point and the strict down-set that of
@@ -25,19 +27,6 @@ from .homology import HomologyGroup, IntChainComplex, Matrix
 SalCell = tuple[Word, frozenset]
 
 
-def sal_leq(system: CoxeterSystem, low: SalCell, high: SalCell) -> bool:
-    """The defining order on pairs (element, finite-type subset)."""
-    u, T = low
-    v, R = high
-    if not T <= R:
-        return False
-    quotient = system.mul(system.inverse(v), u)
-    # elements of a standard subgroup reduce to words inside it
-    if not set(quotient) <= R:
-        return False
-    return system.is_t_minimal(quotient, T)
-
-
 @dataclass
 class SalvettiPoset:
     system: CoxeterSystem
@@ -45,9 +34,7 @@ class SalvettiPoset:
 
     def __post_init__(self):
         self._members = frozenset(self.cells)
-
-    def leq(self, low: SalCell, high: SalCell) -> bool:
-        return sal_leq(self.system, low, high)
+        self._subsets = self.system.sf()
 
     def dim(self, cell: SalCell) -> int:
         return len(cell[1])
@@ -63,7 +50,7 @@ class SalvettiPoset:
         """The poset's cells below (v, R): the (v b, T) with T <= R and b a
         T-minimal element of W_R."""
         v, R = cell
-        subsets = [T for T in self.system.sf() if T <= R]
+        subsets = [T for T in self._subsets if T <= R]
         below = (
             (self.system.mul(v, beta), T)
             for beta in self.system.enumerate_group(R)
@@ -84,12 +71,15 @@ def sal_poset(system: CoxeterSystem) -> SalvettiPoset:
 
 
 def order_complex(
-    elements: Sequence, leq: Callable
+    elements: Sequence, below: Callable[..., Iterable]
 ) -> list[tuple]:
-    """All non-empty chains of a finite poset, as tuples in chain order."""
+    """All non-empty chains of a finite poset, as tuples in chain order.
+
+    `below(q)` lists each element p <= q once, q included, and everything
+    it lists lies in `elements`.  Each chain comes out once."""
     strictly_below: dict = {}
     for q in elements:
-        strictly_below[q] = [p for p in elements if p != q and leq(p, q)]
+        strictly_below[q] = [p for p in below(q) if p != q]
     chains_ending_at: dict = {}
     ordered = sorted(elements, key=lambda p: len(strictly_below[p]))
     for q in ordered:
@@ -104,7 +94,10 @@ def order_complex(
 
 
 def simplicial_complex_homology(simplices: Sequence[tuple]) -> list[HomologyGroup]:
-    """Homology of a complex given by simplices with ordered vertices."""
+    """Homology of a complex given by simplices with ordered vertices.
+
+    The simplices must be closed under taking faces, with each simplex
+    listed once; their order does not matter."""
     if not simplices:
         return []
     by_dim: dict[int, list[tuple]] = {}
@@ -113,7 +106,6 @@ def simplicial_complex_homology(simplices: Sequence[tuple]) -> list[HomologyGrou
     top = max(by_dim)
     for k in range(top + 1):
         by_dim.setdefault(k, [])
-        by_dim[k] = sorted(set(map(tuple, by_dim[k])), key=repr)
     index = {
         k: {simplex: i for i, simplex in enumerate(by_dim[k])}
         for k in range(top + 1)
@@ -165,7 +157,7 @@ class PairCheck:
 def cell_pair_check(poset: SalvettiPoset, cell: SalCell) -> PairCheck:
     """Certify that a cell's down-set pair looks like (disk, sphere)."""
     closed = poset.down_set(cell)
-    chains = order_complex(closed, poset.leq)
+    chains = order_complex(closed, poset.down_set)
     # the cell is the maximum of its down-set, so chains through it end there
     strict = [chain for chain in chains if chain[-1] != cell]
     closed_homology = simplicial_complex_homology(chains)

@@ -454,3 +454,21 @@ def grade(matching, cell):
     """(length, flag); the flag is 0 exactly when `partner` gives None or M2."""
     edge = matching.partner(cell)
     return cell_length(cell), 0 if edge is None or edge.kind == "M2" else 1
+
+
+# -- Salvetti order reference ---------------------------------------------------
+
+
+def sal_leq(system, low, high):
+    """The defining order on pairs (element, finite-type subset), tested
+    pairwise; the library only lists down-sets (`SalvettiPoset.down_set`)."""
+    u, T = low
+    v, R = high
+    if not T <= R:
+        return False
+    # generators are involutions, so the reversed word represents v^-1
+    quotient = system.mul(tuple(reversed(v)), u)
+    # elements of a standard subgroup reduce to words inside it
+    if not set(quotient) <= R:
+        return False
+    return system.is_t_minimal(quotient, T)

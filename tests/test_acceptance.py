@@ -38,6 +38,7 @@ from conftest import (
     make_b2,
     make_i25,
     recompose,
+    sal_leq,
 )
 
 SYSTEM_MAKERS = {
@@ -269,14 +270,14 @@ def test_criterion_09_salvetti_checks(stack):
     assert poset.census() == (6, 12, 6)
     cells = poset.cells
     for p in cells:
-        assert poset.leq(p, p)
+        assert sal_leq(system, p, p)
         for q in cells:
-            if p != q and poset.leq(p, q):
-                assert not poset.leq(q, p)
-            if poset.leq(p, q):
+            if p != q and sal_leq(system, p, q):
+                assert not sal_leq(system, q, p)
+            if sal_leq(system, p, q):
                 for r in cells:
-                    if poset.leq(q, r):
-                        assert poset.leq(p, r)
+                    if sal_leq(system, q, r):
+                        assert sal_leq(system, p, r)
     for cell in cells:
         cell_pair_check(poset, cell)
     assert quotient_census(system) == (1, 2, 1)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
@@ -11,10 +13,10 @@ from artinhom.salvetti import (
     polygon_boundary_word,
     polygon_vertices,
     quotient_census,
-    sal_leq,
     sal_poset,
     simplicial_complex_homology,
 )
+from conftest import make_a3, make_b3, make_i25, sal_leq
 
 
 def W(text):
@@ -31,6 +33,22 @@ def act(system, w, c):
     return (system.mul(w, u), T)
 
 
+# finite systems whose down-sets are checked cell by cell against `sal_leq`
+DOWN_SET_SYSTEMS = [
+    make_a3(),
+    CoxeterSystem("abc", {("a", "b"): 3}),
+    make_i25(),
+    CoxeterSystem("ab", {("a", "b"): 6}),
+    make_b3(),
+]
+DOWN_SET_IDS = ["A3", "A2xA1", "I2(5)", "G2", "B3"]
+
+
+def below_in(elements, leq):
+    """The listing callable of a pairwise order on a finite set."""
+    return lambda q: [p for p in elements if leq(p, q)]
+
+
 @pytest.fixture(scope="module")
 def poset_a2(a2):
     return sal_poset(a2)
@@ -42,20 +60,20 @@ class TestOrder:
         assert sal_leq(a2, cell("a", "a"), cell("a", "a"))
         assert not sal_leq(a2, cell("a", "a"), cell("", "b"))
 
-    def test_partial_order_axioms(self, poset_a2):
+    def test_partial_order_axioms(self, poset_a2, a2):
         cells = poset_a2.cells
         for p in cells:
-            assert poset_a2.leq(p, p)
+            assert sal_leq(a2, p, p)
         for p in cells:
             for q in cells:
-                if p != q and poset_a2.leq(p, q):
-                    assert not poset_a2.leq(q, p)
+                if p != q and sal_leq(a2, p, q):
+                    assert not sal_leq(a2, q, p)
         for p in cells:
-            above = [q for q in cells if poset_a2.leq(p, q)]
+            above = [q for q in cells if sal_leq(a2, p, q)]
             for q in above:
                 for r in cells:
-                    if poset_a2.leq(q, r):
-                        assert poset_a2.leq(p, r)
+                    if sal_leq(a2, q, r):
+                        assert sal_leq(a2, p, r)
 
 
 class TestPoset:
@@ -87,8 +105,8 @@ class TestPoset:
         for p in cells[:8]:
             for q in cells:
                 for w in elements:
-                    assert poset_a2.leq(p, q) == poset_a2.leq(
-                        act(a2, w, p), act(a2, w, q)
+                    assert sal_leq(a2, p, q) == sal_leq(
+                        a2, act(a2, w, p), act(a2, w, q)
                     )
 
     def test_orbit_census_matches_quotient(self, poset_a2, a2):
@@ -105,17 +123,7 @@ class TestPoset:
             assert len(orbit) == 6
         assert tuple(counts[k] for k in sorted(counts)) == quotient_census(a2)
 
-    @pytest.mark.parametrize(
-        "system",
-        [
-            CoxeterSystem("abc", {("a", "b"): 3, ("b", "c"): 3}),
-            CoxeterSystem("abc", {("a", "b"): 3}),
-            CoxeterSystem("ab", {("a", "b"): 5}),
-            CoxeterSystem("ab", {("a", "b"): 6}),
-            CoxeterSystem("abc", {("a", "b"): 4, ("b", "c"): 3}),
-        ],
-        ids=["A3", "A2xA1", "I2(5)", "G2", "B3"],
-    )
+    @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
     def test_down_set_is_every_cell_below(self, system):
         # the listed down-set against the defining order, cell by cell
         poset = sal_poset(system)
@@ -127,18 +135,21 @@ class TestPoset:
 
 class TestOrderComplex:
     def test_two_element_chain(self):
-        simplices = order_complex([0, 1], lambda p, q: p <= q)
+        simplices = order_complex([0, 1], below_in([0, 1], lambda p, q: p <= q))
         assert sorted(simplices) == [(0,), (0, 1), (1,)]
 
     def test_antichain(self):
-        simplices = order_complex([0, 1, 2], lambda p, q: p == q)
+        simplices = order_complex([0, 1, 2], below_in([0, 1, 2], lambda p, q: p == q))
         assert sorted(simplices) == [(0,), (1,), (2,)]
 
-    def test_full_complex_homology(self, poset_a2):
+    def test_full_complex_homology(self, poset_a2, a2):
         # the realization is the complexified reflection arrangement
         # complement for the 6-element dihedral group: free x infinite
         # cyclic fundamental group, so (Z, Z^3, Z^2)
-        simplices = order_complex(poset_a2.cells, poset_a2.leq)
+        cells = poset_a2.cells
+        simplices = order_complex(
+            cells, below_in(cells, lambda p, q: sal_leq(a2, p, q))
+        )
         euler = sum((-1) ** (len(s) - 1) for s in simplices)
         assert euler == 0
         assert simplicial_complex_homology(simplices) == [
@@ -146,6 +157,35 @@ class TestOrderComplex:
             HomologyGroup(3),
             HomologyGroup(2),
         ]
+
+    @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
+    def test_listed_chains_are_the_pairwise_chains(self, system):
+        # each cell's order complex, from listed down-sets and from `sal_leq`
+        poset = sal_poset(system)
+        for cell in poset.cells:
+            closed = poset.down_set(cell)
+            listed = order_complex(closed, poset.down_set)
+            pairwise = order_complex(
+                closed, below_in(closed, lambda p, q: sal_leq(system, p, q))
+            )
+            assert len(listed) == len(set(listed)), cell
+            assert set(listed) == set(pairwise), cell
+
+    def test_homology_ignores_simplex_order(self, poset_a2):
+        complexes = [order_complex(poset_a2.cells, poset_a2.down_set)]
+        poset_b3 = sal_poset(make_b3())
+        top = max(poset_b3.dim(c) for c in poset_b3.cells)
+        for cell in poset_b3.cells:
+            if poset_b3.dim(cell) == top:
+                closed = poset_b3.down_set(cell)
+                complexes.append(order_complex(closed, poset_b3.down_set))
+        rng = random.Random(20261018)
+        for simplices in complexes:
+            expected = simplicial_complex_homology(simplices)
+            for _ in range(2):
+                shuffled = list(simplices)
+                rng.shuffle(shuffled)
+                assert simplicial_complex_homology(shuffled) == expected
 
 
 class TestCellPairs:
