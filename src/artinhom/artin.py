@@ -22,8 +22,10 @@ letter on the left one left-to-right sweep does.
 A simple is named by the canonical word of the Coxeter-group element it
 lifts, so its L and R are that element's descent sets and the
 transitions between simples (times a letter, strip a letter) are the
-group's: all are read from the element table of `CoxeterSystem`.  Every
-pair normalization is memoized.  No class of positive words is ever
+group's: all are read from the table of W in `CoxeterSystem`, its
+naming map from words to canonical words plus its entry table, whose
+only fill is `CoxeterSystem._lookup`.  Every pair normalization is
+memoized.  No class of positive words is ever
 enumerated; the test suite keeps braid-class enumeration as the oracle
 for everything here.
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .coxeter import CoxeterSystem, Word, cache_limit, cache_put
+from .coxeter import CoxeterSystem, Word
 from .errors import InfiniteType, InternalError, Undecided
 
 DEFAULT_SEARCH_BOUND = 16
@@ -57,14 +59,11 @@ class ArtinMonoid:
         self.system = system
         self._elements_by_length: list[list[Word]] = [[()]]
         self._deltas: dict[frozenset[str], Word] | None = None
-        self._limit = cache_limit()
         self._pairs: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
         self._normals: dict[Word, Normal] = {}
         self._words: dict[Normal, Word] = {}
-        self._canon: dict[Word, Word] = {}
         self._splits: dict[Word, list[tuple[Word, Word]]] = {}
         self._quotients: dict[tuple[Word, Word], Word | None] = {}
-        self._finishing: dict[Word, frozenset[str]] = {}
 
     # -- normal forms --------------------------------------------------------
 
@@ -80,7 +79,7 @@ class ArtinMonoid:
                     break
                 a = next(iter(movable))
                 u, v = self.system.times(u, a), self.system.strip(a, v)
-            pair = cache_put(self._pairs, key, (u, v), self._limit)
+            pair = self._pairs[key] = (u, v)
         return pair
 
     def _append(self, normal: Normal, a: str) -> Normal:
@@ -118,13 +117,13 @@ class ArtinMonoid:
         return tuple(parts)
 
     def _normal(self, word: Word) -> Normal:
-        """Normal form of a checked word, letter by letter."""
+        """Normal form of a word, letter by letter; checked on a miss."""
         normal = self._normals.get(word)
         if normal is None:
             normal = ()
-            for a in word:
+            for a in self.system.check_word(word):
                 normal = self._append(normal, a)
-            cache_put(self._normals, word, normal, self._limit)
+            self._normals[word] = normal
         return normal
 
     def _left(self, normal: Normal) -> frozenset[str]:
@@ -143,20 +142,13 @@ class ArtinMonoid:
                 rest = self._strip_front(a, rest)
             word = self._words.get(rest, ())
             for rest, a in reversed(peeled):
-                word = cache_put(self._words, rest, (a,) + word, self._limit)
+                word = self._words[rest] = (a,) + word
         return word
 
     # -- equivalence ------------------------------------------------------
 
     def canon(self, word: Iterable[str]) -> Word:
-        word = tuple(word)
-        result = self._canon.get(word)
-        if result is None:
-            word = self.system.check_word(word)
-            result = cache_put(
-                self._canon, word, self._word(self._normal(word)), self._limit
-            )
-        return result
+        return self._word(self._normal(tuple(word)))
 
     def mul(self, *words: Iterable[str]) -> Word:
         combined: tuple[str, ...] = ()
@@ -232,7 +224,7 @@ class ArtinMonoid:
                 ),
                 key=lambda pair: self.system.key(pair[0]),
             )
-            cache_put(self._splits, x, splits, self._limit)
+            self._splits[x] = splits
         return splits
 
     def right_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
@@ -251,7 +243,8 @@ class ArtinMonoid:
             else None
         )
         result = None if quotient is None else self.rev(self._word(quotient))
-        return cache_put(self._quotients, key, result, self._limit)
+        self._quotients[key] = result
+        return result
 
     # -- gcd / lcm ----------------------------------------------------------
 
@@ -363,14 +356,7 @@ class ArtinMonoid:
 
     def finishing_set(self, x: Iterable[str]) -> frozenset[str]:
         """Generators whose letter right divides x: L of the reversal."""
-        x = tuple(x)
-        finishing = self._finishing.get(x)
-        if finishing is None:
-            reverse = self.system.check_word(x)[::-1]
-            finishing = cache_put(
-                self._finishing, x, self._left(self._normal(reverse)), self._limit
-            )
-        return finishing
+        return self._left(self._normal(tuple(x)[::-1]))
 
     # -- normal form ---------------------------------------------------------
 

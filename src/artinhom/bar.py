@@ -92,8 +92,8 @@ def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
     Merging x_i with x_{i+1} deletes the suffix product P[i] and keeps
     the others, so faces are found by deletion with sign (-1)^i, without
     multiplying.  For x of length n >= 1 the complex lives in dimensions
-    1..n; the identity's fiber is the single 0-cell.  Labels are the
-    cells.
+    1..n; the identity's fiber is the single 0-cell.  The basis of each
+    dimension is its cells in the order `factorizations` lists them.
     """
     by_dim: list[list[tuple[BarCell, tuple[Word, ...]]]] = [
         [] for _ in range(len(x) + 1)
@@ -114,8 +114,7 @@ def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
         for k in range(2, len(by_dim))
     }
     ranks = tuple(len(found) for found in by_dim)
-    labels = {k: [cell for cell, _ in found] for k, found in enumerate(by_dim)}
-    return IntChainComplex(ranks, boundaries, labels)
+    return IntChainComplex(ranks, boundaries)
 
 
 def layer_homology(mon: ArtinMonoid, n: int) -> list[HomologyGroup]:

@@ -9,10 +9,14 @@ generator order given at construction) is the canonical form; that same
 generator order is the total order consumed by the matching machinery
 downstream, so there is one global convention.
 
-One table keyed by canonical words holds what is known of an element,
-read off one braid closure: L(w), R(w), the transitions ws (None when s
-is in R(w)) and the strips a^-1 w.  `canon` folds letters through it,
-and the Artin monoid's simples (the positive lifts of W) read it too.
+The table of W is two maps: `_canon` names every word met by its
+element's canonical word, and `_elements` holds, per canonical word,
+L(w), R(w) and a reduced word of ws and of a^-1 w per descent.  Both are
+filled in one place, the miss branch of `_lookup`, from one braid
+closure per element.  The transitions ws (None when s is in R(w)) and
+a^-1 w are read through `_lookup`; `canon` folds letters through them,
+and the Artin monoid's simples (the positive lifts of W) read the same
+table.
 
 Finite-type recognition classifies each connected component of the
 Coxeter graph against the catalogue A_n, B_n, D_n, E6, E7, E8, F4, H3,
@@ -22,7 +26,6 @@ H4, I2(m).  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-import os
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -30,34 +33,12 @@ from .errors import (
     AsymmetricMatrix,
     BadDiagonal,
     BadEntry,
-    BadEnvironment,
     DuplicateGenerator,
     InfiniteType,
     UnknownGenerator,
 )
 
 Word = tuple[str, ...]
-
-CACHE_LIMIT_ENV = "ARTINHOM_CACHE_LIMIT"
-
-
-def cache_limit() -> int | None:
-    """Optional cap on memoization caches, read from the environment."""
-    raw = os.environ.get(CACHE_LIMIT_ENV)
-    if not raw:
-        return None
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        raise BadEnvironment(f"{CACHE_LIMIT_ENV}={raw!r} is not an integer") from None
-
-
-def cache_put(cache: dict, key, value, limit: int | None):
-    """Insert-if-absent with an optional size cap; caches act as pure memos."""
-    if limit is None or len(cache) < limit:
-        cache.setdefault(key, value)
-    return value
-
 
 def alternating_word(first: str, second: str, count: int) -> Word:
     """The alternating word ``first second first ...`` of the given length."""
@@ -122,13 +103,10 @@ class CoxeterSystem:
                 right = alternating_word(t, s, m)
                 self._moves.append((left, right))
                 self._moves.append((right, left))
-        self._limit = cache_limit()
-        self._closure: dict[Word, frozenset[Word]] = {}
-        self._least: dict[frozenset[Word], Word] = {}
-        self._elements: dict[Word, _Element] = {}
-        self._times: dict[tuple[Word, str], Word | None] = {}
-        self._strip: dict[tuple[str, Word], Word] = {}
-        self._canon: dict[Word, Word] = {}
+        # every value of _canon is a key of _elements; the identity is seeded
+        # because `canon(())` names it without a braid closure
+        self._canon: dict[Word, Word] = {(): ()}
+        self._elements: dict[Word, _Element] = {(): _Element(frozenset({()}))}
         self._finite: dict[frozenset[str], bool] = {}
 
     # -- basic structure ------------------------------------------------
@@ -175,9 +153,6 @@ class CoxeterSystem:
 
     def braid_closure(self, word: Word) -> frozenset[Word]:
         """All words reachable from `word` by braid moves alone."""
-        cached = self._closure.get(word)
-        if cached is not None:
-            return cached
         seen = {word}
         stack = [word]
         while stack:
@@ -190,25 +165,26 @@ class CoxeterSystem:
                         if new not in seen:
                             seen.add(new)
                             stack.append(new)
-        closure = frozenset(seen)
-        for w in closure:
-            cache_put(self._closure, w, closure, self._limit)
-        return closure
+        return frozenset(seen)
 
-    def _lookup(self, word: Word) -> tuple[Word, _Element]:
-        """Canonical word and table entry of the element with reduced word `word`."""
-        closure = self.braid_closure(word)
-        least = self._least.get(closure)
+    def _lookup(self, word: Word) -> Word:
+        """Canonical word of the element with reduced word `word`.
+
+        The table's only fill: on a miss, close the class once, store its
+        entry under the ShortLex-least word and name every word of the
+        class by it.
+        """
+        least = self._canon.get(word)
         if least is None:
-            least = cache_put(self._least, closure, min(closure, key=self.key), self._limit)
-        entry = self._elements.get(least)
-        if entry is None:
-            entry = cache_put(self._elements, least, _Element(closure), self._limit)
-        return least, entry
+            closure = self.braid_closure(word)
+            least = min(closure, key=self.key)
+            self._elements[least] = _Element(closure)
+            for w in closure:
+                self._canon[w] = least
+        return least
 
     def _entry(self, w: Word) -> _Element:
-        entry = self._elements.get(w)
-        return self._lookup(w)[1] if entry is None else entry
+        return self._elements[self._lookup(w)]
 
     def descents(self, w: Word) -> tuple[frozenset[str], frozenset[str]]:
         """(L(w), R(w)) for a reduced word w."""
@@ -217,22 +193,11 @@ class CoxeterSystem:
 
     def times(self, w: Word, s: str) -> Word | None:
         """Canonical word of ws for a reduced word w, or None when s is in R(w)."""
-        key = (w, s)
-        try:
-            return self._times[key]
-        except KeyError:
-            pass
-        product = None if s in self._entry(w).right else self._lookup(w + (s,))[0]
-        return cache_put(self._times, key, product, self._limit)
+        return None if s in self._entry(w).right else self._lookup(w + (s,))
 
     def strip(self, a: str, w: Word) -> Word:
         """Canonical word of a^-1 w, for a in L(w)."""
-        key = (a, w)
-        quotient = self._strip.get(key)
-        if quotient is None:
-            tail = self._lookup(self._entry(w).tails[a])[0]
-            quotient = cache_put(self._strip, key, tail, self._limit)
-        return quotient
+        return self._lookup(self._entry(w).tails[a])
 
     def canon(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element `word` represents."""
@@ -244,8 +209,9 @@ class CoxeterSystem:
         for s in word:
             # `current` is reduced, so s either lengthens it or deletes (exchange)
             up = self.times(current, s)
-            current = self._lookup(self._entry(current).heads[s])[0] if up is None else up
-        return cache_put(self._canon, word, current, self._limit)
+            current = self._lookup(self._entry(current).heads[s]) if up is None else up
+        self._canon[word] = current
+        return current
 
     def mul(self, *words: Iterable[str]) -> Word:
         combined: tuple[str, ...] = ()
@@ -264,7 +230,7 @@ class CoxeterSystem:
         result = all(
             _finite_component(comp, self.m) for comp in self._components(T)
         )
-        cache_put(self._finite, T, result, self._limit)
+        self._finite[T] = result
         return result
 
     def _components(self, T: frozenset[str]) -> list[list[str]]:

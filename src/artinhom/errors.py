@@ -23,10 +23,6 @@ class BadEntry(DomainError):
     code = "bad-entry"
 
 
-class BadEnvironment(DomainError):
-    code = "bad-environment"
-
-
 class DuplicateGenerator(DomainError):
     code = "duplicate-generator"
 

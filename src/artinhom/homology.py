@@ -179,13 +179,11 @@ class IntChainComplex:
 
     `ranks[k]` is the rank in dimension k; `boundaries[k]` maps dimension
     k to k-1 as `ranks[k]` sparse columns with row indices below
-    `ranks[k-1]`.  Dimension 0 needs no matrix.  Labels are optional
-    display names for basis elements.
+    `ranks[k-1]`.  Dimension 0 needs no matrix.
     """
 
     ranks: tuple[int, ...]
     boundaries: dict[int, Matrix] = field(default_factory=dict)
-    labels: dict[int, list] = field(default_factory=dict)
 
     def __post_init__(self):
         for k, mat in self.boundaries.items():

@@ -121,8 +121,7 @@ class MorseComplex:
 
     def chain_complex(self) -> IntChainComplex:
         ranks = tuple(len(cells) for cells in self.cells_by_dim)
-        labels = {k: list(cells) for k, cells in enumerate(self.cells_by_dim)}
-        return IntChainComplex(ranks, self.boundaries, labels)
+        return IntChainComplex(ranks, self.boundaries)
 
     def census(self) -> tuple[int, ...]:
         return tuple(len(cells) for cells in self.cells_by_dim)

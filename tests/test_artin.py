@@ -267,30 +267,6 @@ class TestNormalForm:
             assert competitors(word) == [mon_a2.normal_form(word)]
 
 
-def test_capped_monoid_caches_do_not_change_answers(monkeypatch):
-    from artinhom.coxeter import CACHE_LIMIT_ENV
-
-    orders = {("a", "b"): 4, ("b", "c"): 3}
-    monkeypatch.setenv(CACHE_LIMIT_ENV, "5")
-    capped = ArtinMonoid(CoxeterSystem("abc", orders))
-    monkeypatch.delenv(CACHE_LIMIT_ENV)
-    reference = ArtinMonoid(CoxeterSystem("abc", orders))
-    for word in all_words("abc", 4):
-        assert capped.canon(word) == reference.canon(word)
-        assert capped.normal_form(word) == reference.normal_form(word)
-        assert capped.left_splits(word) == reference.left_splits(word)
-        assert capped.right_quotient(word, "b") == reference.right_quotient(word, "b")
-    # the monoid's memos and the Coxeter element table it reads from;
-    # `_index` and `_m` are the system's data, not memos
-    memos = [
-        value
-        for owner in (capped, capped.system)
-        for name, value in vars(owner).items()
-        if isinstance(value, dict) and name not in ("_index", "_m")
-    ]
-    assert len(memos) >= 10 and all(len(memo) <= 5 for memo in memos)
-
-
 def random_system(rng):
     """A Coxeter system of rank <= 4 with m in {2, 3, 4, 5, 6, inf} and its
     generators in a random order."""
@@ -299,6 +275,47 @@ def random_system(rng):
     order = list(gens)
     rng.shuffle(order)
     return CoxeterSystem(order, orders)
+
+
+def test_answers_do_not_depend_on_what_the_memos_hold():
+    """Each word's queries, asked of a fresh system (`canon` first, the
+    identity included), get the answers that one system asked every
+    query in a shuffled order gives."""
+    rng = random.Random(20261018)
+    for _ in range(40):
+        shape = random_system(rng)
+        orders = {(s, t): shape.m(s, t) for s, t in combinations(shape.gens, 2)}
+        words = [()] + [
+            tuple(rng.choice(shape.gens) for _ in range(rng.randint(1, 8)))
+            for _ in range(5)
+        ]
+        cold = {}
+        for x in words:
+            mon = ArtinMonoid(CoxeterSystem(shape.gens, orders))
+            w = mon.system.canon(x)
+            left = mon.system.descents(w)[0]
+            queries = [
+                (False, "canon", (x,)),
+                (False, "descents", (w,)),
+                *((False, "times", (w, s)) for s in shape.gens),
+                *((False, "strip", (a, w)) for a in left),
+                *(
+                    (True, name, (x,))
+                    for name in ("canon", "normal_form", "left_splits", "finishing_set")
+                ),
+                *((True, "right_quotient", (x, x[k:])) for k in range(len(x) + 1)),
+                (True, "right_quotient", (x, x[:1])),
+            ]
+            for on_monoid, name, args in queries:
+                owner = mon if on_monoid else mon.system
+                cold[on_monoid, name, args] = getattr(owner, name)(*args)
+        mon = ArtinMonoid(CoxeterSystem(shape.gens, orders))
+        order = list(cold)
+        rng.shuffle(order)
+        for query in order:
+            on_monoid, name, args = query
+            owner = mon if on_monoid else mon.system
+            assert getattr(owner, name)(*args) == cold[query], (shape.gens, query)
 
 
 class TestAgainstBraidClasses:

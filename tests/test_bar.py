@@ -104,11 +104,15 @@ class TestBoundarySquaresToZero:
                 for x in mon.elements_of_length(n):
                     complex_ = fiber_complex(mon, x)
                     complex_.check_composition()
+                    # each dimension's basis: its cells in the order of
+                    # `factorizations`
+                    cells = [[] for _ in complex_.ranks]
+                    for cell, _ in factorizations(mon, x):
+                        cells[len(cell)].append(cell)
+                    assert tuple(map(len, cells)) == complex_.ranks
                     for k in range(2, len(complex_.ranks)):
-                        row = {c: i for i, c in enumerate(complex_.labels[k - 1])}
-                        for cell, column in zip(
-                            complex_.labels[k], complex_.boundary(k)
-                        ):
+                        row = {c: i for i, c in enumerate(cells[k - 1])}
+                        for cell, column in zip(cells[k], complex_.boundary(k)):
                             expected = {}
                             for sign, face in merge_faces(mon, cell):
                                 expected[row[face]] = expected.get(row[face], 0) + sign

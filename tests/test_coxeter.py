@@ -1,16 +1,14 @@
-import json
 import math
 import random
 from itertools import combinations
 
 import pytest
 
-from artinhom import ArtinMonoid, CoxeterSystem
+from artinhom import CoxeterSystem
 from artinhom.errors import (
     AsymmetricMatrix,
     BadDiagonal,
     BadEntry,
-    BadEnvironment,
     DuplicateGenerator,
     InfiniteType,
     UnknownGenerator,
@@ -132,38 +130,6 @@ class TestCanonicalForm:
         backward = CoxeterSystem("ba", {("a", "b"): 3})
         assert forward.canon("bab") == ("a", "b", "a")
         assert backward.canon("aba") == ("b", "a", "b")
-
-    def test_capped_caches_do_not_change_answers(self, monkeypatch):
-        from artinhom.coxeter import CACHE_LIMIT_ENV
-
-        monkeypatch.setenv(CACHE_LIMIT_ENV, "5")
-        capped = CoxeterSystem("ab", {("a", "b"): 3})
-        monkeypatch.delenv(CACHE_LIMIT_ENV)
-        reference = CoxeterSystem("ab", {("a", "b"): 3})
-        capped_mon, reference_mon = ArtinMonoid(capped), ArtinMonoid(reference)
-        for word in all_words("ab", 5):
-            assert capped.canon(word) == reference.canon(word)
-            assert capped_mon.canon(word) == reference_mon.canon(word)
-            assert capped_mon.normal_form(word) == reference_mon.normal_form(word)
-        assert len(capped._canon) <= 5
-        assert len(capped._closure) <= 5
-        assert len(capped._least) <= 5
-
-    def test_non_integer_cache_limit_is_a_domain_error(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        from artinhom.cli import main
-        from artinhom.coxeter import CACHE_LIMIT_ENV
-
-        monkeypatch.setenv(CACHE_LIMIT_ENV, "abc")
-        with pytest.raises(BadEnvironment):
-            CoxeterSystem("ab", {("a", "b"): 3})
-        path = tmp_path / "a2.system"
-        path.write_text("gens: a b\nm a b 3\n")
-        assert main(["--system", str(path), "--format", "jsonl", "homology"]) == 1
-        record = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert record["record"] == "error"
-        assert record["code"] == "bad-environment"
 
 
 class TestLength:
