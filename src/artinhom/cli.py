@@ -327,11 +327,12 @@ def cmd_matching_audit(args, system, out):
 
 def cmd_salvetti_stats(args, system, out):
     poset = sal_poset(system)
+    census = poset.census()
     out.emit(
-        f"poset cells = {len(poset.cells)}, census = {poset.census()}",
+        f"poset cells = {len(poset.cells)}, census = {census}",
         record="poset-census",
         cells=len(poset.cells),
-        census=list(poset.census()),
+        census=list(census),
     )
     for cell in poset.cells:
         cell_pair_check(poset, cell)
@@ -340,10 +341,11 @@ def cmd_salvetti_stats(args, system, out):
         record="pair-checks",
         checked=len(poset.cells),
     )
+    quotient = quotient_census(system)
     out.emit(
-        f"quotient census = {quotient_census(system)}",
+        f"quotient census = {quotient}",
         record="quotient-census",
-        counts=list(quotient_census(system)),
+        counts=list(quotient),
     )
     return 0
 

@@ -7,6 +7,19 @@ overwhelmingly sparse with entries in {-1, 0, 1}) and then reduces the
 small remaining core on the same columns, pivoting on its least entry.
 Both phases run on Python integers, so intermediate growth promotes to
 arbitrary precision for free.
+
+Homology reduces d_top first and then goes down, clearing as it goes
+(Chen-Kerber, "Persistent homology computation with a twist"): d_k drops
+the columns of the k-cells that were unit-pivot rows of d_{k+1}.  This
+is exact over Z.  The unit pivot columns b_1, b_2, ... of d_{k+1}, in the
+order they were taken, are boundaries; b_i has +/-1 at its pivot row p_i
+and 0 at p_1 .. p_{i-1}, since those rows were already cleared from every
+column left.  d_k b_i = 0 then writes column p_i of d_k as a Z-combination
+of the other columns, among which only later pivot columns are dropped;
+going back from the last pivot, each dropped column is a Z-combination of
+the kept ones, and subtracting it is a unimodular change that leaves the
+invariant factors.  A core pivot d with |d| > 1 gives only d times a
+column, which is no such combination, so only unit pivots are recorded.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ def _subtract_row(cols, rows, i: int, p: int, factor: int) -> None:
             rows[i].discard(k)
 
 
-def _sparse_unit_elimination(matrix: Matrix) -> tuple[int, dict, dict]:
+def _sparse_unit_elimination(matrix: Matrix) -> tuple[list[int], dict, dict]:
     """Strip unit pivots off sparse columns by exact unimodular steps.
 
     Columns are visited in order; a column holding a +/-1 entry takes it
@@ -57,9 +70,9 @@ def _sparse_unit_elimination(matrix: Matrix) -> tuple[int, dict, dict]:
     is subtracted from every other column meeting the pivot row, after
     which row and column split off as diag(1) (+) rest, so the remaining
     invariant factors are those of the rest.  A column changed by such a
-    subtraction is visited again.  Returns the unit count and the
-    leftover core, which has no unit entry, as sparse columns with their
-    row index.
+    subtraction is visited again.  Returns the pivot rows in the order
+    they were taken and the leftover core, which has no unit entry, as
+    sparse columns with their row index.
     """
     cols = {j: {i: v for i, v in col.items() if v} for j, col in enumerate(matrix)}
     rows: dict[int, set[int]] = {}
@@ -68,7 +81,7 @@ def _sparse_unit_elimination(matrix: Matrix) -> tuple[int, dict, dict]:
             rows.setdefault(i, set()).add(j)
     queue = deque(cols)
     queued = set(cols)
-    units = 0
+    pivots = []
     while queue:
         j = queue.popleft()
         queued.discard(j)
@@ -90,8 +103,8 @@ def _sparse_unit_elimination(matrix: Matrix) -> tuple[int, dict, dict]:
             if k not in queued:
                 queue.append(k)
                 queued.add(k)
-        units += 1
-    return units, cols, rows
+        pivots.append(pivot)
+    return pivots, cols, rows
 
 
 def _core_factors(cols, rows) -> list[int]:
@@ -128,10 +141,14 @@ def _core_factors(cols, rows) -> list[int]:
             _subtract_row(cols, rows, p, offender, -1)
 
 
-def invariant_factors(matrix: Matrix) -> list[int]:
-    """Nonzero Smith invariant factors of sparse columns, units first."""
-    units, cols, rows = _sparse_unit_elimination(matrix)
-    return [1] * units + _core_factors(cols, rows)
+def invariant_factors(matrix: Matrix, unit_rows: set[int] | None = None) -> list[int]:
+    """Nonzero Smith invariant factors of sparse columns, units first.
+
+    When `unit_rows` is given, the rows of the unit pivots are added to it."""
+    pivots, cols, rows = _sparse_unit_elimination(matrix)
+    if unit_rows is not None:
+        unit_rows.update(pivots)
+    return [1] * len(pivots) + _core_factors(cols, rows)
 
 
 @dataclass(frozen=True)
@@ -217,12 +234,20 @@ class IntChainComplex:
                     )
 
     def homology(self) -> list[HomologyGroup]:
-        """Homology in every dimension via Smith invariant factors."""
+        """Homology in every dimension via Smith invariant factors.
+
+        The boundaries are reduced from the top down, and d_k skips the
+        columns of the k-cells that were unit-pivot rows of d_{k+1}
+        (clearing); see the module docstring for why the invariant
+        factors of d_k survive."""
         self.check_composition()
         ranks_of_d = {}
         torsion_of_d = {}
-        for k in range(1, len(self.ranks)):
-            factors = invariant_factors(self.boundary(k))
+        cleared: set[int] = set()
+        for k in range(len(self.ranks) - 1, 0, -1):
+            kept = [col for j, col in enumerate(self.boundary(k)) if j not in cleared]
+            cleared = set()
+            factors = invariant_factors(kept, cleared)
             ranks_of_d[k] = len(factors)
             torsion_of_d[k] = tuple(d for d in factors if d > 1)
         out = []

@@ -13,6 +13,17 @@ the quotient keeps one cell per finite-type subset.
 a pair must have the homology of a point and the strict down-set that of
 a sphere of dimension |T| - 1, with the empty complex standing in for
 the (-1)-sphere.
+
+Left multiplication by v maps the down-set of (e, R) onto that of
+(v, R), so each W-orbit needs its pair of homologies once.  The check
+does not assume this of the poset it is given; it certifies it per
+cell.  Translated by v, the listing below (e, R) must be the listing
+below (v, R), and the listing below each q <= (e, R) the listing below
+v q.  Left multiplication is a bijection of W, so q -> v q is then an
+isomorphism of the two down-sets as posets: a vertex bijection between
+their order complexes that carries the strict one onto the strict one,
+so (v, R) has the homologies of (e, R).  A cell that fails this, or
+whose (e, R) is not in the poset, has its own homologies computed.
 """
 
 from __future__ import annotations
@@ -35,6 +46,10 @@ class SalvettiPoset:
     def __post_init__(self):
         self._members = frozenset(self.cells)
         self._subsets = self.system.sf()
+        self._below: dict[SalCell, tuple[SalCell, ...]] = {}
+        self._minimal_in: dict[frozenset, list[tuple[Word, list[frozenset]]]] = {}
+        # reduced cell -> (closed, strict) homologies of its down-set
+        self._pair_homology: dict[SalCell, tuple[list, list]] = {}
 
     def dim(self, cell: SalCell) -> int:
         return len(cell[1])
@@ -46,18 +61,30 @@ class SalvettiPoset:
             counts[self.dim(cell)] += 1
         return tuple(counts)
 
-    def down_set(self, cell: SalCell) -> list[SalCell]:
+    def down_set(self, cell: SalCell) -> tuple[SalCell, ...]:
         """The poset's cells below (v, R): the (v b, T) with T <= R and b a
-        T-minimal element of W_R."""
-        v, R = cell
-        subsets = [T for T in self._subsets if T <= R]
-        below = (
-            (self.system.mul(v, beta), T)
-            for beta in self.system.enumerate_group(R)
-            for T in subsets
-            if self.system.is_t_minimal(beta, T)
-        )
-        return [c for c in below if c in self._members]
+        T-minimal element of W_R, each listed once."""
+        below = self._below.get(cell)
+        if below is None:
+            v, R = cell
+            listed = []
+            for beta, types in self._minimal(R):
+                u = self.system.mul(v, beta)
+                listed.extend((u, T) for T in types if (u, T) in self._members)
+            below = self._below[cell] = tuple(listed)
+        return below
+
+    def _minimal(self, R: frozenset) -> list[tuple[Word, list[frozenset]]]:
+        """Each b in W_R, in ShortLex order, with the T <= R for which b
+        is T-minimal."""
+        found = self._minimal_in.get(R)
+        if found is None:
+            subsets = [T for T in self._subsets if T <= R]
+            found = self._minimal_in[R] = [
+                (beta, [T for T in subsets if self.system.is_t_minimal(beta, T)])
+                for beta in self.system.enumerate_group(R)
+            ]
+        return found
 
 
 def sal_poset(system: CoxeterSystem) -> SalvettiPoset:
@@ -154,14 +181,46 @@ class PairCheck:
     strict_size: int
 
 
+def _translates(poset: SalvettiPoset, base: SalCell, cell: SalCell) -> bool:
+    """Whether q -> v q maps the down-set of `base` = (e, R) onto that of
+    `cell` = (v, R) as posets: translated, the listing below (e, R) must
+    be the listing below (v, R), and the listing below each q the listing
+    below v q.  Listings run through b in ShortLex order, then T, so a
+    translate keeps that order."""
+    if base not in poset._members:
+        return False
+    source = poset.down_set(base)
+    left = {u: poset.system.mul(cell[0], u) for u in {u for u, _ in source}}
+
+    def translate(cells):
+        return tuple((left.get(u), T) for u, T in cells)
+
+    return translate(source) == poset.down_set(cell) and all(
+        translate(poset.down_set(q)) == poset.down_set((left[q[0]], q[1]))
+        for q in source
+    )
+
+
+def _down_set_homology(
+    poset: SalvettiPoset, cell: SalCell
+) -> tuple[list[HomologyGroup], list[HomologyGroup]]:
+    """(closed, strict) homologies of a cell's down-set, reduced once."""
+    found = poset._pair_homology.get(cell)
+    if found is None:
+        chains = order_complex(poset.down_set(cell), poset.down_set)
+        # the cell is the maximum of its down-set, so chains through it end there
+        strict = [chain for chain in chains if chain[-1] != cell]
+        found = simplicial_complex_homology(chains), simplicial_complex_homology(strict)
+        poset._pair_homology[cell] = found
+    return found
+
+
 def cell_pair_check(poset: SalvettiPoset, cell: SalCell) -> PairCheck:
     """Certify that a cell's down-set pair looks like (disk, sphere)."""
     closed = poset.down_set(cell)
-    chains = order_complex(closed, poset.down_set)
-    # the cell is the maximum of its down-set, so chains through it end there
-    strict = [chain for chain in chains if chain[-1] != cell]
-    closed_homology = simplicial_complex_homology(chains)
-    strict_homology = simplicial_complex_homology(strict)
+    base = ((), cell[1])
+    reduced = base if cell != base and _translates(poset, base, cell) else cell
+    closed_homology, strict_homology = _down_set_homology(poset, reduced)
     n = poset.dim(cell)
     if not _matches_point(closed_homology):
         raise CheckFailed(

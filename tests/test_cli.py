@@ -27,6 +27,7 @@ A2_TEXT = "gens: a b\nm a b 3\n"
 A3_TEXT = "gens: a b c\nm a b 3\nm b c 3\n"
 B3_TEXT = "gens: a b c\nm a b 4\nm b c 3\n"
 AFFINE_A2_TEXT = "gens: a b c\nm a b 3\nm b c 3\nm a c 3\n"
+D4_TEXT = "gens: a b c d\nm a b 3\nm b c 3\nm b d 3\n"
 # reduced words of the longest elements; (abc)^3 is w0 = -1 of B3
 A3_DELTA = "acb" * 2
 B3_DELTA = "abc" * 3
@@ -383,6 +384,21 @@ class TestMonoidReach:
         )
         expected = BraidClassMonoid(make_a3()).canon(A3_DELTA * 2)
         assert tuple(record["gcd"]) == expected
+
+
+class TestPosetReach:
+    def test_d4_salvetti_stats(self, tmp_path, capsys):
+        # |W(D4)| = 192 and all 16 subsets have finite type, so dimension k
+        # holds 192 * C(4, k) cells, and the quotient one cell per subset
+        path = tmp_path / "d4.system"
+        path.write_text(D4_TEXT)
+        assert main(["--system", str(path), "--format", "jsonl", "salvetti-stats"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert records == [
+            {"record": "poset-census", "cells": 3072, "census": [192, 768, 1152, 768, 192]},
+            {"record": "pair-checks", "checked": 3072},
+            {"record": "quotient-census", "counts": [1, 4, 6, 4, 1]},
+        ]
 
 
 class TestGoldenOutput:

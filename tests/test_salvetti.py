@@ -8,6 +8,7 @@ from artinhom.homology import HomologyGroup
 from artinhom.matching import BarMatching
 from artinhom.morse import boundary_word_2cell, braid_relator_word, cyclic_words_equal
 from artinhom.salvetti import (
+    SalvettiPoset,
     cell_pair_check,
     order_complex,
     polygon_boundary_word,
@@ -130,6 +131,7 @@ class TestPoset:
         for high in poset.cells:
             below = {low for low in poset.cells if sal_leq(system, low, high)}
             listed = poset.down_set(high)
+            assert isinstance(listed, tuple), high
             assert len(listed) == len(set(listed)) and set(listed) == below, high
 
 
@@ -212,6 +214,23 @@ class TestCellPairs:
         )
         with pytest.raises(CheckFailed):
             cell_pair_check(broken, target)
+
+    def test_corrupted_translate_detected(self, a2, poset_a2):
+        # (e, {a}) is whole, so its homologies are reduced and kept; its
+        # translate by b lost (ba, {}), so it may not reuse them
+        broken = SalvettiPoset(a2, [c for c in poset_a2.cells if c != cell("ba", "")])
+        cell_pair_check(broken, cell("", "a"))
+        with pytest.raises(CheckFailed):
+            cell_pair_check(broken, cell("b", "a"))
+
+    @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
+    def test_one_reduction_per_orbit(self, system):
+        # every cell of the full poset is certified as a translate of its
+        # (e, R), so only the |sf| identity cells are reduced
+        poset = sal_poset(system)
+        for c in poset.cells:
+            cell_pair_check(poset, c)
+        assert set(poset._pair_homology) == {((), T) for T in system.sf()}
 
 
 class TestQuotient:
