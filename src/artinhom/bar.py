@@ -12,17 +12,20 @@ length filters the complex; the length-preserving (merge-only) part of
 the boundary is a differential on each fixed-length layer.  Merging also
 keeps the product of the factors, so each layer splits further as a
 direct sum over the elements x of that length of the complex of
-factorizations of x.  These finite fibers are what `homology --verify`
-and the matching audits consume, one at a time; no whole layer of cells
-is ever listed (the test suite keeps such an enumerator as an
-independent oracle for `factorizations`).
+factorizations of x.  Read through its suffix products x > ... > 1, a
+factorization is a chain of the interval [1, x] of right divisors and a
+merge deletes one inner entry, so the fiber of x is that interval's
+complex (`homology.interval_complex`).  These finite fibers are what
+`homology --verify` and the matching audits consume, one at a time; no
+whole layer of cells is ever listed (the test suite keeps such an
+enumerator as an independent oracle for `factorizations`).
 """
 
 from __future__ import annotations
 
 from .artin import ArtinMonoid
 from .coxeter import Word
-from .homology import HomologyGroup, IntChainComplex, Matrix, direct_sum
+from .homology import HomologyGroup, IntChainComplex, direct_sum, interval_complex
 
 BarCell = tuple[Word, ...]
 
@@ -89,32 +92,14 @@ def factorizations(
 def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
     """The factorizations of x with the merge-only differential.
 
-    Merging x_i with x_{i+1} deletes the suffix product P[i] and keeps
-    the others, so faces are found by deletion with sign (-1)^i, without
-    multiplying.  For x of length n >= 1 the complex lives in dimensions
+    Merging x_i with x_{i+1} deletes the suffix product P[i] and keeps the
+    others, so the suffix products are the chains x = P[0] > ... > P[n] = 1
+    of the interval [1, x] of right divisors and the fiber is their
+    `interval_complex`.  For x of length n >= 1 it lives in dimensions
     1..n; the identity's fiber is the single 0-cell.  The basis of each
     dimension is its cells in the order `factorizations` lists them.
     """
-    by_dim: list[list[tuple[BarCell, tuple[Word, ...]]]] = [
-        [] for _ in range(len(x) + 1)
-    ]
-    for cell, products in factorizations(mon, x):
-        by_dim[len(cell)].append((cell, products))
-    index = {
-        products: i for found in by_dim for i, (_, products) in enumerate(found)
-    }
-    boundaries: dict[int, Matrix] = {
-        k: [
-            {
-                index[products[:i] + products[i + 1 :]]: -1 if i % 2 else 1
-                for i in range(1, k)
-            }
-            for _, products in by_dim[k]
-        ]
-        for k in range(2, len(by_dim))
-    }
-    ranks = tuple(len(found) for found in by_dim)
-    return IntChainComplex(ranks, boundaries)
+    return interval_complex([products for _, products in factorizations(mon, x)])
 
 
 def layer_homology(mon: ArtinMonoid, n: int) -> list[HomologyGroup]:

@@ -411,6 +411,13 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_side(parser: argparse.ArgumentParser) -> None:
+    """The --left/--right choice shared by lcm, gcd and divides."""
+    side = parser.add_mutually_exclusive_group()
+    side.add_argument("--left", action="store_true")
+    side.add_argument("--right", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = Parser(
         prog="artinhom",
@@ -433,25 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lcm", help="least common multiple")
     p.add_argument("words", nargs="+")
-    side = p.add_mutually_exclusive_group()
-    side.add_argument("--left", action="store_true")
-    side.add_argument("--right", action="store_true")
+    _add_side(p)
     p.add_argument(
         "--bound", type=_non_negative, default=None, help="search length bound"
     )
 
     p = sub.add_parser("gcd", help="greatest common divisor")
     p.add_argument("words", nargs="+")
-    side = p.add_mutually_exclusive_group()
-    side.add_argument("--left", action="store_true")
-    side.add_argument("--right", action="store_true")
+    _add_side(p)
 
     p = sub.add_parser("divides", help="divisibility test")
     p.add_argument("x")
     p.add_argument("y")
-    side = p.add_mutually_exclusive_group()
-    side.add_argument("--left", action="store_true")
-    side.add_argument("--right", action="store_true")
+    _add_side(p)
 
     sub.add_parser("sf", help="list the finite-type subsets")
     sub.add_parser("morse-cells", help="essential cells of the reduced complex")

@@ -20,6 +20,15 @@ going back from the last pivot, each dropped column is a Z-combination of
 the kept ones, and subtracting it is a unimodular change that leaves the
 invariant factors.  A core pivot d with |d| > 1 gives only d times a
 column, which is no such combination, so only unit pivots are recorded.
+
+Every complex built from chains comes from `interval_complex`.  A chain
+bottom = p_0 < p_1 < ... < p_k = top of a poset interval lies in dimension
+k, and its faces delete one inner entry.  Its inner entries form a
+(k - 2)-simplex of the open interval's order complex, with the bare chain
+(bottom, top) as the empty simplex, so dimension k of the result is the
+reduced homology in degree k - 2 of that order complex.  The bar model's
+fibers are the intervals [1, x] of right divisors; the Salvetti pair check
+puts a sentinel below (and above) a down-set to make it one.
 """
 
 from __future__ import annotations
@@ -258,6 +267,32 @@ class IntChainComplex:
                 HomologyGroup(self.ranks[k] - r_k - r_next, torsion_of_d.get(k + 1, ()))
             )
         return out
+
+
+def interval_complex(chains: Iterable[tuple]) -> IntChainComplex:
+    """The chain complex of the chains of a poset interval.
+
+    Each chain runs from a bottom to a top, has distinct inner entries and
+    is listed once, and the family is closed under deleting an inner
+    entry.  A chain of k + 1 entries lies in dimension k, and deleting its
+    inner entry i (0 < i < k) is a face of sign (-1)^i; each dimension's
+    basis is its chains in input order.  Dimension k of the homology is
+    the reduced homology, in degree k - 2, of the open interval's order
+    complex; a one-entry chain is a point in dimension 0.
+    """
+    by_dim: dict[int, list[tuple]] = {}
+    for chain in chains:
+        by_dim.setdefault(len(chain) - 1, []).append(chain)
+    found = [by_dim.get(k, []) for k in range(max(by_dim, default=-1) + 1)]
+    index = {chain: i for listed in found for i, chain in enumerate(listed)}
+    boundaries: dict[int, Matrix] = {
+        k: [
+            {index[chain[:i] + chain[i + 1 :]]: -1 if i % 2 else 1 for i in range(1, k)}
+            for chain in found[k]
+        ]
+        for k in range(2, len(found))
+    }
+    return IntChainComplex(tuple(map(len, found)), boundaries)
 
 
 def abelianized_presentation_h1(system: CoxeterSystem) -> HomologyGroup:

@@ -9,10 +9,16 @@ The geometric realization of the derived complex carries one cell per
 pair, of dimension |T|; the group acts freely by left multiplication and
 the quotient keeps one cell per finite-type subset.
 
-`cell_pair_check` certifies the local structure: the closed down-set of
-a pair must have the homology of a point and the strict down-set that of
-a sphere of dimension |T| - 1, with the empty complex standing in for
-the (-1)-sphere.
+`cell_pair_check` certifies the local structure (Bjorner's criterion for
+regular CW posets): the closed down-set of a pair must have the homology
+of a point and the strict down-set that of a sphere of dimension
+|T| - 1.  Both are checked as `interval_complex`es, with `None`, which
+is no cell, as sentinel ends: the closed down-set is the open interval
+between a sentinel bottom and a sentinel top, the strict one that
+between a sentinel bottom and the cell.  Their homology is reduced and
+shifted up two degrees, so the closed one must vanish and the strict
+one of an n-cell must be Z in dimension n + 1 alone; the empty
+(-1)-sphere and the two-point 0-sphere need no special case.
 
 Left multiplication by v maps the down-set of (e, R) onto that of
 (v, R), so each W-orbit needs its pair of homologies once.  The check
@@ -33,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from .coxeter import CoxeterSystem, Word, alternating_word
 from .errors import CheckFailed, InfiniteM, InfiniteType
-from .homology import HomologyGroup, IntChainComplex, Matrix
+from .homology import HomologyGroup, interval_complex
 
 SalCell = tuple[Word, frozenset]
 
@@ -120,60 +126,6 @@ def order_complex(
     return out
 
 
-def simplicial_complex_homology(simplices: Sequence[tuple]) -> list[HomologyGroup]:
-    """Homology of a complex given by simplices with ordered vertices.
-
-    The simplices must be closed under taking faces, with each simplex
-    listed once; their order does not matter."""
-    if not simplices:
-        return []
-    by_dim: dict[int, list[tuple]] = {}
-    for simplex in simplices:
-        by_dim.setdefault(len(simplex) - 1, []).append(simplex)
-    top = max(by_dim)
-    for k in range(top + 1):
-        by_dim.setdefault(k, [])
-    index = {
-        k: {simplex: i for i, simplex in enumerate(by_dim[k])}
-        for k in range(top + 1)
-    }
-    ranks = tuple(len(by_dim[k]) for k in range(top + 1))
-    boundaries: dict[int, Matrix] = {}
-    for k in range(1, top + 1):
-        boundaries[k] = []
-        for simplex in by_dim[k]:
-            column: dict[int, int] = {}
-            for i in range(len(simplex)):
-                row = index[k - 1][simplex[:i] + simplex[i + 1 :]]
-                column[row] = column.get(row, 0) + (-1 if i % 2 else 1)
-            boundaries[k].append({row: v for row, v in column.items() if v})
-    return IntChainComplex(ranks, boundaries).homology()
-
-
-def _matches_point(homology: list[HomologyGroup]) -> bool:
-    return (
-        bool(homology)
-        and homology[0] == HomologyGroup(1)
-        and all(h.is_trivial for h in homology[1:])
-    )
-
-
-def _matches_sphere(homology: list[HomologyGroup], n: int) -> bool:
-    """Unreduced homology of S^n, with S^-1 the empty complex."""
-    if n == -1:
-        return not homology
-    if n == 0:
-        return (
-            bool(homology)
-            and homology[0] == HomologyGroup(2)
-            and all(h.is_trivial for h in homology[1:])
-        )
-    if len(homology) <= n:
-        return False
-    expected = [HomologyGroup(1)] + [HomologyGroup(0)] * (n - 1) + [HomologyGroup(1)]
-    return homology[: n + 1] == expected and all(h.is_trivial for h in homology[n + 1 :])
-
-
 @dataclass
 class PairCheck:
     cell: SalCell
@@ -204,13 +156,19 @@ def _translates(poset: SalvettiPoset, base: SalCell, cell: SalCell) -> bool:
 def _down_set_homology(
     poset: SalvettiPoset, cell: SalCell
 ) -> tuple[list[HomologyGroup], list[HomologyGroup]]:
-    """(closed, strict) homologies of a cell's down-set, reduced once."""
+    """Homologies of the (closed, strict) interval complexes of a cell's
+    down-set, reduced once."""
     found = poset._pair_homology.get(cell)
     if found is None:
         chains = order_complex(poset.down_set(cell), poset.down_set)
-        # the cell is the maximum of its down-set, so chains through it end there
-        strict = [chain for chain in chains if chain[-1] != cell]
-        found = simplicial_complex_homology(chains), simplicial_complex_homology(strict)
+        closed = [(None, *chain, None) for chain in [(), *chains]]
+        # the cell is the maximum of its down-set, so the chains ending at it
+        # are the strict down-set's simplices with the cell put on top
+        strict = [(None, *chain) for chain in chains if chain[-1] == cell]
+        found = (
+            interval_complex(closed).homology(),
+            interval_complex(strict).homology(),
+        )
         poset._pair_homology[cell] = found
     return found
 
@@ -222,15 +180,15 @@ def cell_pair_check(poset: SalvettiPoset, cell: SalCell) -> PairCheck:
     reduced = base if cell != base and _translates(poset, base, cell) else cell
     closed_homology, strict_homology = _down_set_homology(poset, reduced)
     n = poset.dim(cell)
-    if not _matches_point(closed_homology):
+    if not all(h.is_trivial for h in closed_homology):
         raise CheckFailed(
-            f"closed down-set of {cell} is not acyclic: "
-            f"{[str(h) for h in closed_homology]}"
+            f"closed down-set of {cell} is not acyclic: reduced homology from "
+            f"degree -2 up is {[str(h) for h in closed_homology]}"
         )
-    if not _matches_sphere(strict_homology, n - 1):
+    if strict_homology != [HomologyGroup(0)] * (n + 1) + [HomologyGroup(1)]:
         raise CheckFailed(
-            f"strict down-set of {cell} is not a {n - 1}-sphere: "
-            f"{[str(h) for h in strict_homology]}"
+            f"strict down-set of {cell} is not a {n - 1}-sphere: reduced homology "
+            f"from degree -2 up is {[str(h) for h in strict_homology]}"
         )
     return PairCheck(cell, len(closed), len(closed) - 1)
 

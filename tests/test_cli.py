@@ -37,6 +37,7 @@ USAGE_ERRORS = {
     "non-integer-option": ["matching-audit", "--max-len", "x"],
     "negative-max-len": ["matching-audit", "--max-len", "-2"],
     "negative-bound": ["lcm", "ab", "ba", "--bound", "-1"],
+    "both-sides": ["gcd", "a", "b", "--left", "--right"],
 }
 
 
@@ -437,8 +438,26 @@ class TestChildProcesses:
     @pytest.mark.parametrize(
         "text, command, spans",
         [
-            (A2_TEXT, ["homology", "--verify"], {"cli.main", "homology.invariant_factors"}),
-            ("gens: a b\nm a b 5\n", ["salvetti-stats"], {"cli.main", "coxeter.canon"}),
+            (
+                A2_TEXT,
+                ["homology", "--verify"],
+                {
+                    "cli.main",
+                    "homology.invariant_factors",
+                    "bar.fiber_complex",
+                    "homology.interval_complex",
+                },
+            ),
+            (
+                "gens: a b\nm a b 5\n",
+                ["salvetti-stats"],
+                {
+                    "cli.main",
+                    "coxeter.canon",
+                    "salvetti.order_complex",
+                    "homology.interval_complex",
+                },
+            ),
         ],
         ids=["A2-homology-verify", "I25-salvetti-stats"],
     )

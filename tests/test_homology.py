@@ -12,9 +12,9 @@ from artinhom.homology import (
     IntChainComplex,
     abelianized_presentation_h1,
     direct_sum,
+    interval_complex,
     invariant_factors,
 )
-from artinhom.salvetti import simplicial_complex_homology
 from conftest import columns, make_a3, smith_normal_form
 
 # the 6-vertex projective plane (half an icosahedron): H = Z, Z/2, 0
@@ -252,7 +252,11 @@ class TestChainComplexes:
             complex_ = simplicial_chain_complex(simplices)
             expected = dense_homology(complex_)
             assert complex_.homology() == expected, facets
-            assert simplicial_complex_homology(simplices) == expected, facets
+            # the same complex between two sentinel ends: reduced, up two degrees
+            wrapped = [(None, *s, None) for s in [(), *simplices]]
+            h0 = expected[0]
+            reduced = [HomologyGroup(0), HomologyGroup(0), HomologyGroup(h0.free_rank - 1)]
+            assert interval_complex(wrapped).homology() == reduced + expected[1:], facets
 
     def test_clearing_on_the_projective_plane(self):
         # torsion met after clearing: the unit pivots of d_2 drop columns of d_1
@@ -310,6 +314,18 @@ class TestChainComplexes:
                 },
             )
             assert changed.homology() == reference
+
+
+class TestIntervalComplex:
+    def test_one_entry_chain_is_a_point(self):
+        assert interval_complex([("x",)]).homology() == [HomologyGroup(1)]
+
+    def test_bare_interval_is_the_minus_one_sphere(self):
+        # the empty open interval is S^-1: Z in degree -1, dimension 1
+        assert interval_complex([(None, None)]).homology() == [
+            HomologyGroup(0),
+            HomologyGroup(1),
+        ]
 
 
 class TestDirectSum:
