@@ -63,6 +63,8 @@ class ArtinMonoid:
         self._normals: dict[Word, Normal] = {}
         self._words: dict[Normal, Word] = {}
         self._splits: dict[Word, list[tuple[Word, Word]]] = {}
+        # one shared word per left divisor that `_splits` names
+        self._divisors: dict[Word, Word] = {}
         self._quotients: dict[tuple[Word, Word], Word | None] = {}
 
     # -- normal forms --------------------------------------------------------
@@ -162,14 +164,16 @@ class ArtinMonoid:
     def elements_of_length(self, n: int) -> list[Word]:
         """Canonical words of all monoid elements of length n."""
         while len(self._elements_by_length) <= n:
-            previous = self._elements_by_length[-1]
-            seen = set()
-            for w in previous:
+            # one letter on the right of each normal form, filed under
+            # the canonical word it names
+            grown: dict[Word, Normal] = {}
+            for w in self._elements_by_length[-1]:
+                normal = self._normal(w)
                 for s in self.system.gens:
-                    seen.add(self.canon(w + (s,)))
-            self._elements_by_length.append(
-                sorted(seen, key=self.system.key)
-            )
+                    longer = self._append(normal, s)
+                    grown[self._word(longer)] = longer
+            self._normals.update(grown)
+            self._elements_by_length.append(sorted(grown, key=self.system.key))
         return self._elements_by_length[n]
 
     # -- divisibility -----------------------------------------------------
@@ -197,33 +201,32 @@ class ArtinMonoid:
         """All pairs (d, q) of non-identity elements with d * q = x,
         ShortLex-ordered by d.
 
-        Searches the left divisors d of x from the identity up, extending
-        d by each letter a in L(d^-1 x).
+        The ShortLex-least word of d is its least left letter b followed
+        by the word of b^-1 d, and b left-divides d exactly when q
+        right-divides b^-1 x (cancel b on the left of x = d * q).  So for
+        each b in L(x) in turn, the splits whose d begins with b are
+        (b, b^-1 x) and b times the splits of b^-1 x, less those whose q
+        a smaller letter already reached; they come out in order.
         """
-        x = self.canon(x)
+        # the memo is keyed by canonical words, so a hit needs no canon
+        x = tuple(x)
         splits = self._splits.get(x)
         if splits is None:
-            # normal form of d -> normal form of d^-1 x
-            quotient_of: dict[Normal, Normal] = {(): self._normal(x)}
-            frontier: list[Normal] = [()]
-            while frontier:
-                grown = []
-                for d in frontier:
-                    q = quotient_of[d]
-                    for a in self._left(q):
-                        e = self._append(d, a)
-                        if e not in quotient_of:
-                            quotient_of[e] = self._strip_front(a, q)
-                            grown.append(e)
-                frontier = grown
-            splits = sorted(
-                (
-                    (self._word(d), self._word(q))
-                    for d, q in quotient_of.items()
-                    if d and q
-                ),
-                key=lambda pair: self.system.key(pair[0]),
-            )
+            x = self.canon(x)
+            splits = self._splits.get(x)
+        if splits is None:
+            normal = self._normal(x)
+            splits = []
+            reached: set[Word] = set()
+            for b in sorted(self._left(normal), key=self.system.index):
+                y = self._word(self._strip_front(b, normal))
+                if not y:
+                    continue
+                for d, q in [((), y), *self.left_splits(y)]:
+                    if q not in reached:
+                        reached.add(q)
+                        d = (b, *d)
+                        splits.append((self._divisors.setdefault(d, d), q))
             self._splits[x] = splits
         return splits
 

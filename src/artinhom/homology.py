@@ -29,6 +29,8 @@ k, and its faces delete one inner entry.  Its inner entries form a
 reduced homology in degree k - 2 of that order complex.  The bar model's
 fibers are the intervals [1, x] of right divisors; the Salvetti pair check
 puts a sentinel below (and above) a down-set to make it one.
+`poset_core` shrinks a poset by removing beat points, which keeps that
+homology, so a fiber lists only the chains of its interval's core.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .coxeter import CoxeterSystem
 from .errors import NotAComplex
@@ -225,8 +227,11 @@ class IntChainComplex:
                 )
 
     def boundary(self, k: int) -> Matrix:
-        cols = self.ranks[k] if 0 <= k < len(self.ranks) else 0
-        return self.boundaries.get(k, [{} for _ in range(cols)])
+        found = self.boundaries.get(k)
+        if found is None:
+            cols = self.ranks[k] if 0 <= k < len(self.ranks) else 0
+            found = [{} for _ in range(cols)]
+        return found
 
     def check_composition(self) -> None:
         """Verify boundary-of-boundary vanishes (sparse column walk)."""
@@ -256,9 +261,10 @@ class IntChainComplex:
         for k in range(len(self.ranks) - 1, 0, -1):
             kept = [col for j, col in enumerate(self.boundary(k)) if j not in cleared]
             cleared = set()
-            factors = invariant_factors(kept, cleared)
-            ranks_of_d[k] = len(factors)
-            torsion_of_d[k] = tuple(d for d in factors if d > 1)
+            if kept:
+                factors = invariant_factors(kept, cleared)
+                ranks_of_d[k] = len(factors)
+                torsion_of_d[k] = tuple(d for d in factors if d > 1)
         out = []
         for k in range(len(self.ranks)):
             r_k = ranks_of_d.get(k, 0)
@@ -293,6 +299,75 @@ def interval_complex(chains: Iterable[tuple]) -> IntChainComplex:
         for k in range(2, len(found))
     }
     return IntChainComplex(tuple(map(len, found)), boundaries)
+
+
+def poset_core(elements: Iterable, below: Mapping) -> list:
+    """The elements left once beat points are removed until none is left.
+
+    `below[p]` lists every element of the poset strictly below p.  An
+    element p is a down beat point when the elements below p have a
+    maximum m, and an up beat point when the elements above p have a
+    minimum (Stong, "Finite topological spaces", Trans. AMS 123, 1966).
+
+    Removing a beat point p keeps the homology over Z of the order
+    complex, and of every interval complex whose inner entries are the
+    poset's elements.  Say m is the maximum below p (an up beat point is
+    the same argument in the opposite poset).  Every element comparable
+    with p is comparable with m: those below p lie below m and those above
+    p lie above m.  So the link of p is a cone on m, and adding m to a
+    chain through p but not m gives a chain again.  The chains through p
+    but not m pair off with the chains through both, one entry apart,
+    and the pairs are elementary collapses: taken from the longest down,
+    each pair's shorter chain has its longer one as its only coface still
+    present.  What is left is exactly the chains of the
+    poset without p (Barmak-Minian, "Strong homotopy types, nerves and
+    collapses", Discrete Comput. Geom. 47, 2012).
+
+    Each round removes every up beat point of the poset left, or every
+    down beat point when there is no up beat point.  Removing one up beat
+    point leaves every other one an up beat point (an element whose
+    minimum above was p has p's minimum above instead), so a round is a
+    sequence of single removals, and its set depends only on the poset.
+    So the core does not depend on the input order; it is returned in
+    that order.  Up beat points go first, so a poset with a maximum
+    collapses to its maximum.
+    """
+    elements = list(elements)
+    # bit positions follow a linear extension: p < q makes below[p] a
+    # proper subset of below[q], so p takes the lower bit
+    ranked = sorted(elements, key=lambda p: len(below[p]))
+    position = {p: k for k, p in enumerate(ranked)}
+    down = [0] * len(ranked)
+    up = [0] * len(ranked)
+    for k, p in enumerate(ranked):
+        for q in below[p]:
+            j = position[q]
+            down[k] |= 1 << j
+            up[j] |= 1 << k
+    alive = (1 << len(ranked)) - 1
+
+    def beat_points(strict: list[int], extreme) -> int:
+        # the minimum above p (maximum below p), if there is one, holds
+        # the lowest (highest) bit of the alive elements beyond p
+        beat = 0
+        for k, mask in enumerate(strict):
+            beyond = mask & alive
+            if beyond and alive >> k & 1:
+                e = extreme(beyond)
+                if strict[e] & alive == beyond ^ 1 << e:
+                    beat |= 1 << k
+        return beat
+
+    def lowest(mask: int) -> int:
+        return (mask & -mask).bit_length() - 1
+
+    def highest(mask: int) -> int:
+        return mask.bit_length() - 1
+
+    while beat := beat_points(up, lowest) or beat_points(down, highest):
+        alive &= ~beat
+    core = {p for k, p in enumerate(ranked) if alive >> k & 1}
+    return [p for p in elements if p in core]
 
 
 def abelianized_presentation_h1(system: CoxeterSystem) -> HomologyGroup:

@@ -17,7 +17,8 @@ from itertools import combinations
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
-from artinhom.bar import cell_length
+from artinhom.bar import cell_length, factorizations
+from artinhom.homology import interval_complex
 
 
 def make_a2():
@@ -46,6 +47,14 @@ def make_a3():
 
 def make_b3():
     return CoxeterSystem("abc", {("a", "b"): 4, ("b", "c"): 3})
+
+
+def make_g2():
+    return CoxeterSystem("ab", {("a", "b"): 6})
+
+
+def make_a1a1a1():
+    return CoxeterSystem("abc", {})
 
 
 def make_affine_a2():
@@ -419,6 +428,16 @@ def iter_cells_of_grade(mon, n):
         for x in mon.elements_of_length(first_len):
             for rest in iter_cells_of_grade(mon, n - first_len):
                 yield (x,) + rest
+
+
+def full_fiber_complex(mon, x):
+    """The fiber of x on every factorization: the `interval_complex` of
+    their suffix products x = P[0] > ... > P[n] = 1, so each dimension's
+    basis is its cells in the order `factorizations` lists them and the
+    differential is the merge differential.  `bar.fiber_complex` keeps
+    only the chains through the beat-point core and must have its
+    homology."""
+    return interval_complex([products for _, products in factorizations(mon, x)])
 
 
 def is_squarefree(mon, x):

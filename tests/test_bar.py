@@ -11,7 +11,18 @@ from artinhom.bar import (
 )
 from artinhom.homology import HomologyGroup
 from artinhom.matching import BarMatching
-from conftest import grade, iter_cells_of_grade, make_a2, make_a3, make_b2, make_i25
+from conftest import (
+    full_fiber_complex,
+    grade,
+    iter_cells_of_grade,
+    make_a1a1a1,
+    make_a2,
+    make_a3,
+    make_affine_a2,
+    make_b2,
+    make_g2,
+    make_i25,
+)
 
 
 def W(text):
@@ -98,11 +109,11 @@ class TestBoundarySquaresToZero:
                     assert not any(acc.values()), cell
 
     def test_grade_complexes_validate(self, mon_a2, mon_b2):
-        # every fiber's differential is the merge differential on its cells
+        # every full fiber's differential is the merge differential on its cells
         for mon in (mon_a2, mon_b2):
             for n in range(6):
                 for x in mon.elements_of_length(n):
-                    complex_ = fiber_complex(mon, x)
+                    complex_ = full_fiber_complex(mon, x)
                     complex_.check_composition()
                     # each dimension's basis: its cells in the order of
                     # `factorizations`
@@ -156,6 +167,27 @@ class TestFibers:
                 if x in subset_of:
                     expected[len(subset_of[x])] = HomologyGroup(1)
                 assert groups == expected, x
+
+    @pytest.mark.parametrize(
+        "maker, top",
+        [
+            (make_a2, 8),
+            (make_b2, 8),
+            (make_i25, 8),
+            (make_g2, 8),
+            (make_a3, 7),
+            (make_affine_a2, 6),
+            (make_a1a1a1, 6),
+        ],
+        ids=["A2", "B2", "I2(5)", "G2", "A3", "affine-A2", "A1xA1xA1"],
+    )
+    def test_core_fiber_has_the_homology_of_the_full_fiber(self, maker, top):
+        mon = ArtinMonoid(maker())
+        for n in range(top + 1):
+            for x in mon.elements_of_length(n):
+                core = fiber_complex(mon, x)
+                assert len(core.ranks) == n + 1, x
+                assert core.homology() == full_fiber_complex(mon, x).homology(), x
 
 
 class TestEta:

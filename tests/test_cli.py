@@ -402,6 +402,18 @@ class TestPosetReach:
         ]
 
 
+class TestVerifyReach:
+    def test_b3_homology_verify(self, tmp_path, capsys):
+        # every length layer up to max_len + 2 = 11, 29,996 fibers
+        path = tmp_path / "b3.system"
+        path.write_text(B3_TEXT)
+        argv = ["--system", str(path), "--format", "jsonl", "homology", "--verify"]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        (verdict,) = [r for r in records if r["record"] == "verification"]
+        assert verdict["h1_agrees"] and verdict["grades_agree"]
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("command", B2_GOLDEN, ids=B2_GOLDEN)
     def test_b2_records(self, tmp_path, capsys, command):

@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
-from artinhom.bar import fiber_complex
 from artinhom.errors import NotAComplex
 from artinhom.homology import (
     HomologyGroup,
@@ -14,8 +13,9 @@ from artinhom.homology import (
     direct_sum,
     interval_complex,
     invariant_factors,
+    poset_core,
 )
-from conftest import columns, make_a3, smith_normal_form
+from conftest import columns, full_fiber_complex, make_a3, smith_normal_form
 
 # the 6-vertex projective plane (half an icosahedron): H = Z, Z/2, 0
 RP2_FACETS = [
@@ -88,6 +88,36 @@ def simplicial_chain_complex(simplices):
         for k in range(1, len(by_dim))
     }
     return IntChainComplex(tuple(map(len, by_dim)), boundaries)
+
+
+def random_poset(rng, size):
+    """A random DAG on `size` labels, closed transitively: each label to
+    the list of labels strictly below it, listed in a random order."""
+    labels = rng.sample(range(100), size)
+    below = {}
+    for j, p in enumerate(labels):
+        found = set()
+        for q in labels[:j]:
+            if rng.random() < 0.35:
+                found |= {q} | below[q]
+        below[p] = found
+    return {p: rng.sample(sorted(found), len(found)) for p, found in below.items()}
+
+
+def sentinel_chains(elements, below):
+    """Every chain of the poset, least entry first, between two sentinel
+    ends: the interval complex of its order complex, shifted up two."""
+    elements = set(elements)
+    ending = {}
+
+    def ending_at(p):
+        if p not in ending:
+            ending[p] = [(p,)] + [
+                chain + (p,) for q in below[p] if q in elements for chain in ending_at(q)
+            ]
+        return ending[p]
+
+    return [(None, None)] + [(None, *c, None) for p in elements for c in ending_at(p)]
 
 
 def cokernel(matrix, rows):
@@ -268,7 +298,9 @@ class TestChainComplexes:
     def test_clearing_on_a3_fibers(self):
         mon = ArtinMonoid(make_a3())
         fibers = [
-            fiber_complex(mon, x) for n in range(6) for x in mon.elements_of_length(n)
+            full_fiber_complex(mon, x)
+            for n in range(6)
+            for x in mon.elements_of_length(n)
         ]
         assert len(fibers) == 168
         for complex_ in fibers:
@@ -326,6 +358,63 @@ class TestIntervalComplex:
             HomologyGroup(0),
             HomologyGroup(1),
         ]
+
+
+class TestPosetCore:
+    def test_a_maximum_is_the_whole_core(self):
+        subsets = [frozenset(c) for r in (1, 2, 3) for c in combinations("abc", r)]
+        below = {p: [q for q in subsets if q < p] for p in subsets}
+        assert poset_core(subsets, below) == [frozenset("abc")]
+        rng = random.Random(1)
+        for _ in range(50):
+            below = random_poset(rng, rng.randint(0, 8))
+            below["top"] = list(below)
+            assert poset_core(below, below) == ["top"]
+
+    def test_spheres_have_no_beat_points(self):
+        # S^0, and the face poset of a square's boundary (S^1)
+        assert poset_core("pq", {"p": [], "q": []}) == ["p", "q"]
+        edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
+        below = {v: [] for v in range(1, 5)} | {e: list(e) for e in edges}
+        assert poset_core(below, below) == list(below)
+
+    def test_no_beat_point_is_left(self):
+        def is_beat_point(p, core, below):
+            lower = [q for q in below[p] if q in core]
+            upper = [q for q in core if p in below[q]]
+            return any(all(r == m or r in below[m] for r in lower) for m in lower) or any(
+                all(r == m or m in below[r] for r in upper) for m in upper
+            )
+
+        rng = random.Random(3)
+        for _ in range(500):
+            below = random_poset(rng, rng.randint(0, 12))
+            core = set(poset_core(below, below))
+            assert not any(is_beat_point(p, core, below) for p in core), below
+
+    def test_the_core_does_not_depend_on_the_input_order(self):
+        rng = random.Random(2)
+        for _ in range(100):
+            below = random_poset(rng, rng.randint(0, 9))
+            core = set(poset_core(below, below))
+            for _ in range(3):
+                shuffled = {p: rng.sample(qs, len(qs)) for p, qs in below.items()}
+                order = rng.sample(sorted(below), len(below))
+                assert set(poset_core(order, shuffled)) == core
+
+    def test_the_core_keeps_the_homology_of_the_order_complex(self):
+        rng = random.Random(20261019)
+        shrunk = 0
+        for _ in range(200):
+            below = random_poset(rng, rng.randint(0, 9))
+            core = poset_core(below, below)
+            shrunk += len(core) < len(below)
+            whole = interval_complex(sentinel_chains(below, below)).homology()
+            reduced = interval_complex(sentinel_chains(core, below)).homology()
+            # the core's chains are shorter: it may lack some top dimensions
+            assert reduced == whole[: len(reduced)], below
+            assert all(h.is_trivial for h in whole[len(reduced) :]), below
+        assert shrunk > 100
 
 
 class TestDirectSum:
