@@ -230,6 +230,15 @@ class ArtinMonoid:
             self._splits[x] = splits
         return splits
 
+    def left_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
+        """The y with d*y = x, or None when d does not left divide x."""
+        x = self.system.check_word(x)
+        d = self.system.check_word(d)
+        if len(d) > len(x):
+            return None
+        quotient = self._left_quotient(self._normal(x), d)
+        return None if quotient is None else self._word(quotient)
+
     def right_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
         """The y with y*d = x, or None when d does not right divide x."""
         key = (tuple(x), tuple(d))
@@ -356,6 +365,10 @@ class ArtinMonoid:
         return self._deltas
 
     # -- finishing sets --------------------------------------------------------
+
+    def starting_set(self, x: Iterable[str]) -> frozenset[str]:
+        """Generators whose letter left divides x."""
+        return self._left(self._normal(tuple(x)))
 
     def finishing_set(self, x: Iterable[str]) -> frozenset[str]:
         """Generators whose letter right divides x: L of the reversal."""

@@ -19,11 +19,17 @@ complex (`homology.interval_complex`).  Its homology is that of the open
 interval (1, x), which keeps its homology when beat points are removed
 (`homology.poset_core`), so `fiber_complex` lists only the chains whose
 inner entries lie in the core of (1, x): on A3 through length 8 that is
-3,418 chains in place of 581,462 factorizations.  These fibers are what `homology --verify`
-consumes, one at a time, and the matching audits read `factorizations`
-for every cell; no whole layer of cells is ever listed (the test suite
-keeps such an enumerator as an independent oracle for `factorizations`,
-and the full fiber of all factorizations as one for `fiber_complex`).
+3,418 chains in place of 581,462 factorizations.
+
+Who reads what: `homology --verify` consumes these fibers, one at a
+time; the matching rule and its audits (`matching`) read chains of right
+divisors too, listed from the monoid's splits.  Cells are read only by
+the faces and boundaries here, which the zig-zag collapse (`morse`)
+follows, and by `matching.BarMatching.partner`, which turns a cell into
+its chain and the matched chain back into a cell.  No whole layer of
+cells is ever listed: the test suite keeps a cell enumerator, the
+factorizations of x with their suffix products, and the full fiber of
+all factorizations as independent oracles.
 """
 
 from __future__ import annotations
@@ -75,31 +81,6 @@ def boundary(mon: ArtinMonoid, cell: BarCell) -> dict[BarCell, int]:
     return acc
 
 
-def factorizations(
-    mon: ArtinMonoid, x: Word
-) -> list[tuple[BarCell, tuple[Word, ...]]]:
-    """All cells whose product is x, i.e. the ordered factorizations of x
-    into non-identity elements, each with its suffix products
-    P[j] = x_{j+1} ... x_n for j = 0..n (so P[0] = x and P[n] = 1).
-
-    Splitting y = d * q puts d in front of each factorization of q and q
-    in front of its suffix products, so no products are multiplied out.
-    """
-    memo: dict[Word, list[tuple[BarCell, tuple[Word, ...]]]] = {}
-
-    def of(y: Word) -> list[tuple[BarCell, tuple[Word, ...]]]:
-        found = memo.get(y)
-        if found is None:
-            found = [((y,), (y, ()))]
-            for d, q in mon.left_splits(y):
-                found.extend(((d,) + cell, (y,) + tail) for cell, tail in of(q))
-            memo[y] = found
-        return found
-
-    x = mon.canon(x)
-    return of(x) if x else [((), ((),))]
-
-
 def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
     """The fiber of x: a complex with the homology of its factorizations
     under the merge-only differential.
@@ -110,14 +91,20 @@ def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
     that interval's `interval_complex`.  Removing beat points of the open
     interval (1, x), the proper non-identity right divisors of x, keeps
     that homology, so the fiber is the interval complex of the chains
-    x > p_1 > ... > p_k > 1 with every p_i in the core.  Its ranks run to
-    dimension len(x), the longest factorization; for x of length n >= 1
-    the homology lives in dimensions 1..n, and the identity's fiber is the
-    single 0-cell.
+    x > p_1 > ... > p_k > 1 with every p_i in the core.  When x has one
+    left letter s, every such divisor right-divides s^-1 x, the greatest
+    element; when it has one right letter t, every one is right-divisible
+    by t, the least.  Either way the core is that one element, and no
+    divisor's splits are read.  The ranks run to dimension len(x), the
+    longest factorization; for x of length n >= 1 the homology lives in
+    dimensions 1..n, and the identity's fiber is the single 0-cell.
     """
     x = mon.canon(x)
     if not x:
         return interval_complex([((),)])
+    extreme = _extreme_divisor(mon, x)
+    if extreme is not None:
+        return interval_complex([(x, ()), (x, extreme, ())], len(x) + 1)
     below = {q: [r for _, r in mon.left_splits(q)] for _, q in mon.left_splits(x)}
     core = poset_core(below, below)
     kept = set(core)
@@ -136,19 +123,35 @@ def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
     chains = [(x, ())]
     for q in core:
         chains.extend((x,) + chain + ((),) for chain in descending(q))
-    complex_ = interval_complex(chains)
-    ranks = complex_.ranks + (0,) * (len(x) + 1 - len(complex_.ranks))
-    return IntChainComplex(ranks, complex_.boundaries)
+    return interval_complex(chains, len(x) + 1)
+
+
+def _extreme_divisor(mon: ArtinMonoid, x: Word) -> Word | None:
+    """The greatest or least element of the open interval (1, x) of right
+    divisors, when it has one for lack of a second left or right letter."""
+    if len(x) < 2:
+        return None
+    starting = mon.starting_set(x)
+    if len(starting) == 1:
+        return mon.left_quotient(x, tuple(starting))
+    finishing = mon.finishing_set(x)
+    if len(finishing) == 1:
+        return tuple(finishing)
+    return None
 
 
 def layer_homology(mon: ArtinMonoid, n: int) -> list[HomologyGroup]:
     """Homology of the fixed-length-n layer in dimensions 0..n.
 
     The layer is the direct sum of the fibers of the elements of length
-    n, so each fiber is built, reduced and dropped in turn.
+    n, so each fiber is built, reduced and dropped in turn, and its free
+    ranks and torsion are added up per dimension.
     """
-    by_dim: list[list[HomologyGroup]] = [[] for _ in range(n + 1)]
+    free = [0] * (n + 1)
+    torsion: list[list[int]] = [[] for _ in range(n + 1)]
     for x in mon.elements_of_length(n):
-        for k, group in enumerate(fiber_complex(mon, x).homology()):
-            by_dim[k].append(group)
-    return [direct_sum(groups) for groups in by_dim]
+        for k, (rank, factors) in enumerate(fiber_complex(mon, x).invariants()):
+            free[k] += rank
+            torsion[k].extend(factors)
+    # one group per dimension, its torsion merged into invariant factors
+    return [direct_sum([group]) for group in zip(free, torsion)]

@@ -418,18 +418,36 @@ def _add_side(parser: argparse.ArgumentParser) -> None:
     side.add_argument("--right", action="store_true")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = Parser(
-        prog="artinhom",
-        description="computations over an Artin monoid given by a Coxeter matrix file",
-    )
-    parser.add_argument("--system", required=True, help="path to the system file")
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         choices=("text", "jsonl"),
         default="text",
         help="report format (default: text)",
     )
+
+
+def _requested_format(argv: list[str]) -> str:
+    """The report format of a command line the full parser refused.
+
+    A parser that knows only `--format` reads it, so an abbreviation such
+    as `--form jsonl` counts as it does in the full parser; text when the
+    option itself is malformed."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_format(pre)
+    try:
+        return pre.parse_known_args(argv)[0].format
+    except argparse.ArgumentError:
+        return "text"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = Parser(
+        prog="artinhom",
+        description="computations over an Artin monoid given by a Coxeter matrix file",
+    )
+    parser.add_argument("--system", required=True, help="path to the system file")
+    _add_format(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nf", help="Garside normal form of a positive word")
@@ -480,10 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as err:
-        jsonl = "--format=jsonl" in argv or any(
-            argv[i : i + 2] == ["--format", "jsonl"] for i in range(len(argv))
-        )
-        Reporter("jsonl" if jsonl else "text", sys.stdout).emit(
+        Reporter(_requested_format(argv), sys.stdout).emit(
             f"error: {err}", record="error", code=err.code, message=str(err)
         )
         return 1

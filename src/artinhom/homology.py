@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .coxeter import CoxeterSystem
 from .errors import NotAComplex
@@ -162,19 +161,23 @@ def invariant_factors(matrix: Matrix, unit_rows: set[int] | None = None) -> list
     return [1] * len(pivots) + _core_factors(cols, rows)
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    """A finitely generated abelian group in invariant-factor form."""
-
+class _Group(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        for k, d in enumerate(self.torsion):
+
+class HomologyGroup(_Group):
+    """A finitely generated abelian group in invariant-factor form."""
+
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        for k, d in enumerate(torsion):
             if d < 2:
                 raise ValueError(f"torsion coefficient {d} < 2")
-            if k and d % self.torsion[k - 1]:
-                raise ValueError(f"torsion {self.torsion} is not a divisor chain")
+            if k and d % torsion[k - 1]:
+                raise ValueError(f"torsion {torsion} is not a divisor chain")
+        return super().__new__(cls, free_rank, torsion)
 
     def __str__(self):
         parts = []
@@ -190,34 +193,41 @@ class HomologyGroup:
         return self.free_rank == 0 and not self.torsion
 
 
-def direct_sum(groups: Iterable[HomologyGroup]) -> HomologyGroup:
-    """The direct sum, with torsion merged into invariant-factor form
+def direct_sum(groups: Iterable[tuple[int, tuple[int, ...]]]) -> HomologyGroup:
+    """The direct sum of groups given as (free rank, torsion) pairs, such
+    as `HomologyGroup`s, with torsion merged into invariant-factor form
     (Z/2 + Z/3 is Z/6) by one Smith reduction of the diagonal."""
-    groups = list(groups)
-    torsion = [d for h in groups for d in h.torsion]
+    free_rank = 0
+    torsion: list[int] = []
+    for rank, factors in groups:
+        free_rank += rank
+        torsion.extend(factors)
     factors = invariant_factors([{i: d} for i, d in enumerate(torsion)])
-    return HomologyGroup(
-        sum(h.free_rank for h in groups), tuple(d for d in factors if d > 1)
-    )
+    return HomologyGroup(free_rank, tuple(d for d in factors if d > 1))
 
 
-@dataclass
-class IntChainComplex:
+class _Complex(NamedTuple):
+    ranks: tuple[int, ...]
+    boundaries: dict[int, Matrix]
+
+
+class IntChainComplex(_Complex):
     """Free integer chain complex with sparse boundary matrices.
 
     `ranks[k]` is the rank in dimension k; `boundaries[k]` maps dimension
     k to k-1 as `ranks[k]` sparse columns with row indices below
-    `ranks[k-1]`.  Dimension 0 needs no matrix.
+    `ranks[k-1]`.  Dimension 0 needs no matrix, and neither does a map
+    from or to a dimension of rank 0.
     """
 
-    ranks: tuple[int, ...]
-    boundaries: dict[int, Matrix] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for k, mat in self.boundaries.items():
-            if k < 1 or k >= len(self.ranks):
+    def __new__(cls, ranks: tuple[int, ...], boundaries: dict[int, Matrix] | None = None):
+        boundaries = {} if boundaries is None else boundaries
+        for k, mat in boundaries.items():
+            if k < 1 or k >= len(ranks):
                 raise NotAComplex(f"boundary in dimension {k} out of range")
-            rows, cols = self.ranks[k - 1], self.ranks[k]
+            rows, cols = ranks[k - 1], ranks[k]
             if len(mat) != cols or any(
                 col and not 0 <= min(col) <= max(col) < rows for col in mat
             ):
@@ -225,6 +235,7 @@ class IntChainComplex:
                     f"boundary {k} has {len(mat)} columns or a row outside "
                     f"{rows}, expected shape {(rows, cols)}"
                 )
+        return super().__new__(cls, ranks, boundaries)
 
     def boundary(self, k: int) -> Matrix:
         found = self.boundaries.get(k)
@@ -234,8 +245,14 @@ class IntChainComplex:
         return found
 
     def check_composition(self) -> None:
-        """Verify boundary-of-boundary vanishes (sparse column walk)."""
-        for k in range(2, len(self.ranks)):
+        """Verify boundary-of-boundary vanishes (sparse column walk).
+
+        A composite through a dimension of rank 0 is zero, so it is
+        skipped."""
+        ranks = self.ranks
+        for k in range(2, len(ranks)):
+            if not (ranks[k] and ranks[k - 1] and ranks[k - 2]):
+                continue
             lower = self.boundary(k - 1)
             for j, col in enumerate(self.boundary(k)):
                 acc: dict[int, int] = {}
@@ -247,35 +264,40 @@ class IntChainComplex:
                         f"d_{k-1} after d_{k} is nonzero on column {j}"
                     )
 
-    def homology(self) -> list[HomologyGroup]:
-        """Homology in every dimension via Smith invariant factors.
+    def invariants(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(free rank, torsion) of the homology in every dimension, via
+        Smith invariant factors.
 
         The boundaries are reduced from the top down, and d_k skips the
         columns of the k-cells that were unit-pivot rows of d_{k+1}
         (clearing); see the module docstring for why the invariant
-        factors of d_k survive."""
+        factors of d_k survive.  A d_k to a dimension of rank 0 is zero
+        and is skipped."""
         self.check_composition()
-        ranks_of_d = {}
-        torsion_of_d = {}
+        ranks = self.ranks
+        rank_of_d = [0] * (len(ranks) + 1)
+        torsion_of_d: list[tuple[int, ...]] = [()] * (len(ranks) + 1)
         cleared: set[int] = set()
-        for k in range(len(self.ranks) - 1, 0, -1):
-            kept = [col for j, col in enumerate(self.boundary(k)) if j not in cleared]
+        for k in range(len(ranks) - 1, 0, -1):
+            kept = [
+                col for j, col in enumerate(self.boundary(k)) if j not in cleared
+            ] if ranks[k - 1] else []
             cleared = set()
             if kept:
                 factors = invariant_factors(kept, cleared)
-                ranks_of_d[k] = len(factors)
+                rank_of_d[k] = len(factors)
                 torsion_of_d[k] = tuple(d for d in factors if d > 1)
-        out = []
-        for k in range(len(self.ranks)):
-            r_k = ranks_of_d.get(k, 0)
-            r_next = ranks_of_d.get(k + 1, 0)
-            out.append(
-                HomologyGroup(self.ranks[k] - r_k - r_next, torsion_of_d.get(k + 1, ()))
-            )
-        return out
+        return [
+            (ranks[k] - rank_of_d[k] - rank_of_d[k + 1], torsion_of_d[k + 1])
+            for k in range(len(ranks))
+        ]
+
+    def homology(self) -> list[HomologyGroup]:
+        """Homology in every dimension (see `invariants`)."""
+        return [HomologyGroup(*pair) for pair in self.invariants()]
 
 
-def interval_complex(chains: Iterable[tuple]) -> IntChainComplex:
+def interval_complex(chains: Iterable[tuple], dims: int = 0) -> IntChainComplex:
     """The chain complex of the chains of a poset interval.
 
     Each chain runs from a bottom to a top, has distinct inner entries and
@@ -284,12 +306,13 @@ def interval_complex(chains: Iterable[tuple]) -> IntChainComplex:
     inner entry i (0 < i < k) is a face of sign (-1)^i; each dimension's
     basis is its chains in input order.  Dimension k of the homology is
     the reduced homology, in degree k - 2, of the open interval's order
-    complex; a one-entry chain is a point in dimension 0.
+    complex; a one-entry chain is a point in dimension 0.  The ranks are
+    padded with zeros to at least `dims` dimensions.
     """
     by_dim: dict[int, list[tuple]] = {}
     for chain in chains:
         by_dim.setdefault(len(chain) - 1, []).append(chain)
-    found = [by_dim.get(k, []) for k in range(max(by_dim, default=-1) + 1)]
+    found = [by_dim.get(k, []) for k in range(max(max(by_dim, default=-1) + 1, dims))]
     index = {chain: i for listed in found for i, chain in enumerate(listed)}
     boundaries: dict[int, Matrix] = {
         k: [
@@ -297,6 +320,7 @@ def interval_complex(chains: Iterable[tuple]) -> IntChainComplex:
             for chain in found[k]
         ]
         for k in range(2, len(found))
+        if found[k]
     }
     return IntChainComplex(tuple(map(len, found)), boundaries)
 

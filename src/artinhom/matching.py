@@ -1,16 +1,46 @@
 """The two collapse matchings on the classifying-space model, and audits.
 
+A cell [x_1|...|x_n] is read through its suffix products
+P[j] = x_{j+1} ... x_n, the chain x = P[0] > P[1] > ... > P[n] = 1 of
+right divisors of its product x.  Merging x_i with x_{i+1} deletes P[i]
+and keeps every other entry.  Both matchings are one rule on such chains
+(`BarMatching._chain_edge`); a cell is needed only where `partner` names
+the other end of an edge, by right quotients of consecutive entries.
+
 The set D of fundamental elements delta_T (T non-empty, finite type)
-classifies cells.  A cell is depth-essential when every tail product
-x_k...x_n lies in D; the first matching pairs the remaining cells by
-splitting or merging at the depth position, keyed on finishing sets.
-On the depth-essential cells a second matching does the same with the
-maximum-generator condition on the chain of tail sets.  The union is
-graded by (length, flag), the flag being 0 exactly on depth-essential
-cells, and every matched pair preserves the grade.  Matched pairs and
-merge faces also keep the product x of a cell's factors, so
-acyclicity and perfect-matching can be audited one finite (x, flag)
-fiber at a time.
+classifies chains.  The depth d is the least j with P[j-1], ..., P[n-1]
+all in D.  When d > 1 the first matching compares the finishing set R of
+P[d-2] with the tail set I_d of P[d-1] (empty when d = n + 1).  If they
+agree, the chain is collapsible and its edge deletes P[d-1]; otherwise
+its edge comes down from the chain with delta_R inserted between P[d-2]
+and P[d-1].  A chain of depth 1 lies in D down to P[n-1], and the second
+matching does the same with the maximum-generator condition on its tail
+sets I_1 > ... > I_{n+1} = {}: at the depth d of that condition a
+collapsible chain deletes P[d-1], and any other gets delta of I_d plus
+the maximum of I_{d-1} inserted there.  The chains left unmatched are
+the essential ones.  The rule multiplies nothing: it reads membership in
+D and finishing sets, each once per divisor.
+
+The union is graded by (length, flag), the flag being 0 exactly on
+depth-1 chains, and every matched pair keeps the grade and the product
+x, so acyclicity and perfect matching are audited one finite (x, flag)
+fiber at a time, over the chains of [1, x] (`audit_grade`).  The
+incidence of a matched pair is that of the merge face: the lower chain is
+the upper one with inner entry i deleted, of sign (-1)^i.  Distinct
+deletions give distinct chains, so this is the sum of signs over the
+merge faces equal to the lower cell.
+
+Acyclicity needs only the matched upper chains.  Once every chain lies on
+at most one edge, a directed path of the modified face graph (faces point
+down, matched pairs point up) never takes two up-steps in a row: the top
+of an up-step is an upper chain, whose one edge is the one just climbed.
+A cycle returns to its dimension, so it has as many up-steps as
+down-steps; it alternates and lives in two adjacent dimensions (Chari,
+"On discrete Morse functions and combinatorial decompositions", Discrete
+Math. 217, 2000).  Its down-steps leave an upper chain u by a face
+f != M(u) and its up-steps climb from f to M(f).  So the fiber is acyclic
+exactly when the graph on matched upper chains with u -> M(f), for every
+inner face f != M(u) of u that is matched upward, has no cycle.
 
 The paper trail for the two constructions defines only the collapsible
 (upper) side; the inverse splits used here are completed so that the
@@ -21,19 +51,21 @@ graph acyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .artin import ArtinMonoid
-from .bar import BarCell, factorizations, merge_faces
+from .bar import BarCell
 from .coxeter import Word
 from .errors import AuditFailure, InfiniteType, InternalError
 
 Grade = tuple[int, int]
+# the suffix products of a cell: x = P[0] > ... > P[n] = 1
+Chain = tuple[Word, ...]
+# (upper chain, lower chain, kind)
+ChainEdge = tuple[Chain, Chain, str]
 
 
-@dataclass(frozen=True)
-class MatchEdge:
+class MatchEdge(NamedTuple):
     """A matched pair: `lower` is the merge of `upper` at the depth slot."""
 
     upper: BarCell
@@ -41,16 +73,39 @@ class MatchEdge:
     kind: str  # "M1" or "M2"
 
 
-@dataclass
 class GradeAudit:
-    grade: Grade
-    cells: int = 0
-    edges: int = 0
-    essential: list[BarCell] = field(default_factory=list)
+    """The cells, edges and essential cells one grade's audit counted."""
+
+    __slots__ = ("grade", "cells", "edges", "essential")
+    __hash__ = None
+
+    def __init__(
+        self,
+        grade: Grade,
+        cells: int = 0,
+        edges: int = 0,
+        essential: list[BarCell] | None = None,
+    ):
+        self.grade = grade
+        self.cells = cells
+        self.edges = edges
+        self.essential = [] if essential is None else essential
+
+    def _values(self) -> tuple:
+        return self.grade, self.cells, self.edges, self.essential
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "GradeAudit(grade={!r}, cells={!r}, edges={!r}, essential={!r})".format(
+            *self._values()
+        )
 
 
-@dataclass
-class LengthAudit:
+class LengthAudit(NamedTuple):
     """The audits of the grades (length, 0) and (length, 1), in that order."""
 
     grades: tuple[GradeAudit, GradeAudit]
@@ -60,29 +115,37 @@ class LengthAudit:
         return sum(audit.cells for audit in self.grades)
 
 
-class BarMatching:
-    """Cell classification and partner computation for one monoid.
+def _first_difference(first: Chain, second: Chain) -> int:
+    """The first index where the chains differ, or the shorter length."""
+    for i, (p, q) in enumerate(zip(first, second)):
+        if p != q:
+            return i
+    return min(len(first), len(second))
 
-    `partner` is the one entry point that takes a bare cell: it computes
-    the cell's suffix products once and hands them to the private
-    helpers, which the audit also calls with the products that
-    `factorizations` already built.  A cell's flag is 0 exactly when its
-    partner is None or an "M2" edge.
+
+def _deletion_sign(upper: Chain, lower: Chain) -> int:
+    """(-1)^i when `lower` is `upper` with inner entry i deleted, else 0;
+    `upper` is one entry longer."""
+    i = _first_difference(upper, lower)
+    return (-1) ** i if 0 < i < len(lower) and upper[i + 1 :] == lower[i:] else 0
+
+
+class BarMatching:
+    """Chain classification and partner computation for one monoid.
+
+    `_chain_edge` is the matching; `partner` serves it to callers that
+    hold cells, and `audit_grade` runs it over every chain of a length.
+    A chain's flag is 0 exactly when its edge is None or an "M2" edge.
     """
 
     def __init__(self, mon: ArtinMonoid):
         self.mon = mon
         self.system = mon.system
-        self._delta_of: dict[Word, frozenset[str]] | None = None
-
-    @property
-    def delta_of(self) -> dict[Word, frozenset[str]]:
-        """Map from each fundamental element to its generating subset."""
-        if self._delta_of is None:
-            self._delta_of = {
-                delta: T for T, delta in self.mon.deltas().items()
-            }
-        return self._delta_of
+        # each fundamental element -> its generating subset
+        self.delta_of: dict[Word, frozenset[str]] = {
+            delta: T for T, delta in mon.deltas().items()
+        }
+        self._finishing: dict[Word, frozenset[str]] = {}
 
     # -- tail data ----------------------------------------------------------
 
@@ -101,18 +164,13 @@ class BarMatching:
             j -= 1
         return j
 
-    def _m1_target(self, products: Sequence[Word], d: int) -> frozenset[str]:
-        """I_d, the tail set the finishing set is compared with at depth d."""
-        return self.delta_of[products[d - 1]] if d < len(products) else frozenset()
+    def _finishing_set(self, p: Word) -> frozenset[str]:
+        found = self._finishing.get(p)
+        if found is None:
+            found = self._finishing[p] = self.mon.finishing_set(p)
+        return found
 
-    def _m1_edge(self, cell: BarCell, products: Sequence[Word]) -> MatchEdge:
-        d = self._depth(products)
-        R = self.mon.finishing_set(products[d - 2])
-        if R == self._m1_target(products, d):
-            return MatchEdge(cell, self._merge_at(cell, d), "M1")
-        return MatchEdge(self._split_at(cell, products, d, R), cell, "M1")
-
-    # -- the second matching, on depth-essential cells -----------------------
+    # -- the second matching, on depth-1 chains ------------------------------
 
     def _sets(self, products: Sequence[Word]) -> list[frozenset[str]]:
         """I_1 .. I_{n+1} for a depth-essential cell (strictly decreasing)."""
@@ -137,51 +195,67 @@ class BarMatching:
         key = self.system.index
         return max(sets[d - 2], key=key) == max(sets[d - 1], key=key)
 
-    def _m2_edge(self, cell: BarCell, products: Sequence[Word]) -> MatchEdge | None:
-        sets = self._sets(products)
-        d = self._max_depth(sets)
+    # -- the matching on chains ---------------------------------------------
+
+    def _chain_edge(self, chain: Chain) -> ChainEdge | None:
+        """The matched edge through a chain, None when it is essential.
+
+        A collapsible chain is the upper end and loses P[d-1]; any other
+        is the lower end of the chain with delta of the target set
+        inserted before P[d-1] (see the module docstring)."""
+        d = self._depth(chain)
         if d == 1:
-            return None
-        if self._m2_collapsible(sets, d):
-            return MatchEdge(cell, self._merge_at(cell, d), "M2")
-        top = max(sets[d - 2], key=self.system.index)
-        upper = self._split_at(cell, products, d, sets[d - 1] | {top})
-        return MatchEdge(upper, cell, "M2")
-
-    def partner(self, cell: BarCell) -> MatchEdge | None:
-        """The unique matched edge containing the cell, None if essential."""
-        return self._edge(cell, self.suffix_products(cell))
-
-    def _edge(self, cell: BarCell, products: Sequence[Word]) -> MatchEdge | None:
-        if self._depth(products) == 1:
-            return self._m2_edge(cell, products)
-        return self._m1_edge(cell, products)
-
-    # -- edge construction ----------------------------------------------------
-
-    def _merge_at(self, cell: BarCell, d: int) -> BarCell:
-        return (
-            cell[: d - 2]
-            + (self.mon.mul(cell[d - 2], cell[d - 1]),)
-            + cell[d:]
-        )
-
-    def _split_at(
-        self, cell: BarCell, products: Sequence[Word], d: int, target: frozenset[str]
-    ) -> BarCell:
-        """Split x_{d-1} = beta * y so the new tail product equals delta(target)."""
+            sets = self._sets(chain)
+            d = self._max_depth(sets)
+            if d == 1:
+                return None
+            kind = "M2"
+            if self._m2_collapsible(sets, d):
+                return chain, chain[: d - 1] + chain[d:], kind
+            target = sets[d - 1] | {max(sets[d - 2], key=self.system.index)}
+        else:
+            kind = "M1"
+            target = self._finishing_set(chain[d - 2])
+            tail = self.delta_of[chain[d - 1]] if d < len(chain) else frozenset()
+            if target == tail:
+                return chain, chain[: d - 1] + chain[d:], kind
         delta = self.mon.deltas().get(target)
         if delta is None:
             raise InternalError(f"no fundamental element on {sorted(target)}")
-        y = self.mon.right_quotient(delta, products[d - 1])
-        if y is None:
-            raise InternalError(
-                f"tail of {cell} does not divide delta of {sorted(target)}"
-            )
-        beta = self.mon.right_quotient(cell[d - 2], y)
-        if beta is None or not beta:
-            raise InternalError(f"degenerate split of {cell} at position {d}")
-        return cell[: d - 2] + (beta, y) + cell[d - 1 :]
+        return chain[: d - 1] + (delta,) + chain[d - 1 :], chain, kind
+
+    def _cell_of(self, chain: Chain) -> BarCell:
+        """The cell whose suffix products are the chain: the right
+        quotients of its consecutive entries."""
+        factors = []
+        for above, below in zip(chain, chain[1:]):
+            factor = self.mon.right_quotient(above, below)
+            if not factor:
+                raise InternalError(
+                    f"{below} is not a proper right divisor of {above} in {chain}"
+                )
+            factors.append(factor)
+        return tuple(factors)
+
+    def partner(self, cell: BarCell) -> MatchEdge | None:
+        """The unique matched edge containing the cell, None if essential.
+
+        The other end differs from the cell's chain by one entry, so only
+        the factors around that entry are recomputed."""
+        chain = tuple(self.suffix_products(cell))
+        edge = self._chain_edge(chain)
+        if edge is None:
+            return None
+        upper, lower, kind = edge
+        if upper == chain:
+            # the lower end drops chain[i], so x_i and x_{i+1} merge
+            i = _first_difference(chain, lower)
+            merged = self._cell_of(lower[i - 1 : i + 1])
+            return MatchEdge(cell, cell[: i - 1] + merged + cell[i + 1 :], kind)
+        # the upper end inserts upper[i], so x_i splits in two
+        i = _first_difference(chain, upper)
+        split = self._cell_of(upper[i - 1 : i + 2])
+        return MatchEdge(cell[: i - 1] + split + cell[i:], cell, kind)
 
     # -- grading and per-fiber audits ------------------------------------------
 
@@ -205,6 +279,24 @@ class BarMatching:
     def essential_cells(self) -> dict[frozenset[str], BarCell]:
         return {T: self.essential_cell(T) for T in self.system.sf()}
 
+    def _chains(self, x: Word) -> list[Chain]:
+        """The chains x = P[0] > ... > P[n] = 1 of right divisors of x, one
+        per factorization, read off the quotients q of x's splits d * q."""
+        if not x:
+            return [((),)]
+        memo: dict[Word, list[Chain]] = {}
+
+        def of(y: Word) -> list[Chain]:
+            found = memo.get(y)
+            if found is None:
+                found = [(y, ())]
+                for _, q in self.mon.left_splits(y):
+                    found.extend((y,) + tail for tail in of(q))
+                memo[y] = found
+            return found
+
+        return of(x)
+
     def audit_grade(
         self, length: int, edges: set[MatchEdge] | None = None
     ) -> LengthAudit:
@@ -214,107 +306,114 @@ class BarMatching:
 
         Merge faces and matched edges keep the product x of a cell's
         factors, so the grades are audited one (x, flag) fiber at a time,
-        in one pass over the elements x of this length.  `edges`, when
-        given, is audited in place of the matching's own edges.
+        in one pass over the elements x of this length and the chains of
+        each.  `edges`, when given, is audited in place of the matching's
+        own edges.
         """
         audits = (GradeAudit((length, 0)), GradeAudit((length, 1)))
-        given: dict[Word, set[MatchEdge]] | None = None
+        given: dict[Word, set[ChainEdge]] | None = None
         if edges is not None:
             given = {}
             for edge in edges:
-                given.setdefault(self.mon.mul(*edge.lower), set()).add(edge)
+                upper = tuple(self.suffix_products(edge.upper))
+                lower = tuple(self.suffix_products(edge.lower))
+                given.setdefault(lower[0], set()).add((upper, lower, edge.kind))
         for x in self.mon.elements_of_length(length):
-            # cell -> (flag, essential, suffix products)
-            cells: dict[BarCell, tuple[int, bool, tuple[Word, ...]]] = {}
-            own: set[MatchEdge] = set()
-            for cell, products in factorizations(self.mon, x):
-                depth_essential = self._depth(products) == 1
-                essential = (
-                    depth_essential and self._max_depth(self._sets(products)) == 1
-                )
-                cells[cell] = (0 if depth_essential else 1, essential, products)
-                if given is None and not essential:
-                    own.add(self._edge(cell, products))
+            flag_of: dict[Chain, int] = {}
+            essential: set[Chain] = set()
+            own: set[ChainEdge] = set()
+            for chain in self._chains(x):
+                edge = self._chain_edge(chain)
+                if edge is None:
+                    flag_of[chain] = 0
+                    essential.add(chain)
+                else:
+                    flag_of[chain] = 0 if edge[2] == "M2" else 1
+                    own.add(edge)
             fiber_edges = own if given is None else given.pop(x, set())
-            self._audit_fiber(length, cells, fiber_edges, audits)
+            self._audit_fiber(length, flag_of, essential, fiber_edges, audits)
         if given:
-            edge = next(iter(next(iter(given.values()))))
+            _, lower, _ = next(iter(next(iter(given.values()))))
             raise AuditFailure(
-                f"length {length}: edge endpoint {edge.lower} escapes the length"
+                f"length {length}: edge endpoint {self._cell_of(lower)} escapes the length"
             )
         return LengthAudit(audits)
 
-    def _audit_fiber(self, length, cells, edges, audits) -> None:
-        """Audit the cells of one x, split by flag, with their edges."""
-        occurrences: dict[BarCell, int] = {}
-        for edge in edges:
-            grade = (length, cells[edge.lower][0] if edge.lower in cells else 1)
-            if len(edge.upper) != len(edge.lower) + 1:
-                raise AuditFailure(f"{grade}: edge {edge} is not codimension 1")
-            incidence = sum(
-                sign for sign, face in merge_faces(self.mon, edge.upper)
-                if face == edge.lower
-            )
+    def _audit_fiber(self, length, flag_of, essential, edges, audits) -> None:
+        """Audit the chains of one x, split by flag, with their edges.
+
+        `flag_of` maps every chain of [1, x] to its flag, in the order of
+        the walk, and `essential` holds the unmatched ones."""
+        occurrences: dict[Chain, int] = {}
+        matched: tuple[list, list] = ([], [])
+        for upper, lower, kind in edges:
+            flag = flag_of.get(lower, 1)
+            if len(upper) != len(lower) + 1:
+                edge = MatchEdge(self._cell_of(upper), self._cell_of(lower), kind)
+                raise AuditFailure(f"{(length, flag)}: edge {edge} is not codimension 1")
+            incidence = _deletion_sign(upper, lower)
             if incidence not in (1, -1):
                 raise AuditFailure(
-                    f"{grade}: matched face of {edge.upper} has incidence {incidence}"
+                    f"{(length, flag)}: matched face of {self._cell_of(upper)} "
+                    f"has incidence {incidence}"
                 )
-            for endpoint in (edge.upper, edge.lower):
+            for endpoint in (upper, lower):
                 occurrences[endpoint] = occurrences.get(endpoint, 0) + 1
-                if endpoint not in cells or cells[endpoint][0] != grade[1]:
+                if flag_of.get(endpoint) != flag:
                     raise AuditFailure(
-                        f"{grade}: edge endpoint {endpoint} escapes the fiber"
+                        f"{(length, flag)}: edge endpoint {self._cell_of(endpoint)} "
+                        "escapes the fiber"
                     )
-            expected = "M2" if grade[1] == 0 else "M1"
-            if edge.kind != expected:
-                raise AuditFailure(f"{grade}: edge {edge} has kind {edge.kind}")
-            audits[grade[1]].edges += 1
-        for cell, count in occurrences.items():
+            if kind != ("M2" if flag == 0 else "M1"):
+                edge = MatchEdge(self._cell_of(upper), self._cell_of(lower), kind)
+                raise AuditFailure(f"{(length, flag)}: edge {edge} has kind {kind}")
+            audits[flag].edges += 1
+            matched[flag].append((upper, lower))
+        for chain, count in occurrences.items():
             if count > 1:
                 raise AuditFailure(
-                    f"{(length, cells[cell][0])}: cell {cell} lies on {count} edges"
+                    f"{(length, flag_of[chain])}: cell {self._cell_of(chain)} "
+                    f"lies on {count} edges"
                 )
-        for cell, (flag, essential, _) in cells.items():
-            matched = cell in occurrences
-            if essential and matched:
-                raise AuditFailure(f"{(length, flag)}: essential cell {cell} is matched")
-            if not essential and not matched:
-                raise AuditFailure(f"{(length, flag)}: cell {cell} is unmatched")
+        for chain, flag in flag_of.items():
+            if chain in essential:
+                if chain in occurrences:
+                    raise AuditFailure(
+                        f"{(length, flag)}: essential cell {self._cell_of(chain)} is matched"
+                    )
+                audits[flag].essential.append(self._cell_of(chain))
+            elif chain not in occurrences:
+                raise AuditFailure(
+                    f"{(length, flag)}: cell {self._cell_of(chain)} is unmatched"
+                )
             audits[flag].cells += 1
-            if essential:
-                audits[flag].essential.append(cell)
         for flag in (0, 1):
-            self._check_fiber_acyclic(
-                (length, flag),
-                {products: cell for cell, (f, _, products) in cells.items() if f == flag},
-                {
-                    (cells[edge.upper][2], cells[edge.lower][2])
-                    for edge in edges
-                    if cells[edge.lower][0] == flag
-                },
-            )
+            self._check_fiber_acyclic((length, flag), self._cell_of, matched[flag])
 
-    def _check_fiber_acyclic(self, grade, cell_of, reversed_pairs) -> None:
-        """Kahn's sort of one (x, flag) fiber, keyed by suffix products.
+    def _check_fiber_acyclic(
+        self,
+        grade: Grade,
+        cell_of: Callable[[Chain], BarCell],
+        matched: Iterable[tuple[Chain, Chain]],
+    ) -> None:
+        """Kahn's sort of the matched upper chains of one (x, flag) fiber,
+        given as (upper, lower) pairs, with u -> M(f) for every inner face
+        f != M(u) of u that is matched upward.
 
-        Merging x_i with x_{i+1} deletes P[i], so the faces inside the
-        fiber are found by deletion; matched pairs point upwards.
+        Exact once every chain lies on at most one edge and every lower
+        chain is a face of its upper one (see the module docstring).
+        `cell_of` names the chains of a cycle in the failure message.
         """
-        successors: dict[tuple[Word, ...], list[tuple[Word, ...]]] = {
-            node: [] for node in cell_of
-        }
-        indegree = dict.fromkeys(cell_of, 0)
-        for node in cell_of:
-            for i in range(1, len(node) - 1):
-                face = node[:i] + node[i + 1 :]
-                if face not in cell_of:
-                    continue
-                if (node, face) in reversed_pairs:
-                    source, target = face, node
-                else:
-                    source, target = node, face
-                successors[source].append(target)
-                indegree[target] += 1
+        upper_of = {lower: upper for upper, lower in matched}
+        successors: dict[Chain, list[Chain]] = {upper: [] for upper in upper_of.values()}
+        indegree = dict.fromkeys(successors, 0)
+        for lower, upper in upper_of.items():
+            for i in range(1, len(upper) - 1):
+                face = upper[:i] + upper[i + 1 :]
+                target = upper_of.get(face)
+                if target is not None and face != lower:
+                    successors[upper].append(target)
+                    indegree[target] += 1
         queue = [node for node, degree in indegree.items() if degree == 0]
         visited = 0
         while queue:
@@ -324,9 +423,9 @@ class BarMatching:
                 indegree[target] -= 1
                 if indegree[target] == 0:
                     queue.append(target)
-        if visited != len(cell_of):
+        if visited != len(indegree):
             stuck = sorted(
-                (cell_of[node] for node, degree in indegree.items() if degree > 0),
+                (cell_of(node) for node, degree in indegree.items() if degree > 0),
                 key=lambda c: (len(c), c),
             )
             raise AuditFailure(

@@ -20,7 +20,7 @@ rotation and inversion of the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bar import BarCell, boundary
 from .coxeter import Word, alternating_word
@@ -108,8 +108,7 @@ def morse_boundary(
     return out
 
 
-@dataclass
-class MorseComplex:
+class MorseComplex(NamedTuple):
     """The reduced complex: one cell per finite-type subset.
 
     `essential` maps each subset to the essential bar cell it labels.

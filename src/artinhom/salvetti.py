@@ -34,8 +34,7 @@ whose (e, R) is not in the poset, has its own homologies computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coxeter import CoxeterSystem, Word, alternating_word
 from .errors import CheckFailed, InfiniteM, InfiniteType
@@ -44,18 +43,26 @@ from .homology import HomologyGroup, interval_complex
 SalCell = tuple[Word, frozenset]
 
 
-@dataclass
 class SalvettiPoset:
-    system: CoxeterSystem
-    cells: list[SalCell]
+    """The cells of a poset of cosets-with-types, with its order listed
+    on demand."""
 
-    def __post_init__(self):
+    __hash__ = None
+
+    def __init__(self, system: CoxeterSystem, cells: list[SalCell]):
+        self.system = system
+        self.cells = cells
         self._members = frozenset(self.cells)
         self._subsets = self.system.sf()
         self._below: dict[SalCell, tuple[SalCell, ...]] = {}
         self._minimal_in: dict[frozenset, list[tuple[Word, list[frozenset]]]] = {}
         # reduced cell -> (closed, strict) homologies of its down-set
         self._pair_homology: dict[SalCell, tuple[list, list]] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.system, self.cells) == (other.system, other.cells)
 
     def dim(self, cell: SalCell) -> int:
         return len(cell[1])
@@ -126,8 +133,7 @@ def order_complex(
     return out
 
 
-@dataclass
-class PairCheck:
+class PairCheck(NamedTuple):
     cell: SalCell
     closed_size: int
     strict_size: int

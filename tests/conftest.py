@@ -17,8 +17,10 @@ from itertools import combinations
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
-from artinhom.bar import cell_length, factorizations
+from artinhom.bar import cell_length, merge_faces
+from artinhom.errors import AuditFailure, InternalError
 from artinhom.homology import interval_complex
+from artinhom.matching import GradeAudit, LengthAudit, MatchEdge
 
 
 def make_a2():
@@ -55,6 +57,10 @@ def make_g2():
 
 def make_a1a1a1():
     return CoxeterSystem("abc", {})
+
+
+def make_b2a1():
+    return CoxeterSystem("abc", {("a", "b"): 4})
 
 
 def make_affine_a2():
@@ -288,6 +294,16 @@ class BraidClassMonoid:
                 quotient.setdefault(self.canon(w[:k]), self.canon(w[k:]))
         return sorted(quotient.items(), key=lambda pair: self.system.key(pair[0]))
 
+    def left_quotient(self, x, d):
+        d = self.canon(d)
+        for w in self.braid_class(x):
+            if len(d) <= len(w) and self.canon(w[: len(d)]) == d:
+                return self.canon(w[len(d) :])
+        return None
+
+    def starting_set(self, x):
+        return frozenset(w[0] for w in self.braid_class(x) if w)
+
     def finishing_set(self, x):
         return frozenset(w[-1] for w in self.braid_class(x) if w)
 
@@ -430,6 +446,29 @@ def iter_cells_of_grade(mon, n):
                 yield (x,) + rest
 
 
+def factorizations(mon, x):
+    """All cells whose product is x, i.e. the ordered factorizations of x
+    into non-identity elements, each with its suffix products
+    P[j] = x_{j+1} ... x_n for j = 0..n (so P[0] = x and P[n] = 1).
+
+    Splitting y = d * q puts d in front of each factorization of q and q
+    in front of its suffix products, so no products are multiplied out.
+    """
+    memo = {}
+
+    def of(y):
+        found = memo.get(y)
+        if found is None:
+            found = [((y,), (y, ()))]
+            for d, q in mon.left_splits(y):
+                found.extend(((d,) + cell, (y,) + tail) for cell, tail in of(q))
+            memo[y] = found
+        return found
+
+    x = mon.canon(x)
+    return of(x) if x else [((), ((),))]
+
+
 def full_fiber_complex(mon, x):
     """The fiber of x on every factorization: the `interval_complex` of
     their suffix products x = P[0] > ... > P[n] = 1, so each dimension's
@@ -491,3 +530,204 @@ def sal_leq(system, low, high):
     if not set(quotient) <= R:
         return False
     return system.is_t_minimal(quotient, T)
+
+
+# -- the matchings on cells: the reference for `BarMatching` -------------------
+
+
+class CellMatching:
+    """The two collapse matchings and their audit, computed on cells: the
+    reference for `BarMatching`, which computes them on chains of suffix
+    products.
+
+    Edges are found by merging two factors (`_merge_at`) or splitting one
+    by right quotients (`_split_at`), the incidence of a matched pair by
+    multiplying out every merge face of its upper cell, and acyclicity by
+    Kahn's sort of the whole face graph of each (x, flag) fiber.  It
+    shares only the monoid and the merge faces with the library.
+    """
+
+    def __init__(self, mon):
+        self.mon = mon
+        self.system = mon.system
+        self.delta_of = {delta: T for T, delta in mon.deltas().items()}
+
+    def suffix_products(self, cell):
+        products = [()] * (len(cell) + 1)
+        for j in range(len(cell) - 1, -1, -1):
+            products[j] = self.mon.mul(cell[j], products[j + 1])
+        return products
+
+    def _depth(self, products):
+        j = len(products)
+        while j > 1 and products[j - 2] in self.delta_of:
+            j -= 1
+        return j
+
+    def _m1_target(self, products, d):
+        return self.delta_of[products[d - 1]] if d < len(products) else frozenset()
+
+    def _m1_edge(self, cell, products):
+        d = self._depth(products)
+        R = self.mon.finishing_set(products[d - 2])
+        if R == self._m1_target(products, d):
+            return MatchEdge(cell, self._merge_at(cell, d), "M1")
+        return MatchEdge(self._split_at(cell, products, d, R), cell, "M1")
+
+    def _sets(self, products):
+        return [self.delta_of[p] for p in products[:-1]] + [frozenset()]
+
+    def _chain_step_ok(self, sets, k):
+        removed = sets[k - 1] - sets[k]
+        return len(removed) == 1 and next(iter(removed)) == max(
+            sets[k - 1], key=self.system.index
+        )
+
+    def _max_depth(self, sets):
+        j = len(sets)
+        while j > 1 and self._chain_step_ok(sets, j - 1):
+            j -= 1
+        return j
+
+    def _m2_collapsible(self, sets, d):
+        if d < 2 or d >= len(sets):
+            return False
+        key = self.system.index
+        return max(sets[d - 2], key=key) == max(sets[d - 1], key=key)
+
+    def _m2_edge(self, cell, products):
+        sets = self._sets(products)
+        d = self._max_depth(sets)
+        if d == 1:
+            return None
+        if self._m2_collapsible(sets, d):
+            return MatchEdge(cell, self._merge_at(cell, d), "M2")
+        top = max(sets[d - 2], key=self.system.index)
+        upper = self._split_at(cell, products, d, sets[d - 1] | {top})
+        return MatchEdge(upper, cell, "M2")
+
+    def partner(self, cell):
+        return self._edge(cell, self.suffix_products(cell))
+
+    def _edge(self, cell, products):
+        if self._depth(products) == 1:
+            return self._m2_edge(cell, products)
+        return self._m1_edge(cell, products)
+
+    def _merge_at(self, cell, d):
+        return cell[: d - 2] + (self.mon.mul(cell[d - 2], cell[d - 1]),) + cell[d:]
+
+    def _split_at(self, cell, products, d, target):
+        """Split x_{d-1} = beta * y so the new tail product equals delta(target)."""
+        delta = self.mon.deltas().get(target)
+        if delta is None:
+            raise InternalError(f"no fundamental element on {sorted(target)}")
+        y = self.mon.right_quotient(delta, products[d - 1])
+        if y is None:
+            raise InternalError(f"tail of {cell} does not divide delta of {sorted(target)}")
+        beta = self.mon.right_quotient(cell[d - 2], y)
+        if beta is None or not beta:
+            raise InternalError(f"degenerate split of {cell} at position {d}")
+        return cell[: d - 2] + (beta, y) + cell[d - 1 :]
+
+    def audit_grade(self, length, edges=None):
+        audits = (GradeAudit((length, 0)), GradeAudit((length, 1)))
+        given = None
+        if edges is not None:
+            given = {}
+            for edge in edges:
+                given.setdefault(self.mon.mul(*edge.lower), set()).add(edge)
+        for x in self.mon.elements_of_length(length):
+            # cell -> (flag, essential, suffix products)
+            cells = {}
+            own = set()
+            for cell, products in factorizations(self.mon, x):
+                depth_essential = self._depth(products) == 1
+                essential = depth_essential and self._max_depth(self._sets(products)) == 1
+                cells[cell] = (0 if depth_essential else 1, essential, products)
+                if given is None and not essential:
+                    own.add(self._edge(cell, products))
+            fiber_edges = own if given is None else given.pop(x, set())
+            self._audit_fiber(length, cells, fiber_edges, audits)
+        if given:
+            edge = next(iter(next(iter(given.values()))))
+            raise AuditFailure(f"length {length}: edge endpoint {edge.lower} escapes the length")
+        return LengthAudit(audits)
+
+    def _audit_fiber(self, length, cells, edges, audits):
+        occurrences = {}
+        for edge in edges:
+            grade = (length, cells[edge.lower][0] if edge.lower in cells else 1)
+            if len(edge.upper) != len(edge.lower) + 1:
+                raise AuditFailure(f"{grade}: edge {edge} is not codimension 1")
+            incidence = sum(
+                sign for sign, face in merge_faces(self.mon, edge.upper) if face == edge.lower
+            )
+            if incidence not in (1, -1):
+                raise AuditFailure(
+                    f"{grade}: matched face of {edge.upper} has incidence {incidence}"
+                )
+            for endpoint in (edge.upper, edge.lower):
+                occurrences[endpoint] = occurrences.get(endpoint, 0) + 1
+                if endpoint not in cells or cells[endpoint][0] != grade[1]:
+                    raise AuditFailure(f"{grade}: edge endpoint {endpoint} escapes the fiber")
+            expected = "M2" if grade[1] == 0 else "M1"
+            if edge.kind != expected:
+                raise AuditFailure(f"{grade}: edge {edge} has kind {edge.kind}")
+            audits[grade[1]].edges += 1
+        for cell, count in occurrences.items():
+            if count > 1:
+                raise AuditFailure(
+                    f"{(length, cells[cell][0])}: cell {cell} lies on {count} edges"
+                )
+        for cell, (flag, essential, _) in cells.items():
+            matched = cell in occurrences
+            if essential and matched:
+                raise AuditFailure(f"{(length, flag)}: essential cell {cell} is matched")
+            if not essential and not matched:
+                raise AuditFailure(f"{(length, flag)}: cell {cell} is unmatched")
+            audits[flag].cells += 1
+            if essential:
+                audits[flag].essential.append(cell)
+        for flag in (0, 1):
+            self._check_fiber_acyclic(
+                (length, flag),
+                {products: cell for cell, (f, _, products) in cells.items() if f == flag},
+                {
+                    (cells[edge.upper][2], cells[edge.lower][2])
+                    for edge in edges
+                    if cells[edge.lower][0] == flag
+                },
+            )
+
+    def _check_fiber_acyclic(self, grade, cell_of, reversed_pairs):
+        """Kahn's sort of one whole (x, flag) fiber, keyed by suffix
+        products: faces point down, except matched pairs, which point up."""
+        successors = {node: [] for node in cell_of}
+        indegree = dict.fromkeys(cell_of, 0)
+        for node in cell_of:
+            for i in range(1, len(node) - 1):
+                face = node[:i] + node[i + 1 :]
+                if face not in cell_of:
+                    continue
+                if (node, face) in reversed_pairs:
+                    source, target = face, node
+                else:
+                    source, target = node, face
+                successors[source].append(target)
+                indegree[target] += 1
+        queue = [node for node, degree in indegree.items() if degree == 0]
+        visited = 0
+        while queue:
+            node = queue.pop()
+            visited += 1
+            for target in successors[node]:
+                indegree[target] -= 1
+                if indegree[target] == 0:
+                    queue.append(target)
+        if visited != len(cell_of):
+            stuck = sorted(
+                (cell_of[node] for node, degree in indegree.items() if degree > 0),
+                key=lambda c: (len(c), c),
+            )
+            raise AuditFailure(f"{grade}: matched fiber graph has a cycle through {stuck[:4]}")

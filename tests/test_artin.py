@@ -352,6 +352,7 @@ class TestAgainstBraidClasses:
                 assert mon.canon(x) == oracle.canon(x), (mon.system.gens, x)
                 assert mon.rev(x) == oracle.rev(x), (mon.system.gens, x)
                 assert mon.finishing_set(x) == oracle.finishing_set(x), (mon.system.gens, x)
+                assert mon.starting_set(x) == oracle.starting_set(x), (mon.system.gens, x)
                 if len(x) + len(y) <= 10:
                     assert mon.mul(x, y) == oracle.canon(x + y), (mon.system.gens, x, y)
 
@@ -364,6 +365,7 @@ class TestAgainstBraidClasses:
                         assert mon.left_divides(x, y) == oracle.left_divides(x, y), args
                         assert mon.right_divides(x, y) == oracle.right_divides(x, y), args
                         assert mon.right_quotient(y, x) == oracle.right_quotient(y, x), args
+                        assert mon.left_quotient(y, x) == oracle.left_quotient(y, x), args
                 assert mon.left_splits(y) == oracle.left_splits(y), (mon.system.gens, y)
 
     def test_normal_form_and_gcd(self, cases):

@@ -4,7 +4,6 @@ from artinhom import ArtinMonoid
 from artinhom.bar import (
     boundary,
     cell_length,
-    factorizations,
     faces,
     fiber_complex,
     merge_faces,
@@ -12,6 +11,8 @@ from artinhom.bar import (
 from artinhom.homology import HomologyGroup
 from artinhom.matching import BarMatching
 from conftest import (
+    BraidClassMonoid,
+    factorizations,
     full_fiber_complex,
     grade,
     iter_cells_of_grade,
@@ -183,11 +184,20 @@ class TestFibers:
     )
     def test_core_fiber_has_the_homology_of_the_full_fiber(self, maker, top):
         mon = ArtinMonoid(maker())
+        oracle = BraidClassMonoid(mon.system)
+        # whether (1, x) has a greatest or least element, so that its core
+        # is that element, read off the braid class of x
+        extreme = set()
         for n in range(top + 1):
             for x in mon.elements_of_length(n):
                 core = fiber_complex(mon, x)
                 assert len(core.ranks) == n + 1, x
                 assert core.homology() == full_fiber_complex(mon, x).homology(), x
+                if n >= 2:
+                    words = oracle.braid_class(x)
+                    letters = {w[0] for w in words}, {w[-1] for w in words}
+                    extreme.add(1 in map(len, letters))
+        assert extreme == {True, False}
 
 
 class TestEta:

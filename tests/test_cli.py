@@ -302,6 +302,21 @@ class TestJsonLines:
         assert [r["record"] for r in records] == ["meta", "error"]
         assert records[-1]["code"] == "usage"
 
+    def test_usage_error_under_an_abbreviated_format_option(self, a2_file, capsys):
+        # argparse takes --form for --format, and so does the error report
+        assert main(["--system", a2_file, "--form", "jsonl", "boundary2", "a"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["record"] for r in records] == ["meta", "error"]
+        assert records[-1]["code"] == "usage"
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # both cost start-up time in every command and the package needs neither
+    code = "import sys, artinhom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = run_child(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
 
 B2_TEXT = "gens: a b\nm a b 4\n"
 # B2 `--format jsonl` records after the meta line, pinned as they were

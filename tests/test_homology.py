@@ -235,6 +235,14 @@ class TestChainComplexes:
         with pytest.raises(NotAComplex):
             bad.homology()
 
+    def test_composition_validation_across_a_zero_rank_dimension(self):
+        # dimension 1 has rank 0, yet d_3 after d_4 is not zero
+        bad = IntChainComplex((1, 0, 1, 1, 1), {3: columns([[1]]), 4: columns([[1]])})
+        with pytest.raises(NotAComplex):
+            bad.check_composition()
+        with pytest.raises(NotAComplex):
+            bad.homology()
+
     def test_projective_plane(self):
         complex_ = IntChainComplex((1, 1, 1), {1: columns([[0]]), 2: columns([[2]])})
         assert complex_.homology() == dense_homology(complex_)

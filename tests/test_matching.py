@@ -1,9 +1,41 @@
+import random
+
 import pytest
 
+from artinhom import ArtinMonoid
 from artinhom.bar import cell_length
 from artinhom.errors import AuditFailure, InfiniteType
 from artinhom.matching import BarMatching, MatchEdge
-from conftest import grade, iter_cells_of_grade, tail_data
+from conftest import (
+    CellMatching,
+    factorizations,
+    grade,
+    iter_cells_of_grade,
+    make_a1a1a1,
+    make_a2,
+    make_a3,
+    make_affine_a2,
+    make_ainf,
+    make_b2,
+    make_b2a1,
+    make_g2,
+    make_i25,
+    tail_data,
+)
+
+# systems and the lengths to which the chain rule is checked against the
+# cell rule of `conftest.CellMatching`
+ORACLE_SYSTEMS = {
+    "A2": (make_a2, 7),
+    "B2": (make_b2, 7),
+    "I2(5)": (make_i25, 7),
+    "G2": (make_g2, 7),
+    "affine-A2": (make_affine_a2, 7),
+    "A1xA1xA1": (make_a1a1a1, 7),
+    "B2xA1": (make_b2a1, 7),
+    "A-inf": (make_ainf, 7),
+    "A3": (make_a3, 6),
+}
 
 
 def W(text):
@@ -225,5 +257,125 @@ class TestAudits:
         low_p, low_q = ("x", "p", ()), ("x", "q", ())
         nodes = {node: node for node in (top1, top2, low_p, low_q)}
         with pytest.raises(AuditFailure, match="cycle"):
-            m_a2._check_fiber_acyclic((3, 1), nodes, {(top1, low_p), (top2, low_q)})
-        m_a2._check_fiber_acyclic((3, 1), nodes, {(top1, low_p)})
+            m_a2._check_fiber_acyclic((3, 1), nodes.get, {(top1, low_p), (top2, low_q)})
+        m_a2._check_fiber_acyclic((3, 1), nodes.get, {(top1, low_p)})
+
+
+class TestAgainstTheCellRule:
+    """The rule on chains against the cell rule it replaced."""
+
+    @pytest.mark.parametrize(
+        "maker, top", ORACLE_SYSTEMS.values(), ids=ORACLE_SYSTEMS
+    )
+    def test_grade_audits_agree(self, maker, top):
+        mon = ArtinMonoid(maker())
+        matching, oracle = BarMatching(mon), CellMatching(mon)
+        for n in range(top + 1):
+            assert matching.audit_grade(n) == oracle.audit_grade(n), n
+
+    @pytest.mark.parametrize(
+        "maker, top", ORACLE_SYSTEMS.values(), ids=ORACLE_SYSTEMS
+    )
+    def test_partner_agrees_on_every_cell(self, maker, top):
+        mon = ArtinMonoid(maker())
+        matching, oracle = BarMatching(mon), CellMatching(mon)
+        for n in range(top + 1):
+            for x in mon.elements_of_length(n):
+                for cell, _ in factorizations(mon, x):
+                    assert matching.partner(cell) == oracle.partner(cell), cell
+
+
+def matched_fibers(mon, top):
+    """(grade, cell of each chain, matched (upper, lower) chain pairs) of
+    every (x, flag) fiber up to length `top`, from the cell rule."""
+    oracle = CellMatching(mon)
+    for n in range(top + 1):
+        for x in mon.elements_of_length(n):
+            cells = factorizations(mon, x)
+            products_of = dict(cells)
+            flag_of = {
+                cell: 0 if oracle._depth(products) == 1 else 1 for cell, products in cells
+            }
+            for flag in (0, 1):
+                cell_of = {
+                    products: cell for cell, products in cells if flag_of[cell] == flag
+                }
+                edges = {oracle.partner(cell) for cell in products_of if flag_of[cell] == flag}
+                edges.discard(None)
+                pairs = [(products_of[e.upper], products_of[e.lower]) for e in edges]
+                yield (n, flag), cell_of, pairs
+
+
+def inner_faces(chain):
+    return [chain[:i] + chain[i + 1 :] for i in range(1, len(chain) - 1)]
+
+
+def swapped_partners(rng, pairs):
+    """Swap the partners of (u1, l1) and (u2, f), f another face of u1.
+
+    (u1, f) is a face pair; (u2, l1) is not, since two chains share at
+    most one facet, so the incidence check refuses it before acyclicity is
+    asked and it is left out.  None when no pair has such a face."""
+    upper_of = {lower: upper for upper, lower in pairs}
+    candidates = [
+        (u1, l1, upper_of[f], f)
+        for u1, l1 in pairs
+        for f in inner_faces(u1)
+        if f != l1 and f in upper_of
+    ]
+    if not candidates:
+        return None
+    u1, l1, u2, f = rng.choice(candidates)
+    assert l1 not in inner_faces(u2)
+    return [p for p in pairs if p not in ((u1, l1), (u2, f))] + [(u1, f)]
+
+
+def random_matching(rng, cell_of):
+    """A maximal matching of the fiber's face pairs, in random order."""
+    face_pairs = [(u, f) for u in cell_of for f in inner_faces(u) if f in cell_of]
+    rng.shuffle(face_pairs)
+    pairs, used = [], set()
+    for u, f in face_pairs:
+        if u not in used and f not in used:
+            pairs.append((u, f))
+            used.update((u, f))
+    return pairs
+
+
+class TestAcyclicity:
+    def test_matched_uppers_decide_as_the_whole_face_graph(self):
+        # Corrupted matchings in which every chain lies on at most one edge
+        # and every lower chain is a face of its upper one, as the audit
+        # checks before acyclicity: the matching with the partners of two
+        # pairs swapped, or a random maximal matching of face pairs.  The
+        # check on matched upper chains must agree with Kahn's sort of the
+        # whole fiber every time.
+        rng = random.Random(20261019)
+        fibers = [
+            fiber
+            for maker, top in ((make_a2, 6), (make_b2, 6), (make_a3, 5))
+            for fiber in matched_fibers(ArtinMonoid(maker()), top)
+            if len(fiber[2]) >= 2
+        ]
+        mon = ArtinMonoid(make_a2())
+        checks = (CellMatching(mon)._check_fiber_acyclic, BarMatching(mon)._check_fiber_acyclic)
+        outcomes = {"swap": set(), "random": set()}
+        for k in range(200):
+            grade_, cell_of, pairs = rng.choice(fibers)
+            kind = "swap" if k % 2 else "random"
+            corrupted = (
+                swapped_partners(rng, pairs) if kind == "swap" else random_matching(rng, cell_of)
+            )
+            if corrupted is None:
+                continue
+            verdicts = []
+            for check, names in zip(checks, (cell_of, cell_of.get)):
+                try:
+                    check(grade_, names, set(corrupted))
+                    verdicts.append(True)
+                except AuditFailure as failure:
+                    assert "cycle" in str(failure)
+                    verdicts.append(False)
+            assert verdicts[0] == verdicts[1], (grade_, sorted(corrupted))
+            outcomes[kind].add(verdicts[0])
+        assert outcomes["swap"] and outcomes["random"] == {True, False}
