@@ -28,7 +28,7 @@ k, and its faces delete one inner entry.  Its inner entries form a
 (bottom, top) as the empty simplex, so dimension k of the result is the
 reduced homology in degree k - 2 of that order complex.  The bar model's
 fibers are the intervals [1, x] of right divisors; the Salvetti pair check
-puts a sentinel below (and above) a down-set to make it one.
+puts a sentinel below a strict down-set and its cell above to make it one.
 `poset_core` shrinks a poset by removing beat points, which keeps that
 homology, so a fiber lists only the chains of its interval's core.
 """
@@ -187,10 +187,6 @@ class HomologyGroup(_Group):
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
 
 def direct_sum(groups: Iterable[tuple[int, tuple[int, ...]]]) -> HomologyGroup:

@@ -10,26 +10,31 @@ pair, of dimension |T|; the group acts freely by left multiplication and
 the quotient keeps one cell per finite-type subset.
 
 `cell_pair_check` certifies the local structure (Bjorner's criterion for
-regular CW posets): the closed down-set of a pair must have the homology
-of a point and the strict down-set that of a sphere of dimension
-|T| - 1.  Both are checked as `interval_complex`es, with `None`, which
-is no cell, as sentinel ends: the closed down-set is the open interval
-between a sentinel bottom and a sentinel top, the strict one that
-between a sentinel bottom and the cell.  Their homology is reduced and
-shifted up two degrees, so the closed one must vanish and the strict
-one of an n-cell must be Z in dimension n + 1 alone; the empty
-(-1)-sphere and the two-point 0-sphere need no special case.
+regular CW posets): the strict down-set of an n-cell must have the
+homology of an (n - 1)-sphere.  It is checked as an `interval_complex`
+with `None`, which is no cell, as sentinel bottom: the strict down-set is
+the open interval between the sentinel and the cell.  Its homology is
+reduced and shifted up two degrees, so an n-cell's must be Z in
+dimension n + 1 alone; the empty (-1)-sphere and the two-point 0-sphere
+need no special case.  The closed down-set needs no check.  When the
+cell's listing contains it, the cell is the maximum of its down-set, so
+every chain of the closed down-set that misses the cell extends by it:
+the order complex is a cone on the cell and acyclic.  When the listing
+does not contain it, as for a cell outside the poset, no chain ends at
+the cell, the strict complex is empty and the sphere test fails.
 
 Left multiplication by v maps the down-set of (e, R) onto that of
-(v, R), so each W-orbit needs its pair of homologies once.  The check
-does not assume this of the poset it is given; it certifies it per
-cell.  Translated by v, the listing below (e, R) must be the listing
-below (v, R), and the listing below each q <= (e, R) the listing below
-v q.  Left multiplication is a bijection of W, so q -> v q is then an
-isomorphism of the two down-sets as posets: a vertex bijection between
-their order complexes that carries the strict one onto the strict one,
-so (v, R) has the homologies of (e, R).  A cell that fails this, or
-whose (e, R) is not in the poset, has its own homologies computed.
+(v, R), so each W-orbit needs its homology once.  The poset certifies
+once, at construction, that its cells are exactly W x `sf`.  Then every
+(u, T) with u in W and T in `sf` is a member, so `down_set((v, R))` is
+the listing of (e, R) with each entry multiplied on the left by v, and
+the listing below each q in it is the listing below v q: both run through
+the same (b, T) with v (b c) = (v b) c, since W's canonical `mul` is
+associative.  Left multiplication is a bijection of W, so q -> v q is an
+isomorphism of the two down-sets as posets that carries (e, R) to
+(v, R), and the strict one onto the strict one: (v, R) has the homology
+of (e, R).  A poset that is not the whole W x `sf`, or a cell outside
+it, has each cell checked reduce its own strict down-set.
 """
 
 from __future__ import annotations
@@ -56,8 +61,17 @@ class SalvettiPoset:
         self._subsets = self.system.sf()
         self._below: dict[SalCell, tuple[SalCell, ...]] = {}
         self._minimal_in: dict[frozenset, list[tuple[Word, list[frozenset]]]] = {}
-        # reduced cell -> (closed, strict) homologies of its down-set
-        self._pair_homology: dict[SalCell, tuple[list, list]] = {}
+        # whether the cells are exactly W x sf, so each (v, R) is a translate of (e, R)
+        self._whole = self._is_whole()
+        # reduced cell -> homology of its strict down-set
+        self._pair_homology: dict[SalCell, list[HomologyGroup]] = {}
+
+    def _is_whole(self) -> bool:
+        """Whether the cells are exactly the (u, T) with u in W and T in sf."""
+        if not self.system.is_finite_type(self.system.gens):
+            return False
+        elements = self.system.enumerate_group(self.system.gens)
+        return self._members == {(u, T) for u in elements for T in self._subsets}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -139,64 +153,37 @@ class PairCheck(NamedTuple):
     strict_size: int
 
 
-def _translates(poset: SalvettiPoset, base: SalCell, cell: SalCell) -> bool:
-    """Whether q -> v q maps the down-set of `base` = (e, R) onto that of
-    `cell` = (v, R) as posets: translated, the listing below (e, R) must
-    be the listing below (v, R), and the listing below each q the listing
-    below v q.  Listings run through b in ShortLex order, then T, so a
-    translate keeps that order."""
-    if base not in poset._members:
-        return False
-    source = poset.down_set(base)
-    left = {u: poset.system.mul(cell[0], u) for u in {u for u, _ in source}}
-
-    def translate(cells):
-        return tuple((left.get(u), T) for u, T in cells)
-
-    return translate(source) == poset.down_set(cell) and all(
-        translate(poset.down_set(q)) == poset.down_set((left[q[0]], q[1]))
-        for q in source
-    )
-
-
-def _down_set_homology(
-    poset: SalvettiPoset, cell: SalCell
-) -> tuple[list[HomologyGroup], list[HomologyGroup]]:
-    """Homologies of the (closed, strict) interval complexes of a cell's
-    down-set, reduced once."""
+def _strict_homology(poset: SalvettiPoset, cell: SalCell) -> list[HomologyGroup]:
+    """Homology of the interval complex of a cell's strict down-set,
+    reduced once."""
     found = poset._pair_homology.get(cell)
     if found is None:
         chains = order_complex(poset.down_set(cell), poset.down_set)
-        closed = [(None, *chain, None) for chain in [(), *chains]]
-        # the cell is the maximum of its down-set, so the chains ending at it
-        # are the strict down-set's simplices with the cell put on top
+        # the chains ending at the cell are the strict down-set's simplices
+        # with the cell put on top
         strict = [(None, *chain) for chain in chains if chain[-1] == cell]
-        found = (
-            interval_complex(closed).homology(),
-            interval_complex(strict).homology(),
-        )
-        poset._pair_homology[cell] = found
+        found = poset._pair_homology[cell] = interval_complex(strict).homology()
     return found
 
 
 def cell_pair_check(poset: SalvettiPoset, cell: SalCell) -> PairCheck:
-    """Certify that a cell's down-set pair looks like (disk, sphere)."""
-    closed = poset.down_set(cell)
+    """Certify that a cell's down-set pair looks like (disk, sphere).
+
+    A member (v, R) of a poset whose cells are all of W x `sf` is a
+    translate of (e, R), whose strict down-set is reduced once for the
+    orbit; any other cell reduces its own.  The closed down-set is a cone
+    on the cell and is not reduced (module docstring)."""
     base = ((), cell[1])
-    reduced = base if cell != base and _translates(poset, base, cell) else cell
-    closed_homology, strict_homology = _down_set_homology(poset, reduced)
+    reduced = base if poset._whole and cell in poset._members else cell
+    closed_size = len(poset.down_set(reduced))
     n = poset.dim(cell)
-    if not all(h.is_trivial for h in closed_homology):
-        raise CheckFailed(
-            f"closed down-set of {cell} is not acyclic: reduced homology from "
-            f"degree -2 up is {[str(h) for h in closed_homology]}"
-        )
+    strict_homology = _strict_homology(poset, reduced)
     if strict_homology != [HomologyGroup(0)] * (n + 1) + [HomologyGroup(1)]:
         raise CheckFailed(
             f"strict down-set of {cell} is not a {n - 1}-sphere: reduced homology "
             f"from degree -2 up is {[str(h) for h in strict_homology]}"
         )
-    return PairCheck(cell, len(closed), len(closed) - 1)
+    return PairCheck(cell, closed_size, closed_size - 1)
 
 
 def quotient_census(system: CoxeterSystem) -> tuple[int, ...]:

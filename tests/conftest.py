@@ -532,6 +532,28 @@ def sal_leq(system, low, high):
     return system.is_t_minimal(quotient, T)
 
 
+def translates(poset, base, cell):
+    """Whether q -> v q maps the down-set of `base` = (e, R) onto that of
+    `cell` = (v, R) as posets: translated, the listing below (e, R) must
+    be the listing below (v, R), and the listing below each q the listing
+    below v q.  Listings run through b in ShortLex order, then T, so a
+    translate keeps that order.  The library instead certifies once that
+    a poset's cells are all of W x sf, which makes this hold by
+    construction of `down_set`."""
+    if base not in poset._members:
+        return False
+    source = poset.down_set(base)
+    left = {u: poset.system.mul(cell[0], u) for u in {u for u, _ in source}}
+
+    def translate(cells):
+        return tuple((left.get(u), T) for u, T in cells)
+
+    return translate(source) == poset.down_set(cell) and all(
+        translate(poset.down_set(q)) == poset.down_set((left[q[0]], q[1]))
+        for q in source
+    )
+
+
 # -- the matchings on cells: the reference for `BarMatching` -------------------
 
 

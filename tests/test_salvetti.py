@@ -16,7 +16,7 @@ from artinhom.salvetti import (
     quotient_census,
     sal_poset,
 )
-from conftest import make_a3, make_b3, make_i25, sal_leq
+from conftest import make_a3, make_b3, make_i25, sal_leq, translates
 
 
 def W(text):
@@ -239,6 +239,64 @@ class TestCellPairs:
         for c in poset.cells:
             cell_pair_check(poset, c)
         assert set(poset._pair_homology) == {((), T) for T in system.sf()}
+
+    def test_cell_outside_the_poset_fails(self, poset_a2):
+        # aa = e, so this names (e, {a}) in W, but it is no cell of the poset:
+        # no chain ends at it, and its strict complex is no sphere
+        outside = (W("aa"), frozenset("a"))
+        assert outside not in poset_a2.cells
+        with pytest.raises(CheckFailed):
+            cell_pair_check(poset_a2, outside)
+
+    def test_shuffled_full_poset_reduces_one_cell_per_orbit(self, a2):
+        # the cell set is certified whole as a set, whatever its order
+        cells = list(sal_poset(a2).cells)
+        random.Random(20261019).shuffle(cells)
+        poset = SalvettiPoset(a2, cells)
+        for c in cells:
+            cell_pair_check(poset, c)
+        assert set(poset._pair_homology) == {((), T) for T in a2.sf()}
+
+    def test_partial_poset_reduces_each_cell_itself(self, a2, poset_a2):
+        # without (ba, {}) the cells are not all of W x sf, so no cell is
+        # covered by translation; exactly those whose down-set held the
+        # missing cell lose their sphere
+        missing = cell("ba", "")
+        broken = SalvettiPoset(a2, [c for c in poset_a2.cells if c != missing])
+        failed = set()
+        for c in broken.cells:
+            try:
+                cell_pair_check(broken, c)
+            except CheckFailed:
+                failed.add(c)
+        assert set(broken._pair_homology) == set(broken.cells)
+        assert failed == {c for c in broken.cells if missing in poset_a2.down_set(c)}
+        assert failed and len(failed) < len(broken.cells)
+
+    def test_infinite_group_has_no_whole_cell_set(self, ainf):
+        poset = SalvettiPoset(ainf, [cell("", "")])
+        assert cell_pair_check(poset, cell("", "")).strict_size == 0
+        assert set(poset._pair_homology) == {cell("", "")}
+
+
+class TestDeletedGuarantees:
+    """What the pair check no longer computes, kept as properties of the
+    full poset: each cell's down-set is the translate of its (e, R)'s, and
+    each closed down-set is acyclic."""
+
+    @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
+    def test_every_cell_translates_its_identity_cell(self, system):
+        poset = sal_poset(system)
+        for c in poset.cells:
+            assert translates(poset, ((), c[1]), c), c
+
+    @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
+    def test_closed_down_sets_are_acyclic(self, system):
+        poset = sal_poset(system)
+        for T in system.sf():
+            closed = poset.down_set(((), T))
+            simplices = order_complex(closed, poset.down_set)
+            assert all(h == HomologyGroup(0) for h in sentinel_homology(simplices)), T
 
 
 class TestQuotient:
