@@ -29,7 +29,10 @@ memoized.  No class of positive words is ever
 enumerated; the test suite keeps braid-class enumeration as the oracle
 for everything here.
 
-The ShortLex-least word peels min L(s_1) off repeatedly.  Right-hand
+The ShortLex-least word peels min L(s_1) off repeatedly.  The right
+divisors of x are read off its splits d * q: `right_divisors` lists the q
+only, and these are the entries of the chains of the interval [1, x]
+that the bar fibers and the matching's audits walk.  Right-hand
 questions go through the reversal anti-automorphism.  Least common
 multiples use bounded search.  `none` is reported only when
 non-existence is a theorem: every common multiple is left-divisible by
@@ -62,9 +65,7 @@ class ArtinMonoid:
         self._pairs: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
         self._normals: dict[Word, Normal] = {}
         self._words: dict[Normal, Word] = {}
-        self._splits: dict[Word, list[tuple[Word, Word]]] = {}
-        # one shared word per left divisor that `_splits` names
-        self._divisors: dict[Word, Word] = {}
+        self._splits: dict[Word, list[Word]] = {}
         self._quotients: dict[tuple[Word, Word], Word | None] = {}
 
     # -- normal forms --------------------------------------------------------
@@ -197,38 +198,38 @@ class ArtinMonoid:
     def right_divides(self, x: Iterable[str], y: Iterable[str]) -> bool:
         return self.left_divides(tuple(x)[::-1], tuple(y)[::-1])
 
-    def left_splits(self, x: Iterable[str]) -> list[tuple[Word, Word]]:
-        """All pairs (d, q) of non-identity elements with d * q = x,
-        ShortLex-ordered by d.
+    def right_divisors(self, x: Iterable[str]) -> list[Word]:
+        """The proper non-identity right divisors of x: each q with
+        d * q = x for a non-identity d, once, in the ShortLex order of d.
 
         The ShortLex-least word of d is its least left letter b followed
         by the word of b^-1 d, and b left-divides d exactly when q
         right-divides b^-1 x (cancel b on the left of x = d * q).  So for
-        each b in L(x) in turn, the splits whose d begins with b are
-        (b, b^-1 x) and b times the splits of b^-1 x, less those whose q
-        a smaller letter already reached; they come out in order.
+        each b in L(x) in turn, the q whose d begins with b are b^-1 x and
+        the right divisors of b^-1 x, less those a smaller letter already
+        reached; they come out in order.  Every q listed is the word of
+        b^-1 x or one listed for it, so the lists share their words.
         """
         # the memo is keyed by canonical words, so a hit needs no canon
         x = tuple(x)
-        splits = self._splits.get(x)
-        if splits is None:
+        divisors = self._splits.get(x)
+        if divisors is None:
             x = self.canon(x)
-            splits = self._splits.get(x)
-        if splits is None:
+            divisors = self._splits.get(x)
+        if divisors is None:
             normal = self._normal(x)
-            splits = []
+            divisors = []
             reached: set[Word] = set()
             for b in sorted(self._left(normal), key=self.system.index):
                 y = self._word(self._strip_front(b, normal))
                 if not y:
                     continue
-                for d, q in [((), y), *self.left_splits(y)]:
+                for q in [y, *self.right_divisors(y)]:
                     if q not in reached:
                         reached.add(q)
-                        d = (b, *d)
-                        splits.append((self._divisors.setdefault(d, d), q))
-            self._splits[x] = splits
-        return splits
+                        divisors.append(q)
+            self._splits[x] = divisors
+        return divisors
 
     def left_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
         """The y with d*y = x, or None when d does not left divide x."""

@@ -23,7 +23,8 @@ inner entries lie in the core of (1, x): on A3 through length 8 that is
 
 Who reads what: `homology --verify` consumes these fibers, one at a
 time; the matching rule and its audits (`matching`) read chains of right
-divisors too, listed from the monoid's splits.  Cells are read only by
+divisors too.  Both take their chains from `homology.interval_chains`
+over the monoid's `right_divisors`.  Cells are read only by
 the faces and boundaries here, which the zig-zag collapse (`morse`)
 follows, and by `matching.BarMatching.partner`, which turns a cell into
 its chain and the matched chain back into a cell.  No whole layer of
@@ -40,6 +41,7 @@ from .homology import (
     HomologyGroup,
     IntChainComplex,
     direct_sum,
+    interval_chains,
     interval_complex,
     poset_core,
 )
@@ -95,35 +97,21 @@ def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
     left letter s, every such divisor right-divides s^-1 x, the greatest
     element; when it has one right letter t, every one is right-divisible
     by t, the least.  Either way the core is that one element, and no
-    divisor's splits are read.  The ranks run to dimension len(x), the
+    right divisors are listed.  The ranks run to dimension len(x), the
     longest factorization; for x of length n >= 1 the homology lives in
     dimensions 1..n, and the identity's fiber is the single 0-cell.
     """
     x = mon.canon(x)
-    if not x:
-        return interval_complex([((),)])
     extreme = _extreme_divisor(mon, x)
     if extreme is not None:
-        return interval_complex([(x, ()), (x, extreme, ())], len(x) + 1)
-    below = {q: [r for _, r in mon.left_splits(q)] for _, q in mon.left_splits(x)}
-    core = poset_core(below, below)
-    kept = set(core)
-    chains_from: dict[Word, list[tuple[Word, ...]]] = {}
-
-    def descending(q: Word) -> list[tuple[Word, ...]]:
-        found = chains_from.get(q)
-        if found is None:
-            found = [(q,)]
-            for r in below[q]:
-                if r in kept:
-                    found.extend((q,) + chain for chain in descending(r))
-            chains_from[q] = found
-        return found
-
-    chains = [(x, ())]
-    for q in core:
-        chains.extend((x,) + chain + ((),) for chain in descending(q))
-    return interval_complex(chains, len(x) + 1)
+        below = {x: [extreme], extreme: []}
+    else:
+        below = {q: mon.right_divisors(q) for q in mon.right_divisors(x)}
+        core = poset_core(below, below)
+        kept = set(core)
+        below = {q: [r for r in below[q] if r in kept] for q in core}
+        below[x] = core
+    return interval_complex(interval_chains(x, below.__getitem__, ()), len(x) + 1)
 
 
 def _extreme_divisor(mon: ArtinMonoid, x: Word) -> Word | None:

@@ -21,23 +21,24 @@ the kept ones, and subtracting it is a unimodular change that leaves the
 invariant factors.  A core pivot d with |d| > 1 gives only d times a
 column, which is no such combination, so only unit pivots are recorded.
 
-Every complex built from chains comes from `interval_complex`.  A chain
-bottom = p_0 < p_1 < ... < p_k = top of a poset interval lies in dimension
-k, and its faces delete one inner entry.  Its inner entries form a
-(k - 2)-simplex of the open interval's order complex, with the bare chain
-(bottom, top) as the empty simplex, so dimension k of the result is the
-reduced homology in degree k - 2 of that order complex.  The bar model's
-fibers are the intervals [1, x] of right divisors; the Salvetti pair check
-puts a sentinel below a strict down-set and its cell above to make it one.
-`poset_core` shrinks a poset by removing beat points, which keeps that
-homology, so a fiber lists only the chains of its interval's core.
+Every chain comes from `interval_chains` and every complex built from
+chains from `interval_complex`.  A chain top = p_0 > p_1 > ... > p_k =
+bottom of a poset interval lies in dimension k, and its faces delete one
+inner entry.  Its inner entries form a (k - 2)-simplex of the open
+interval's order complex, with the bare chain (top, bottom) as the empty
+simplex, so dimension k of the result is the reduced homology in degree
+k - 2 of that order complex.  The bar model's fibers and the matching's
+audits walk the intervals [1, x] of right divisors; the Salvetti pair
+check puts a sentinel below a strict down-set and its cell above to make
+it one.  `poset_core` shrinks a poset by removing beat points, which keeps
+that homology, so a fiber lists only the chains of its interval's core.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .coxeter import CoxeterSystem
 from .errors import NotAComplex
@@ -291,6 +292,33 @@ class IntChainComplex(_Complex):
     def homology(self) -> list[HomologyGroup]:
         """Homology in every dimension (see `invariants`)."""
         return [HomologyGroup(*pair) for pair in self.invariants()]
+
+
+def interval_chains(
+    top: Hashable, below: Callable[..., Iterable], bottom: Hashable
+) -> list[tuple]:
+    """Every chain top > p_1 > ... > p_k > bottom of an interval, once each.
+
+    `below(p)` lists the elements strictly between bottom and p, each once.
+    The chains are listed depth first, each before its extensions, in the
+    order `below` gives.  The chains from an element down are listed once
+    and reused by every chain that reaches it.  The interval [top, top] is
+    the one chain (top,).
+    """
+    if top == bottom:
+        return [(top,)]
+    chains_from: dict = {}
+
+    def descend(p) -> list[tuple]:
+        found = chains_from.get(p)
+        if found is None:
+            found = [(p, bottom)]
+            for q in below(p):
+                found.extend((p,) + chain for chain in descend(q))
+            chains_from[p] = found
+        return found
+
+    return descend(top)
 
 
 def interval_complex(chains: Iterable[tuple], dims: int = 0) -> IntChainComplex:

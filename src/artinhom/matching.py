@@ -24,7 +24,8 @@ D and finishing sets, each once per divisor.
 The union is graded by (length, flag), the flag being 0 exactly on
 depth-1 chains, and every matched pair keeps the grade and the product
 x, so acyclicity and perfect matching are audited one finite (x, flag)
-fiber at a time, over the chains of [1, x] (`audit_grade`).  The
+fiber at a time, over the chains of [1, x] (`audit_grade`), which
+`homology.interval_chains` lists from the monoid's right divisors.  The
 incidence of a matched pair is that of the merge face: the lower chain is
 the upper one with inner entry i deleted, of sign (-1)^i.  Distinct
 deletions give distinct chains, so this is the sum of signs over the
@@ -57,6 +58,7 @@ from .artin import ArtinMonoid
 from .bar import BarCell
 from .coxeter import Word
 from .errors import AuditFailure, InfiniteType, InternalError
+from .homology import interval_chains
 
 Grade = tuple[int, int]
 # the suffix products of a cell: x = P[0] > ... > P[n] = 1
@@ -279,24 +281,6 @@ class BarMatching:
     def essential_cells(self) -> dict[frozenset[str], BarCell]:
         return {T: self.essential_cell(T) for T in self.system.sf()}
 
-    def _chains(self, x: Word) -> list[Chain]:
-        """The chains x = P[0] > ... > P[n] = 1 of right divisors of x, one
-        per factorization, read off the quotients q of x's splits d * q."""
-        if not x:
-            return [((),)]
-        memo: dict[Word, list[Chain]] = {}
-
-        def of(y: Word) -> list[Chain]:
-            found = memo.get(y)
-            if found is None:
-                found = [(y, ())]
-                for _, q in self.mon.left_splits(y):
-                    found.extend((y,) + tail for tail in of(q))
-                memo[y] = found
-            return found
-
-        return of(x)
-
     def audit_grade(
         self, length: int, edges: set[MatchEdge] | None = None
     ) -> LengthAudit:
@@ -322,7 +306,7 @@ class BarMatching:
             flag_of: dict[Chain, int] = {}
             essential: set[Chain] = set()
             own: set[ChainEdge] = set()
-            for chain in self._chains(x):
+            for chain in interval_chains(x, self.mon.right_divisors, ()):
                 edge = self._chain_edge(chain)
                 if edge is None:
                     flag_of[chain] = 0

@@ -1,4 +1,4 @@
-"""The poset of cosets-with-types, its order complex, and cell checks.
+"""The poset of cosets-with-types and its cell pair checks.
 
 Cells are pairs (u, T) of a group element and a finite-type subset,
 ordered by (u, T) <= (v, R) when T is contained in R, v^-1 u lies in the
@@ -13,15 +13,18 @@ the quotient keeps one cell per finite-type subset.
 regular CW posets): the strict down-set of an n-cell must have the
 homology of an (n - 1)-sphere.  It is checked as an `interval_complex`
 with `None`, which is no cell, as sentinel bottom: the strict down-set is
-the open interval between the sentinel and the cell.  Its homology is
-reduced and shifted up two degrees, so an n-cell's must be Z in
-dimension n + 1 alone; the empty (-1)-sphere and the two-point 0-sphere
-need no special case.  The closed down-set needs no check.  When the
-cell's listing contains it, the cell is the maximum of its down-set, so
-every chain of the closed down-set that misses the cell extends by it:
-the order complex is a cone on the cell and acyclic.  When the listing
-does not contain it, as for a cell outside the poset, no chain ends at
-the cell, the strict complex is empty and the sphere test fails.
+the open interval between the sentinel and the cell, and its chains are
+listed from the cell down (`interval_chains`).  Its homology is reduced
+and shifted up two degrees, so an n-cell's must be Z in dimension n + 1
+alone; the empty (-1)-sphere and the two-point 0-sphere need no special
+case.  The closed down-set needs no check once the cell's listing
+contains it: the cell is then the maximum of its down-set, so every chain
+of the closed down-set that misses the cell extends by it, and the order
+complex is a cone on the cell and acyclic.  A cell missing from its own
+listing, as a cell outside the poset is, fails outright.  Its closed
+down-set is no cone on it, and the chains listed from the cell down would
+not show that: a non-canonical name of a 1-cell removed from the poset
+can still list a 0-sphere below it.
 
 Left multiplication by v maps the down-set of (e, R) onto that of
 (v, R), so each W-orbit needs its homology once.  The poset certifies
@@ -39,11 +42,11 @@ it, has each cell checked reduce its own strict down-set.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .coxeter import CoxeterSystem, Word, alternating_word
 from .errors import CheckFailed, InfiniteM, InfiniteType
-from .homology import HomologyGroup, interval_complex
+from .homology import HomologyGroup, interval_chains, interval_complex
 
 SalCell = tuple[Word, frozenset]
 
@@ -124,29 +127,6 @@ def sal_poset(system: CoxeterSystem) -> SalvettiPoset:
     return SalvettiPoset(system, cells)
 
 
-def order_complex(
-    elements: Sequence, below: Callable[..., Iterable]
-) -> list[tuple]:
-    """All non-empty chains of a finite poset, as tuples in chain order.
-
-    `below(q)` lists each element p <= q once, q included, and everything
-    it lists lies in `elements`.  Each chain comes out once."""
-    strictly_below: dict = {}
-    for q in elements:
-        strictly_below[q] = [p for p in below(q) if p != q]
-    chains_ending_at: dict = {}
-    ordered = sorted(elements, key=lambda p: len(strictly_below[p]))
-    for q in ordered:
-        chains = [(q,)]
-        for p in strictly_below[q]:
-            chains.extend(chain + (q,) for chain in chains_ending_at[p])
-        chains_ending_at[q] = chains
-    out = []
-    for chains in chains_ending_at.values():
-        out.extend(chains)
-    return out
-
-
 class PairCheck(NamedTuple):
     cell: SalCell
     closed_size: int
@@ -158,11 +138,10 @@ def _strict_homology(poset: SalvettiPoset, cell: SalCell) -> list[HomologyGroup]
     reduced once."""
     found = poset._pair_homology.get(cell)
     if found is None:
-        chains = order_complex(poset.down_set(cell), poset.down_set)
-        # the chains ending at the cell are the strict down-set's simplices
-        # with the cell put on top
-        strict = [(None, *chain) for chain in chains if chain[-1] == cell]
-        found = poset._pair_homology[cell] = interval_complex(strict).homology()
+        chains = interval_chains(
+            cell, lambda q: [p for p in poset.down_set(q) if p != q], None
+        )
+        found = poset._pair_homology[cell] = interval_complex(chains).homology()
     return found
 
 
@@ -171,11 +150,15 @@ def cell_pair_check(poset: SalvettiPoset, cell: SalCell) -> PairCheck:
 
     A member (v, R) of a poset whose cells are all of W x `sf` is a
     translate of (e, R), whose strict down-set is reduced once for the
-    orbit; any other cell reduces its own.  The closed down-set is a cone
-    on the cell and is not reduced (module docstring)."""
+    orbit; any other cell reduces its own.  A cell missing from its own
+    listing fails; otherwise the closed down-set is a cone on the cell and
+    is not reduced (module docstring)."""
     base = ((), cell[1])
     reduced = base if poset._whole and cell in poset._members else cell
-    closed_size = len(poset.down_set(reduced))
+    closed = poset.down_set(reduced)
+    if reduced not in closed:
+        raise CheckFailed(f"{cell} is not in its own down-set")
+    closed_size = len(closed)
     n = poset.dim(cell)
     strict_homology = _strict_homology(poset, reduced)
     if strict_homology != [HomologyGroup(0)] * (n + 1) + [HomologyGroup(1)]:

@@ -13,6 +13,7 @@ tests need lives here too.
 
 import math
 from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
 import pytest
 
@@ -452,7 +453,8 @@ def factorizations(mon, x):
     P[j] = x_{j+1} ... x_n for j = 0..n (so P[0] = x and P[n] = 1).
 
     Splitting y = d * q puts d in front of each factorization of q and q
-    in front of its suffix products, so no products are multiplied out.
+    in front of its suffix products, so no products are multiplied out;
+    d is the right quotient of y by q.
     """
     memo = {}
 
@@ -460,7 +462,8 @@ def factorizations(mon, x):
         found = memo.get(y)
         if found is None:
             found = [((y,), (y, ()))]
-            for d, q in mon.left_splits(y):
+            for q in mon.right_divisors(y):
+                d = mon.right_quotient(y, q)
                 found.extend(((d,) + cell, (y,) + tail) for cell, tail in of(q))
             memo[y] = found
         return found
@@ -530,6 +533,29 @@ def sal_leq(system, low, high):
     if not set(quotient) <= R:
         return False
     return system.is_t_minimal(quotient, T)
+
+
+def order_complex(
+    elements: Sequence, below: Callable[..., Iterable]
+) -> list[tuple]:
+    """All non-empty chains of a finite poset, as tuples in chain order.
+
+    `below(q)` lists each element p <= q once, q included, and everything
+    it lists lies in `elements`.  Each chain comes out once."""
+    strictly_below: dict = {}
+    for q in elements:
+        strictly_below[q] = [p for p in below(q) if p != q]
+    chains_ending_at: dict = {}
+    ordered = sorted(elements, key=lambda p: len(strictly_below[p]))
+    for q in ordered:
+        chains = [(q,)]
+        for p in strictly_below[q]:
+            chains.extend(chain + (q,) for chain in chains_ending_at[p])
+        chains_ending_at[q] = chains
+    out = []
+    for chains in chains_ending_at.values():
+        out.extend(chains)
+    return out
 
 
 def translates(poset, base, cell):

@@ -481,7 +481,7 @@ class TestChildProcesses:
                 {
                     "cli.main",
                     "coxeter.canon",
-                    "salvetti.order_complex",
+                    "salvetti.cell_pair_check",
                     "homology.interval_complex",
                 },
             ),

@@ -11,6 +11,7 @@ from artinhom.homology import (
     IntChainComplex,
     abelianized_presentation_h1,
     direct_sum,
+    interval_chains,
     interval_complex,
     invariant_factors,
     poset_core,
@@ -366,6 +367,32 @@ class TestIntervalComplex:
             HomologyGroup(0),
             HomologyGroup(1),
         ]
+
+
+class TestIntervalChains:
+    def test_random_posets_against_sentinel_chains(self):
+        # between a top above every element and a bottom below every one,
+        # read upwards with both ends as None, the chains are the oracle's
+        rng = random.Random(20261020)
+        for _ in range(200):
+            below = random_poset(rng, rng.randint(0, 9))
+            listed = interval_chains(
+                "top", lambda p: list(below) if p == "top" else below[p], "bottom"
+            )
+            assert len(listed) == len(set(listed)), below
+            upwards = {(None, *chain[-2:0:-1], None) for chain in listed}
+            assert upwards == set(sentinel_chains(below, below)), below
+
+    def test_chains_extend_depth_first(self):
+        below = {3: [2, 1], 2: [1], 1: []}
+        assert interval_chains(3, below.__getitem__, 0) == [
+            (3, 0), (3, 2, 0), (3, 2, 1, 0), (3, 1, 0),
+        ]
+
+    def test_a_one_element_interval_is_its_one_chain(self):
+        assert interval_chains("x", lambda p: ["never listed"], "x") == [("x",)]
+        mon = ArtinMonoid(make_a3())
+        assert interval_chains((), mon.right_divisors, ()) == [((),)]
 
 
 class TestPosetCore:

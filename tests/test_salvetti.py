@@ -4,19 +4,18 @@ import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
 from artinhom.errors import CheckFailed, InfiniteM, InfiniteType
-from artinhom.homology import HomologyGroup, interval_complex
+from artinhom.homology import HomologyGroup, interval_chains, interval_complex
 from artinhom.matching import BarMatching
 from artinhom.morse import boundary_word_2cell, braid_relator_word, cyclic_words_equal
 from artinhom.salvetti import (
     SalvettiPoset,
     cell_pair_check,
-    order_complex,
     polygon_boundary_word,
     polygon_vertices,
     quotient_census,
     sal_poset,
 )
-from conftest import make_a3, make_b3, make_i25, sal_leq, translates
+from conftest import make_a3, make_b3, make_i25, order_complex, sal_leq, translates
 
 
 def W(text):
@@ -181,6 +180,21 @@ class TestOrderComplex:
             assert len(listed) == len(set(listed)), cell
             assert set(listed) == set(pairwise), cell
 
+    @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
+    def test_interval_chains_are_the_chains_ending_at_the_cell(self, system):
+        # the pair check's chains, listed from (e, R) down to the sentinel,
+        # against the order complex's chains that end at (e, R)
+        poset = sal_poset(system)
+        for R in system.sf():
+            top = ((), R)
+            listed = interval_chains(
+                top, lambda q: [p for p in poset.down_set(q) if p != q], None
+            )
+            ending = order_complex(poset.down_set(top), poset.down_set)
+            expected = {(*chain[::-1], None) for chain in ending if chain[-1] == top}
+            assert len(listed) == len(set(listed)), R
+            assert set(listed) == expected, R
+
     def test_homology_ignores_simplex_order(self, poset_a2):
         complexes = [order_complex(poset_a2.cells, poset_a2.down_set)]
         poset_b3 = sal_poset(make_b3())
@@ -247,6 +261,16 @@ class TestCellPairs:
         assert outside not in poset_a2.cells
         with pytest.raises(CheckFailed):
             cell_pair_check(poset_a2, outside)
+
+    def test_cell_missing_from_its_own_listing_fails(self, a2, poset_a2):
+        # (bab, {a}) names the removed (aba, {a}): its listing below is the
+        # two points (aba, {}) and (ab, {}), a 0-sphere, but lacks the cell
+        removed = cell("aba", "a")
+        broken = SalvettiPoset(a2, [c for c in poset_a2.cells if c != removed])
+        named = cell("bab", "a")
+        assert set(broken.down_set(named)) == {cell("aba", ""), cell("ab", "")}
+        with pytest.raises(CheckFailed):
+            cell_pair_check(broken, named)
 
     def test_shuffled_full_poset_reduces_one_cell_per_orbit(self, a2):
         # the cell set is certified whole as a set, whatever its order
