@@ -385,36 +385,35 @@ def poset_core(elements: Iterable, below: Mapping) -> list:
     # proper subset of below[q], so p takes the lower bit
     ranked = sorted(elements, key=lambda p: len(below[p]))
     position = {p: k for k, p in enumerate(ranked)}
-    down = [0] * len(ranked)
+    down = []
     up = [0] * len(ranked)
     for k, p in enumerate(ranked):
+        bit = 1 << k
+        mask = 0
         for q in below[p]:
             j = position[q]
-            down[k] |= 1 << j
-            up[j] |= 1 << k
+            mask |= 1 << j
+            up[j] |= bit
+        down.append(mask)
     alive = (1 << len(ranked)) - 1
+    live = range(len(ranked))
 
-    def beat_points(strict: list[int], extreme) -> int:
+    def beat_points(strict: list[int], lowest: bool) -> int:
         # the minimum above p (maximum below p), if there is one, holds
         # the lowest (highest) bit of the alive elements beyond p
         beat = 0
-        for k, mask in enumerate(strict):
-            beyond = mask & alive
-            if beyond and alive >> k & 1:
-                e = extreme(beyond)
+        for k in live:
+            beyond = strict[k] & alive
+            if beyond:
+                e = (beyond & -beyond if lowest else beyond).bit_length() - 1
                 if strict[e] & alive == beyond ^ 1 << e:
                     beat |= 1 << k
         return beat
 
-    def lowest(mask: int) -> int:
-        return (mask & -mask).bit_length() - 1
-
-    def highest(mask: int) -> int:
-        return mask.bit_length() - 1
-
-    while beat := beat_points(up, lowest) or beat_points(down, highest):
+    while beat := beat_points(up, True) or beat_points(down, False):
         alive &= ~beat
-    core = {p for k, p in enumerate(ranked) if alive >> k & 1}
+        live = [k for k in live if alive >> k & 1]
+    core = {ranked[k] for k in live}
     return [p for p in elements if p in core]
 
 

@@ -1,14 +1,15 @@
 import pytest
 
-from artinhom import ArtinMonoid
+from artinhom import ArtinMonoid, bar
 from artinhom.bar import (
     boundary,
     cell_length,
     faces,
     fiber_complex,
+    layer_homology,
     merge_faces,
 )
-from artinhom.homology import HomologyGroup
+from artinhom.homology import HomologyGroup, direct_sum
 from artinhom.matching import BarMatching
 from conftest import (
     BraidClassMonoid,
@@ -198,6 +199,40 @@ class TestFibers:
                     letters = {w[0] for w in words}, {w[-1] for w in words}
                     extreme.add(1 in map(len, letters))
         assert extreme == {True, False}
+
+
+class TestLayerHomology:
+    @pytest.mark.parametrize(
+        "maker, top",
+        [(make_a2, 8), (make_b2, 8), (make_i25, 8), (make_a3, 6)],
+        ids=["A2", "B2", "I2(5)", "A3"],
+    )
+    def test_layer_is_the_direct_sum_of_the_full_fibers(self, maker, top):
+        mon = ArtinMonoid(maker())
+        for n in range(top + 1):
+            fibers = [
+                full_fiber_complex(mon, x).homology()
+                for x in mon.elements_of_length(n)
+            ]
+            expected = [direct_sum(groups) for groups in zip(*fibers)]
+            assert layer_homology(mon, n) == expected, n
+
+    def test_only_fibers_that_are_not_cones_are_reduced(self, monkeypatch):
+        # through length 8, all but the fibers of the delta_T are cones
+        system = make_a3()
+        mon = ArtinMonoid(system)
+        reduced = []
+
+        def spy(mon, x):
+            reduced.append(x)
+            return fiber_complex(mon, x)
+
+        monkeypatch.setattr(bar, "fiber_complex", spy)
+        for n in range(9):
+            layer_homology(mon, n)
+        assert sum(len(mon.elements_of_length(n)) for n in range(9)) == 1704
+        assert sorted(reduced) == sorted(mon.delta(T) for T in system.sf())
+        assert len(reduced) == 8
 
 
 class TestEta:

@@ -266,6 +266,20 @@ class TestExitCodes:
         assert main(["--system", a2_file, "matching-audit", "--max-len", "2"]) == 2
         assert "failure" in capsys.readouterr().out
 
+    def test_a_wrong_core_fails_the_layer_check(self, a2_file, capsys, monkeypatch):
+        # a fiber whose core loses all but one element passes for a cone
+        from artinhom import bar
+
+        real = bar.poset_core
+        monkeypatch.setattr(
+            bar, "poset_core", lambda elements, below: real(elements, below)[:1]
+        )
+        argv = ["--system", a2_file, "--format", "jsonl", "homology", "--verify"]
+        assert main(argv) == 2
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        (verdict,) = [r for r in records if r["record"] == "verification"]
+        assert verdict["h1_agrees"] and not verdict["grades_agree"]
+
 
 class TestJsonLines:
     def test_records_are_json(self, a2_file, capsys):
@@ -313,6 +327,22 @@ class TestJsonLines:
 def test_import_leaves_out_dataclasses_and_inspect():
     # both cost start-up time in every command and the package needs neither
     code = "import sys, artinhom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = run_child(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_import_loads_only_the_package_and_the_standard_modules_it_names():
+    # start-up is the import and the parse: the CLI may load nothing beyond
+    # what these standard modules load themselves
+    code = (
+        "import sys\n"
+        "import argparse, json, math, itertools, collections, typing\n"
+        "before = set(sys.modules)\n"
+        "import artinhom.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "    if m != '__future__' and m.split('.')[0] != 'artinhom'))\n"
+    )
     result = run_child(["-c", code])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
