@@ -1,21 +1,25 @@
 """Cells of the reduced classifying-space model of the positive monoid.
 
-A cell is a tuple of non-identity monoid elements [x_1|...|x_n]; its
-dimension is n and its length is the length of the product.  The
-simplicial faces drop the first factor, merge adjacent factors, or drop
-the last factor, with the usual alternating signs.  Merging two
-non-identity positive elements never yields the identity (length adds),
-so every face is again a cell and no degeneracies ever materialize.
+A cell [x_1|...|x_n] is a tuple of non-identity monoid elements; its
+dimension is n and its length is the length of its product x.  The
+library holds a cell as its chain of suffix products
+P[j] = x_{j+1} ... x_n, the chain x = P[0] > P[1] > ... > P[n] = 1 of
+right divisors of x; the factors are the right quotients of consecutive
+entries (`matching.BarMatching.cell_of`), needed only for output.  The
+simplicial faces, with the usual alternating signs, read on chains:
+dropping x_1 drops P[0], merging x_i with x_{i+1} deletes the inner
+entry P[i], and dropping x_n divides every entry on the right by
+x_n = P[n-1].  Merging two non-identity positive elements never yields
+the identity (length adds), so every face is again a cell and no
+degeneracies ever materialize.
 
 Dropping a factor lowers the total length while merging preserves it, so
 length filters the complex; the length-preserving (merge-only) part of
 the boundary is a differential on each fixed-length layer.  Merging also
-keeps the product of the factors, so each layer splits further as a
-direct sum over the elements x of that length of the complex of
-factorizations of x.  Read through its suffix products x > ... > 1, a
-factorization is a chain of the interval [1, x] of right divisors and a
-merge deletes one inner entry, so the fiber of x is that interval's
-complex (`homology.interval_complex`).  Its homology is that of the open
+keeps the product x, so each layer splits further as a direct sum over
+the elements x of that length, and the fiber of x is the complex of the
+chains of the interval [1, x] of right divisors
+(`homology.interval_complex`).  Its homology is that of the open
 interval (1, x), which keeps its homology when beat points are removed
 (`homology.poset_core`), so `fiber_complex` lists only the chains whose
 inner entries lie in the core of (1, x): on A3 through length 8 that is
@@ -26,14 +30,12 @@ for it and builds no complex: on A3 through length 8 that leaves 8 of
 the 1,704 fibers to build and reduce.
 
 Who reads what: `homology --verify` consumes the fibers that are not
-cones, one at a time; the matching rule and its audits (`matching`)
-read chains of right divisors too.  Both take their chains from
-`homology.interval_chains` over the monoid's `right_divisors`.  Cells
-are read only by the faces and boundaries here, which the zig-zag
-collapse (`morse`) follows, and by `matching.BarMatching.partner`,
-which turns a cell into its chain and the matched chain back into a
-cell.  No whole layer of cells is ever listed: the test suite keeps a
-cell enumerator, the factorizations of x with their suffix products,
+cones, one at a time; the matching rule and its audits (`matching`) and
+the zig-zag collapse (`morse`) read chains too, the collapse through
+`faces` and `boundary` here.  Chains of an interval come from
+`homology.interval_chains` over the monoid's `right_divisors`.  No whole
+layer of cells is ever listed: the test suite keeps a cell enumerator,
+the faces of cells, the factorizations of x with their suffix products,
 and the full fiber of all factorizations as independent oracles.
 """
 
@@ -51,34 +53,34 @@ from .homology import (
 )
 
 BarCell = tuple[Word, ...]
+# the suffix products of a cell: x = P[0] > ... > P[n] = 1
+Chain = tuple[Word, ...]
 
 
 def cell_length(cell: BarCell) -> int:
     return sum(len(x) for x in cell)
 
 
-def faces(mon: ArtinMonoid, cell: BarCell) -> list[tuple[int, BarCell]]:
-    """All simplicial faces in order with signs +1, -1, +1, ..., (-1)^n."""
-    n = len(cell)
+def faces(mon: ArtinMonoid, chain: Chain) -> list[tuple[int, Chain]]:
+    """All simplicial faces of the cell with suffix products `chain`, as
+    chains, in order with signs +1, -1, +1, ..., (-1)^n."""
+    n = len(chain) - 1
     if n == 0:
         return []
-    return [(1, cell[1:]), *merge_faces(mon, cell), (-1 if n % 2 else 1, cell[:-1])]
+    # dropping x_n = P[n-1] divides each entry by it on the right
+    last = chain[-2]
+    dropped = (*[mon.right_quotient(p, last) for p in chain[:-2]], ())
+    return [
+        (1, chain[1:]),
+        *[(-1 if i % 2 else 1, chain[:i] + chain[i + 1 :]) for i in range(1, n)],
+        (-1 if n % 2 else 1, dropped),
+    ]
 
 
-def merge_faces(mon: ArtinMonoid, cell: BarCell) -> list[tuple[int, BarCell]]:
-    """The length-preserving faces only (merges of adjacent factors)."""
-    n = len(cell)
-    out = []
-    for i in range(1, n):
-        merged = cell[: i - 1] + (mon.mul(cell[i - 1], cell[i]),) + cell[i + 1 :]
-        out.append((-1 if i % 2 else 1, merged))
-    return out
-
-
-def boundary(mon: ArtinMonoid, cell: BarCell) -> dict[BarCell, int]:
-    """Chain boundary: face coefficients summed over coinciding cells."""
-    acc: dict[BarCell, int] = {}
-    for sign, face in faces(mon, cell):
+def boundary(mon: ArtinMonoid, chain: Chain) -> dict[Chain, int]:
+    """Chain boundary: face coefficients summed over coinciding chains."""
+    acc: dict[Chain, int] = {}
+    for sign, face in faces(mon, chain):
         total = acc.get(face, 0) + sign
         if total:
             acc[face] = total

@@ -1,11 +1,12 @@
 """The two collapse matchings on the classifying-space model, and audits.
 
-A cell [x_1|...|x_n] is read through its suffix products
+A cell [x_1|...|x_n] is held as its chain of suffix products
 P[j] = x_{j+1} ... x_n, the chain x = P[0] > P[1] > ... > P[n] = 1 of
-right divisors of its product x.  Merging x_i with x_{i+1} deletes P[i]
-and keeps every other entry.  Both matchings are one rule on such chains
-(`BarMatching._chain_edge`); a cell is needed only where `partner` names
-the other end of an edge, by right quotients of consecutive entries.
+right divisors of its product x (see `bar`).  Merging x_i with x_{i+1}
+deletes P[i] and keeps every other entry.  Both matchings are one rule
+on such chains (`BarMatching.edge`), and an edge is a pair of chains;
+the factors of a cell, the right quotients of consecutive entries
+(`BarMatching.cell_of`), are needed only for output and error messages.
 
 The set D of fundamental elements delta_T (T non-empty, finite type)
 classifies chains.  The depth d is the least j with P[j-1], ..., P[n-1]
@@ -29,7 +30,7 @@ fiber at a time, over the chains of [1, x] (`audit_grade`), which
 incidence of a matched pair is that of the merge face: the lower chain is
 the upper one with inner entry i deleted, of sign (-1)^i.  Distinct
 deletions give distinct chains, so this is the sum of signs over the
-merge faces equal to the lower cell.
+merge faces equal to the lower chain.
 
 Acyclicity needs only the matched upper chains.  Once every chain lies on
 at most one edge, a directed path of the modified face graph (faces point
@@ -44,10 +45,10 @@ exactly when the graph on matched upper chains with u -> M(f), for every
 inner face f != M(u) of u that is matched upward, has no cycle.
 
 The paper trail for the two constructions defines only the collapsible
-(upper) side; the inverse splits used here are completed so that the
-audit can certify, per fiber, that (a) the matching is perfect off the
-essential cells and (b) reversing matched edges leaves the fiber's face
-graph acyclic.
+(upper) side; the inverse steps used here, which insert a fundamental
+element into a chain, are completed so that the audit can certify, per
+fiber, that (a) the matching is perfect off the essential chains and
+(b) reversing matched edges leaves the fiber's face graph acyclic.
 """
 
 from __future__ import annotations
@@ -55,24 +56,15 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .artin import ArtinMonoid
-from .bar import BarCell
+from .bar import BarCell, Chain
 from .coxeter import Word
 from .errors import AuditFailure, InfiniteType, InternalError
 from .homology import interval_chains
 
 Grade = tuple[int, int]
-# the suffix products of a cell: x = P[0] > ... > P[n] = 1
-Chain = tuple[Word, ...]
-# (upper chain, lower chain, kind)
+# (upper chain, lower chain, kind): the lower chain is the upper one with
+# the inner entry at the depth slot deleted; kind is "M1" or "M2"
 ChainEdge = tuple[Chain, Chain, str]
-
-
-class MatchEdge(NamedTuple):
-    """A matched pair: `lower` is the merge of `upper` at the depth slot."""
-
-    upper: BarCell
-    lower: BarCell
-    kind: str  # "M1" or "M2"
 
 
 class GradeAudit:
@@ -117,27 +109,19 @@ class LengthAudit(NamedTuple):
         return sum(audit.cells for audit in self.grades)
 
 
-def _first_difference(first: Chain, second: Chain) -> int:
-    """The first index where the chains differ, or the shorter length."""
-    for i, (p, q) in enumerate(zip(first, second)):
-        if p != q:
-            return i
-    return min(len(first), len(second))
-
-
 def _deletion_sign(upper: Chain, lower: Chain) -> int:
     """(-1)^i when `lower` is `upper` with inner entry i deleted, else 0;
     `upper` is one entry longer."""
-    i = _first_difference(upper, lower)
+    i = next((i for i, (p, q) in enumerate(zip(upper, lower)) if p != q), len(lower))
     return (-1) ** i if 0 < i < len(lower) and upper[i + 1 :] == lower[i:] else 0
 
 
 class BarMatching:
-    """Chain classification and partner computation for one monoid.
+    """Chain classification and the matched edges for one monoid.
 
-    `_chain_edge` is the matching; `partner` serves it to callers that
-    hold cells, and `audit_grade` runs it over every chain of a length.
-    A chain's flag is 0 exactly when its edge is None or an "M2" edge.
+    `edge` is the matching; `audit_grade` runs it over every chain of a
+    length.  A chain's flag is 0 exactly when its edge is None or an
+    "M2" edge.
     """
 
     def __init__(self, mon: ArtinMonoid):
@@ -150,14 +134,6 @@ class BarMatching:
         self._finishing: dict[Word, frozenset[str]] = {}
 
     # -- tail data ----------------------------------------------------------
-
-    def suffix_products(self, cell: BarCell) -> list[Word]:
-        """P[j] = x_{j+1} ... x_n for j = 0..n (so P[n] is the identity)."""
-        n = len(cell)
-        products: list[Word] = [()] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            products[j] = self.mon.mul(cell[j], products[j + 1])
-        return products
 
     def _depth(self, products: Sequence[Word]) -> int:
         """Least j (1-based) whose tail products P[j-1..n-1] all lie in D."""
@@ -199,7 +175,7 @@ class BarMatching:
 
     # -- the matching on chains ---------------------------------------------
 
-    def _chain_edge(self, chain: Chain) -> ChainEdge | None:
+    def edge(self, chain: Chain) -> ChainEdge | None:
         """The matched edge through a chain, None when it is essential.
 
         A collapsible chain is the upper end and loses P[d-1]; any other
@@ -226,7 +202,7 @@ class BarMatching:
             raise InternalError(f"no fundamental element on {sorted(target)}")
         return chain[: d - 1] + (delta,) + chain[d - 1 :], chain, kind
 
-    def _cell_of(self, chain: Chain) -> BarCell:
+    def cell_of(self, chain: Chain) -> BarCell:
         """The cell whose suffix products are the chain: the right
         quotients of its consecutive entries."""
         factors = []
@@ -239,50 +215,23 @@ class BarMatching:
             factors.append(factor)
         return tuple(factors)
 
-    def partner(self, cell: BarCell) -> MatchEdge | None:
-        """The unique matched edge containing the cell, None if essential.
-
-        The other end differs from the cell's chain by one entry, so only
-        the factors around that entry are recomputed."""
-        chain = tuple(self.suffix_products(cell))
-        edge = self._chain_edge(chain)
-        if edge is None:
-            return None
-        upper, lower, kind = edge
-        if upper == chain:
-            # the lower end drops chain[i], so x_i and x_{i+1} merge
-            i = _first_difference(chain, lower)
-            merged = self._cell_of(lower[i - 1 : i + 1])
-            return MatchEdge(cell, cell[: i - 1] + merged + cell[i + 1 :], kind)
-        # the upper end inserts upper[i], so x_i splits in two
-        i = _first_difference(chain, upper)
-        split = self._cell_of(upper[i - 1 : i + 2])
-        return MatchEdge(cell[: i - 1] + split + cell[i:], cell, kind)
-
-    # -- grading and per-fiber audits ------------------------------------------
-
-    def essential_cell(self, T: Iterable[str]) -> BarCell:
-        """The unique fully essential cell whose top tail set is T."""
+    def essential_chain(self, T: Iterable[str]) -> Chain:
+        """The unique fully essential chain whose top tail set is T:
+        delta_T, delta_{T - max T}, ... down to the identity."""
         T = self.system.check_subset(T)
         if not self.system.is_finite_type(T):
             raise InfiniteType(f"no fundamental element on {sorted(T)}")
         deltas = self.mon.deltas()
-        factors = []
-        current = T
-        while current:
-            rest = current - {max(current, key=self.system.index)}
-            factor = self.mon.right_quotient(deltas[current], deltas.get(rest, ()))
-            if factor is None:
-                raise InternalError(f"fundamental elements on {sorted(T)} do not nest")
-            factors.append(factor)
-            current = rest
-        return tuple(factors)
+        chain = []
+        while T:
+            chain.append(deltas[T])
+            T = T - {max(T, key=self.system.index)}
+        return (*chain, ())
 
-    def essential_cells(self) -> dict[frozenset[str], BarCell]:
-        return {T: self.essential_cell(T) for T in self.system.sf()}
+    # -- grading and per-fiber audits ------------------------------------------
 
     def audit_grade(
-        self, length: int, edges: set[MatchEdge] | None = None
+        self, length: int, edges: set[ChainEdge] | None = None
     ) -> LengthAudit:
         """Certify both grades of one length: perfect matching off
         essentials, grading compatibility, regular matched faces, and
@@ -291,23 +240,21 @@ class BarMatching:
         Merge faces and matched edges keep the product x of a cell's
         factors, so the grades are audited one (x, flag) fiber at a time,
         in one pass over the elements x of this length and the chains of
-        each.  `edges`, when given, is audited in place of the matching's
-        own edges.
+        each.  `edges`, when given as (upper chain, lower chain, kind)
+        triples, is audited in place of the matching's own edges.
         """
         audits = (GradeAudit((length, 0)), GradeAudit((length, 1)))
         given: dict[Word, set[ChainEdge]] | None = None
         if edges is not None:
             given = {}
-            for edge in edges:
-                upper = tuple(self.suffix_products(edge.upper))
-                lower = tuple(self.suffix_products(edge.lower))
-                given.setdefault(lower[0], set()).add((upper, lower, edge.kind))
+            for upper, lower, kind in edges:
+                given.setdefault(lower[0], set()).add((upper, lower, kind))
         for x in self.mon.elements_of_length(length):
             flag_of: dict[Chain, int] = {}
             essential: set[Chain] = set()
             own: set[ChainEdge] = set()
             for chain in interval_chains(x, self.mon.right_divisors, ()):
-                edge = self._chain_edge(chain)
+                edge = self.edge(chain)
                 if edge is None:
                     flag_of[chain] = 0
                     essential.add(chain)
@@ -319,7 +266,7 @@ class BarMatching:
         if given:
             _, lower, _ = next(iter(next(iter(given.values()))))
             raise AuditFailure(
-                f"length {length}: edge endpoint {self._cell_of(lower)} escapes the length"
+                f"length {length}: edge endpoint {self.cell_of(lower)} escapes the length"
             )
         return LengthAudit(audits)
 
@@ -333,46 +280,50 @@ class BarMatching:
         for upper, lower, kind in edges:
             flag = flag_of.get(lower, 1)
             if len(upper) != len(lower) + 1:
-                edge = MatchEdge(self._cell_of(upper), self._cell_of(lower), kind)
-                raise AuditFailure(f"{(length, flag)}: edge {edge} is not codimension 1")
+                raise AuditFailure(
+                    f"{(length, flag)}: edge {self.cell_of(upper)} -> "
+                    f"{self.cell_of(lower)} is not codimension 1"
+                )
             incidence = _deletion_sign(upper, lower)
             if incidence not in (1, -1):
                 raise AuditFailure(
-                    f"{(length, flag)}: matched face of {self._cell_of(upper)} "
+                    f"{(length, flag)}: matched face of {self.cell_of(upper)} "
                     f"has incidence {incidence}"
                 )
             for endpoint in (upper, lower):
                 occurrences[endpoint] = occurrences.get(endpoint, 0) + 1
                 if flag_of.get(endpoint) != flag:
                     raise AuditFailure(
-                        f"{(length, flag)}: edge endpoint {self._cell_of(endpoint)} "
+                        f"{(length, flag)}: edge endpoint {self.cell_of(endpoint)} "
                         "escapes the fiber"
                     )
             if kind != ("M2" if flag == 0 else "M1"):
-                edge = MatchEdge(self._cell_of(upper), self._cell_of(lower), kind)
-                raise AuditFailure(f"{(length, flag)}: edge {edge} has kind {kind}")
+                raise AuditFailure(
+                    f"{(length, flag)}: edge {self.cell_of(upper)} -> "
+                    f"{self.cell_of(lower)} has kind {kind}"
+                )
             audits[flag].edges += 1
             matched[flag].append((upper, lower))
         for chain, count in occurrences.items():
             if count > 1:
                 raise AuditFailure(
-                    f"{(length, flag_of[chain])}: cell {self._cell_of(chain)} "
+                    f"{(length, flag_of[chain])}: cell {self.cell_of(chain)} "
                     f"lies on {count} edges"
                 )
         for chain, flag in flag_of.items():
             if chain in essential:
                 if chain in occurrences:
                     raise AuditFailure(
-                        f"{(length, flag)}: essential cell {self._cell_of(chain)} is matched"
+                        f"{(length, flag)}: essential cell {self.cell_of(chain)} is matched"
                     )
-                audits[flag].essential.append(self._cell_of(chain))
+                audits[flag].essential.append(self.cell_of(chain))
             elif chain not in occurrences:
                 raise AuditFailure(
-                    f"{(length, flag)}: cell {self._cell_of(chain)} is unmatched"
+                    f"{(length, flag)}: cell {self.cell_of(chain)} is unmatched"
                 )
             audits[flag].cells += 1
         for flag in (0, 1):
-            self._check_fiber_acyclic((length, flag), self._cell_of, matched[flag])
+            self._check_fiber_acyclic((length, flag), self.cell_of, matched[flag])
 
     def _check_fiber_acyclic(
         self,

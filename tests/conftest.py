@@ -13,15 +13,15 @@ tests need lives here too.
 
 import math
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
-from artinhom.bar import cell_length, merge_faces
+from artinhom.bar import cell_length
 from artinhom.errors import AuditFailure, InternalError
 from artinhom.homology import interval_complex
-from artinhom.matching import GradeAudit, LengthAudit, MatchEdge
+from artinhom.matching import GradeAudit, LengthAudit
 
 
 def make_a2():
@@ -472,6 +472,51 @@ def factorizations(mon, x):
     return of(x) if x else [((), ((),))]
 
 
+# -- cells as tuples of factors: the references for the chain forms ------------
+
+
+def suffix_products(mon, cell):
+    """The chain of a cell, multiplied out: P[j] = x_{j+1} ... x_n for
+    j = 0..n, so P[0] is the product and P[n] the identity."""
+    products = [()] * (len(cell) + 1)
+    for j in range(len(cell) - 1, -1, -1):
+        products[j] = mon.mul(cell[j], products[j + 1])
+    return tuple(products)
+
+
+def merge_faces(mon, cell):
+    """The length-preserving faces of a cell: x_i and x_{i+1} merged, of
+    sign (-1)^i."""
+    return [
+        (-1 if i % 2 else 1, cell[: i - 1] + (mon.mul(cell[i - 1], cell[i]),) + cell[i + 1 :])
+        for i in range(1, len(cell))
+    ]
+
+
+def cell_faces(mon, cell):
+    """All simplicial faces of a cell in order with signs +1, -1, ...,
+    (-1)^n: drop x_1, merge adjacent factors, drop x_n.  The reference
+    for `bar.faces`, which computes them on chains."""
+    n = len(cell)
+    if n == 0:
+        return []
+    return [(1, cell[1:]), *merge_faces(mon, cell), (-1 if n % 2 else 1, cell[:-1])]
+
+
+class MatchEdge(NamedTuple):
+    """A matched pair of cells: `lower` is the merge of `upper` at the
+    depth slot."""
+
+    upper: tuple
+    lower: tuple
+    kind: str  # "M1" or "M2"
+
+    def chains(self, mon):
+        """The (upper chain, lower chain, kind) triple `BarMatching.edge`
+        gives for this pair."""
+        return suffix_products(mon, self.upper), suffix_products(mon, self.lower), self.kind
+
+
 def full_fiber_complex(mon, x):
     """The fiber of x on every factorization: the `interval_complex` of
     their suffix products x = P[0] > ... > P[n] = 1, so each dimension's
@@ -504,7 +549,7 @@ def entry(complex_, T, R):
 def tail_data(matching, cell):
     """(d1, tail sets I_j for j >= d1, d2) read by the matching's helpers;
     I_{n+1} is empty and d2 is None off the depth-essential cells."""
-    products = matching.suffix_products(cell)
+    products = suffix_products(matching.mon, cell)
     d1 = matching._depth(products)
     sets = {j: matching.delta_of[products[j - 1]] for j in range(d1, len(cell) + 1)}
     sets[len(cell) + 1] = frozenset()
@@ -512,9 +557,10 @@ def tail_data(matching, cell):
 
 
 def grade(matching, cell):
-    """(length, flag); the flag is 0 exactly when `partner` gives None or M2."""
-    edge = matching.partner(cell)
-    return cell_length(cell), 0 if edge is None or edge.kind == "M2" else 1
+    """(length, flag); the flag is 0 exactly when the cell's chain has no
+    edge or an M2 edge."""
+    edge = matching.edge(suffix_products(matching.mon, cell))
+    return cell_length(cell), 0 if edge is None or edge[2] == "M2" else 1
 
 
 # -- Salvetti order reference ---------------------------------------------------
@@ -586,25 +632,19 @@ def translates(poset, base, cell):
 class CellMatching:
     """The two collapse matchings and their audit, computed on cells: the
     reference for `BarMatching`, which computes them on chains of suffix
-    products.
+    products.  `partner` names the edge through a cell.
 
     Edges are found by merging two factors (`_merge_at`) or splitting one
     by right quotients (`_split_at`), the incidence of a matched pair by
     multiplying out every merge face of its upper cell, and acyclicity by
     Kahn's sort of the whole face graph of each (x, flag) fiber.  It
-    shares only the monoid and the merge faces with the library.
+    shares only the monoid with the library.
     """
 
     def __init__(self, mon):
         self.mon = mon
         self.system = mon.system
         self.delta_of = {delta: T for T, delta in mon.deltas().items()}
-
-    def suffix_products(self, cell):
-        products = [()] * (len(cell) + 1)
-        for j in range(len(cell) - 1, -1, -1):
-            products[j] = self.mon.mul(cell[j], products[j + 1])
-        return products
 
     def _depth(self, products):
         j = len(products)
@@ -655,7 +695,7 @@ class CellMatching:
         return MatchEdge(upper, cell, "M2")
 
     def partner(self, cell):
-        return self._edge(cell, self.suffix_products(cell))
+        return self._edge(cell, suffix_products(self.mon, cell))
 
     def _edge(self, cell, products):
         if self._depth(products) == 1:

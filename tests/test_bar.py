@@ -7,12 +7,12 @@ from artinhom.bar import (
     faces,
     fiber_complex,
     layer_homology,
-    merge_faces,
 )
 from artinhom.homology import HomologyGroup, direct_sum
 from artinhom.matching import BarMatching
 from conftest import (
     BraidClassMonoid,
+    cell_faces,
     factorizations,
     full_fiber_complex,
     grade,
@@ -21,43 +21,78 @@ from conftest import (
     make_a2,
     make_a3,
     make_affine_a2,
+    make_ainf,
     make_b2,
     make_g2,
     make_i25,
+    merge_faces,
+    suffix_products,
 )
+
+# systems whose chain faces are checked against the cell faces, through
+# length 6
+FACE_SYSTEMS = {
+    "A2": make_a2,
+    "B2": make_b2,
+    "A3": make_a3,
+    "affine-A2": make_affine_a2,
+    "free": make_ainf,
+}
 
 
 def W(text):
     return tuple(text)
 
 
+def chains_through(mon, top):
+    """Every chain of [1, x] for x of length at most `top`, with its cell,
+    from the factorization oracle."""
+    for n in range(top + 1):
+        for x in mon.elements_of_length(n):
+            yield from factorizations(mon, x)
+
+
 class TestFaces:
     def test_two_cell(self, mon_a2):
-        cell = (W("a"), W("b"))
-        assert faces(mon_a2, cell) == [
-            (1, (W("b"),)),
-            (-1, (W("ab"),)),
-            (1, (W("a"),)),
+        # [a|b] is the chain ab > b > 1; dropping b divides ab by it
+        assert faces(mon_a2, (W("ab"), W("b"), ())) == [
+            (1, (W("b"), ())),
+            (-1, (W("ab"), ())),
+            (1, (W("a"), ())),
         ]
 
     def test_one_cell_hits_the_point_twice(self, mon_a2):
-        assert faces(mon_a2, (W("a"),)) == [(1, ()), (-1, ())]
-        assert boundary(mon_a2, (W("a"),)) == {}
+        assert faces(mon_a2, (W("a"), ())) == [(1, ((),)), (-1, ((),))]
+        assert boundary(mon_a2, (W("a"), ())) == {}
+        assert faces(mon_a2, ((),)) == []
 
     def test_sign_pattern(self, mon_a3):
-        cell = (W("a"), W("b"), W("c"))
-        signs = [sign for sign, _ in faces(mon_a3, cell)]
+        chain = suffix_products(mon_a3, (W("a"), W("b"), W("c")))
+        signs = [sign for sign, _ in faces(mon_a3, chain)]
         assert signs == [1, -1, 1, -1]
 
     def test_faces_never_degenerate(self, mon_a2):
+        # every face is again a chain: strictly decreasing down to 1
         for n in range(1, 5):
             for cell in iter_cells_of_grade(mon_a2, n):
-                for _, face in faces(mon_a2, cell):
-                    assert all(entry for entry in face)
+                for _, face in faces(mon_a2, suffix_products(mon_a2, cell)):
+                    assert face[-1] == ()
+                    assert all(len(p) > len(q) for p, q in zip(face, face[1:]))
+                    assert all(mon_a2.right_divides(q, p) for p, q in zip(face, face[1:]))
 
     def test_merged_product_respects_multiplication(self, mon_a2):
         cell = (W("ab"), W("a"))
         assert merge_faces(mon_a2, cell) == [(-1, (W("aba"),))]
+        # on the chain aba > a > 1 the merge deletes a
+        assert faces(mon_a2, (W("aba"), W("a"), ()))[1] == (-1, (W("aba"), ()))
+
+    @pytest.mark.parametrize("maker", FACE_SYSTEMS.values(), ids=FACE_SYSTEMS)
+    def test_chain_faces_are_the_cell_faces(self, maker):
+        # the same faces in the same order with the same signs
+        mon = ArtinMonoid(maker())
+        for cell, chain in chains_through(mon, 6):
+            expected = [(sign, suffix_products(mon, face)) for sign, face in cell_faces(mon, cell)]
+            assert faces(mon, chain) == expected, cell
 
 
 class TestGradeEnumeration:
@@ -99,16 +134,17 @@ class TestGradeEnumeration:
 
 
 class TestBoundarySquaresToZero:
-    def test_full_boundary(self, mon_a2, mon_ainf):
-        for mon in (mon_a2, mon_ainf):
-            for n in range(7):
-                for cell in iter_cells_of_grade(mon, n):
-                    acc = {}
-                    for sign, face in faces(mon, cell):
-                        for sign2, grandface in faces(mon, face):
-                            key = grandface
-                            acc[key] = acc.get(key, 0) + sign * sign2
-                    assert not any(acc.values()), cell
+    def test_full_boundary(self):
+        # d_0, the merges and d_n together, on every chain of the systems
+        # whose faces are checked against the cell faces
+        for maker in FACE_SYSTEMS.values():
+            mon = ArtinMonoid(maker())
+            for cell, chain in chains_through(mon, 6):
+                acc = {}
+                for face, coeff in boundary(mon, chain).items():
+                    for grandface, coeff2 in boundary(mon, face).items():
+                        acc[grandface] = acc.get(grandface, 0) + coeff * coeff2
+                assert not any(acc.values()), cell
 
     def test_grade_complexes_validate(self, mon_a2, mon_b2):
         # every full fiber's differential is the merge differential on its cells
@@ -147,7 +183,8 @@ class TestFibers:
                     found = factorizations(mon, x)
                     assert sorted(cell for cell, _ in found) == sorted(cells)
                     for cell, products in found:
-                        assert list(products) == matching.suffix_products(cell)
+                        assert products == suffix_products(mon, cell)
+                        assert matching.cell_of(products) == cell
 
     @pytest.mark.parametrize(
         "maker, top",
@@ -247,5 +284,5 @@ class TestEta:
         for n in range(6):
             for cell in iter_cells_of_grade(mon_a2, n):
                 cell_grade = grade(matching, cell)
-                for _, face in faces(mon_a2, cell):
+                for _, face in cell_faces(mon_a2, cell):
                     assert grade(matching, face) <= cell_grade

@@ -5,9 +5,10 @@ import pytest
 from artinhom import ArtinMonoid
 from artinhom.bar import cell_length
 from artinhom.errors import AuditFailure, InfiniteType
-from artinhom.matching import BarMatching, MatchEdge
+from artinhom.matching import BarMatching
 from conftest import (
     CellMatching,
+    MatchEdge,
     factorizations,
     grade,
     iter_cells_of_grade,
@@ -20,6 +21,7 @@ from conftest import (
     make_b2a1,
     make_g2,
     make_i25,
+    suffix_products,
     tail_data,
 )
 
@@ -42,6 +44,17 @@ def W(text):
     return tuple(text)
 
 
+def edge_of(matching, cell):
+    """The matched edge through the chain of a cell."""
+    return matching.edge(suffix_products(matching.mon, cell))
+
+
+def chain_edges(mon, *edges):
+    """Matched pairs of cells as the (upper, lower, kind) chain triples
+    the audit takes."""
+    return {edge.chains(mon) for edge in edges}
+
+
 def grade_cells(matching, n, flag):
     """The cells of grade (n, flag), from the cell enumerator oracle."""
     return [
@@ -52,8 +65,9 @@ def grade_cells(matching, n, flag):
 
 
 def grade_edges(matching, n, flag):
-    """The matched edges of grade (n, flag), by `partner` on its cells."""
-    edges = {matching.partner(cell) for cell in grade_cells(matching, n, flag)}
+    """The matched edges of grade (n, flag), by `edge` on the chains of
+    its cells."""
+    edges = {edge_of(matching, cell) for cell in grade_cells(matching, n, flag)}
     edges.discard(None)
     return edges
 
@@ -98,8 +112,12 @@ class TestDepthClassification:
     def test_mu1_collapsible(self, m_a2):
         # collapsible: the upper end of its first-matching edge
         def collapsible(cell):
-            edge = m_a2.partner(cell)
-            return edge is not None and edge.kind == "M1" and edge.upper == cell
+            edge = edge_of(m_a2, cell)
+            return (
+                edge is not None
+                and edge[2] == "M1"
+                and edge[0] == suffix_products(m_a2.mon, cell)
+            )
 
         assert collapsible((W("a"), W("a")))
         assert collapsible((W("b"), W("a"), W("a")))
@@ -107,15 +125,18 @@ class TestDepthClassification:
         assert not collapsible((W("aa"),))
 
     def test_m1_partner(self, m_a2):
-        edge = MatchEdge((W("a"), W("a")), (W("aa"),), "M1")
-        assert m_a2.partner((W("aa"),)) == edge
-        assert m_a2.partner((W("a"), W("a"))) == edge
-        assert m_a2.partner((W("ab"), W("a"))) is None
+        # [a|a] -> [aa]: the chain aa > a > 1 loses a
+        edge = ((W("aa"), W("a"), ()), (W("aa"), ()), "M1")
+        assert m_a2.edge((W("aa"), ())) == edge
+        assert m_a2.edge((W("aa"), W("a"), ())) == edge
+        assert m_a2.edge((W("aba"), W("a"), ())) is None
+        assert m_a2.cell_of(edge[0]) == (W("a"), W("a"))
+        assert m_a2.cell_of(edge[1]) == (W("aa"),)
 
 
 class TestMaxClassification:
     def test_mu2_essential(self, m_a2):
-        # max-essential: depth-essential with d2 = 1, so partner gives None
+        # max-essential: depth-essential with d2 = 1, so it has no edge
         for cell, essential in (
             ((W("ab"), W("a")), True),
             ((W("ba"), W("b")), False),
@@ -124,66 +145,74 @@ class TestMaxClassification:
             d1, _, d2 = tail_data(m_a2, cell)
             assert d1 == 1
             assert (d2 == 1) == essential
-            assert (m_a2.partner(cell) is None) == essential
+            assert (edge_of(m_a2, cell) is None) == essential
 
     def test_d2_convention_at_the_top(self, m_a2):
         # no tail of [aba] is max-essential, so the depth falls off the end
         assert tail_data(m_a2, (W("aba"),))[2] == 2
         # not collapsible: [aba] is the lower end of its second-matching edge
-        edge = m_a2.partner((W("aba"),))
-        assert edge.kind == "M2" and edge.upper != (W("aba"),)
+        edge = m_a2.edge((W("aba"), ()))
+        assert edge[2] == "M2" and edge[0] != (W("aba"), ())
 
     def test_m2_partner(self, m_a2):
-        edge = MatchEdge((W("ba"), W("b")), (W("aba"),), "M2")
-        assert m_a2.partner((W("aba"),)) == edge
-        assert m_a2.partner((W("ba"), W("b"))) == edge
-        assert m_a2.partner((W("ab"), W("a"))) is None
+        # [ba|b] -> [aba]: the chain aba > b > 1 loses b (bab = aba)
+        edge = ((W("aba"), W("b"), ()), (W("aba"), ()), "M2")
+        assert m_a2.edge((W("aba"), ())) == edge
+        assert m_a2.edge((W("aba"), W("b"), ())) == edge
+        assert m_a2.edge((W("aba"), W("a"), ())) is None
+        assert m_a2.cell_of(edge[0]) == (W("ba"), W("b"))
 
     def test_essential_cell_construction(self, m_a2, m_ainf, mon_a3):
-        assert m_a2.essential_cell(()) == ()
-        assert m_a2.essential_cell("a") == (W("a"),)
-        assert m_a2.essential_cell("ab") == (W("ab"), W("a"))
-        assert m_ainf.essential_cell("b") == (W("b"),)
+        assert m_a2.essential_chain(()) == ((),)
+        assert m_a2.essential_chain("a") == (W("a"), ())
+        assert m_a2.essential_chain("ab") == (W("aba"), W("a"), ())
+        assert m_a2.cell_of(m_a2.essential_chain("ab")) == (W("ab"), W("a"))
+        assert m_a2.cell_of(((),)) == ()
+        assert m_ainf.essential_chain("b") == (W("b"), ())
         with pytest.raises(InfiniteType):
-            m_ainf.essential_cell("ab")
+            m_ainf.essential_chain("ab")
         m_a3 = BarMatching(mon_a3)
-        top = m_a3.essential_cell("abc")
-        assert len(top) == 3
-        assert cell_length(top) == 6
-        d1, _, d2 = tail_data(m_a3, top)
+        top = m_a3.essential_chain("abc")
+        assert len(top) == 4
+        cell = m_a3.cell_of(top)
+        assert cell_length(cell) == 6
+        d1, _, d2 = tail_data(m_a3, cell)
         assert d1 == d2 == 1
-        assert m_a3.partner(top) is None
+        assert m_a3.edge(top) is None
 
 
 class TestPartnersAreAMatching:
     def test_partner_is_an_involution(self, m_a2):
         for n in range(6):
             for cell in iter_cells_of_grade(m_a2.mon, n):
-                edge = m_a2.partner(cell)
+                chain = suffix_products(m_a2.mon, cell)
+                edge = m_a2.edge(chain)
                 if edge is None:
                     continue
-                other = edge.upper if cell == edge.lower else edge.lower
-                assert m_a2.partner(other) == edge
+                assert chain in edge[:2]
+                other = edge[0] if chain == edge[1] else edge[1]
+                assert m_a2.edge(other) == edge
 
     def test_edges_preserve_eta(self, m_a2):
         for n in range(6):
             for cell in iter_cells_of_grade(m_a2.mon, n):
-                edge = m_a2.partner(cell)
+                edge = edge_of(m_a2, cell)
                 if edge is not None:
-                    assert grade(m_a2, edge.upper) == grade(m_a2, edge.lower)
+                    upper, lower = (m_a2.cell_of(chain) for chain in edge[:2])
+                    assert grade(m_a2, upper) == grade(m_a2, lower)
 
     def test_kinds_separate_by_flag(self, m_a2):
         for n in range(6):
             for flag in (0, 1):
                 for edge in grade_edges(m_a2, n, flag):
-                    assert edge.kind == ("M2" if flag == 0 else "M1")
+                    assert edge[2] == ("M2" if flag == 0 else "M1")
 
 
 class TestMatchingForGrade:
     def test_square_edges(self, m_a2):
         edges = grade_edges(m_a2, 2, 1)
-        assert MatchEdge((W("a"), W("a")), (W("aa"),), "M1") in edges
-        assert MatchEdge((W("b"), W("b")), (W("bb"),), "M1") in edges
+        assert ((W("aa"), W("a"), ()), (W("aa"), ()), "M1") in edges
+        assert ((W("bb"), W("b"), ()), (W("bb"), ()), "M1") in edges
         assert len(edges) == 4
 
     def test_point_grade_empty(self, m_a2):
@@ -191,7 +220,7 @@ class TestMatchingForGrade:
 
     def test_top_essential_grade(self, m_a2):
         edges = grade_edges(m_a2, 3, 0)
-        assert edges == {MatchEdge((W("ba"), W("b")), (W("aba"),), "M2")}
+        assert edges == {((W("aba"), W("b"), ()), (W("aba"), ()), "M2")}
         essential = [
             cell
             for cell in grade_cells(m_a2, 3, 0)
@@ -223,32 +252,42 @@ class TestAudits:
 
     def test_missing_edge_fails(self, m_a2):
         edges = grade_edges(m_a2, 2, 1)
-        edges.discard(MatchEdge((W("a"), W("a")), (W("aa"),), "M1"))
+        edges -= chain_edges(m_a2.mon, MatchEdge((W("a"), W("a")), (W("aa"),), "M1"))
+        assert len(edges) == 3
         with pytest.raises(AuditFailure, match="unmatched"):
             m_a2.audit_grade(2, edges)
 
     def test_doubled_cell_fails(self, m_a2):
         edges = grade_edges(m_a2, 2, 1)
-        edges.add(MatchEdge((W("a"), W("b")), (W("aa"),), "M1"))
+        edges |= chain_edges(m_a2.mon, MatchEdge((W("a"), W("b")), (W("aa"),), "M1"))
         with pytest.raises(AuditFailure):
             m_a2.audit_grade(2, edges)
 
     def test_crossed_pairs_fail_regularity(self, m_a2):
         # [ba] is not a face of [a|b]; pairing them violates regularity
-        edges = {
+        edges = chain_edges(
+            m_a2.mon,
             MatchEdge((W("a"), W("a")), (W("aa"),), "M1"),
             MatchEdge((W("b"), W("b")), (W("bb"),), "M1"),
             MatchEdge((W("a"), W("b")), (W("ba"),), "M1"),
             MatchEdge((W("b"), W("a")), (W("ab"),), "M1"),
-        }
+        )
         with pytest.raises(AuditFailure, match="incidence"):
             m_a2.audit_grade(2, edges)
 
     def test_edge_of_another_length_fails(self, m_a2):
         edges = grade_edges(m_a2, 2, 1)
-        edges.add(MatchEdge((W("ba"), W("b")), (W("aba"),), "M2"))
+        edges |= chain_edges(m_a2.mon, MatchEdge((W("ba"), W("b")), (W("aba"),), "M2"))
         with pytest.raises(AuditFailure, match="escapes"):
             m_a2.audit_grade(2, edges)
+
+    def test_edge_of_wrong_kind_or_dimension_fails(self, m_a2):
+        edges = grade_edges(m_a2, 2, 1)
+        square = ((W("aa"), W("a"), ()), (W("aa"), ()))
+        with pytest.raises(AuditFailure, match="has kind M2"):
+            m_a2.audit_grade(2, edges - {(*square, "M1")} | {(*square, "M2")})
+        with pytest.raises(AuditFailure, match="is not codimension 1"):
+            m_a2.audit_grade(2, edges | {(square[1], square[1], "M1")})
 
     def test_cycle_through_matched_pairs_fails(self, m_a2):
         # two 2-cells sharing both faces, each matched with a different one:
@@ -277,12 +316,17 @@ class TestAgainstTheCellRule:
         "maker, top", ORACLE_SYSTEMS.values(), ids=ORACLE_SYSTEMS
     )
     def test_partner_agrees_on_every_cell(self, maker, top):
+        # the edge through each cell's chain is the cell rule's edge
+        # through the cell, mapped to chains
         mon = ArtinMonoid(maker())
         matching, oracle = BarMatching(mon), CellMatching(mon)
         for n in range(top + 1):
             for x in mon.elements_of_length(n):
-                for cell, _ in factorizations(mon, x):
-                    assert matching.partner(cell) == oracle.partner(cell), cell
+                for cell, products in factorizations(mon, x):
+                    edge = oracle.partner(cell)
+                    expected = None if edge is None else edge.chains(mon)
+                    assert matching.edge(products) == expected, cell
+                    assert matching.cell_of(products) == cell
 
 
 def matched_fibers(mon, top):

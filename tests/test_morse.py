@@ -4,10 +4,10 @@ from itertools import combinations
 import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
-from artinhom.bar import cell_length, layer_homology
+from artinhom.bar import layer_homology
 from artinhom.errors import InfiniteM, InternalError, NonAcyclicInput
 from artinhom.homology import HomologyGroup
-from artinhom.matching import BarMatching, MatchEdge
+from artinhom.matching import BarMatching
 from artinhom.morse import (
     boundary_word_2cell,
     braid_relator_word,
@@ -16,7 +16,7 @@ from artinhom.morse import (
     morse_boundary,
     reduced_complex,
 )
-from conftest import columns, entry
+from conftest import MatchEdge, columns, entry, suffix_products
 
 
 def W(text):
@@ -38,17 +38,21 @@ def free_monoid(gens):
 
 
 class StubMatching:
-    """Just what morse_boundary reads: a monoid and on-demand partners."""
+    """Just what morse_boundary reads: a monoid and on-demand edges of
+    chains, given as pairs of cells."""
 
     def __init__(self, mon, pairs):
         self.mon = mon
         self.edges = {}
         for lower, upper in pairs:
-            edge = MatchEdge(C(upper), C(lower), "M1")
-            self.edges[edge.lower] = self.edges[edge.upper] = edge
+            edge = MatchEdge(C(upper), C(lower), "M1").chains(mon)
+            self.edges[edge[0]] = self.edges[edge[1]] = edge
 
-    def partner(self, cell):
-        return self.edges.get(cell)
+    def chain(self, text):
+        return suffix_products(self.mon, C(text))
+
+    def edge(self, chain):
+        return self.edges.get(chain)
 
 
 class TestAcyclicity:
@@ -60,13 +64,13 @@ class TestAcyclicity:
             [("ab|cd", "a|b|cd"), ("a|bcd", "a|bc|d"), ("abc|d", "ab|c|d")],
         )
         with pytest.raises(NonAcyclicInput):
-            morse_boundary(matching, {C("a|b|cd")})
+            morse_boundary(matching, {matching.chain("a|b|cd")})
 
     def test_matched_face_must_have_unit_incidence(self):
         # [ab] is not a face of [a|a], whose boundary is 2[a] - [aa]
         matching = StubMatching(free_monoid("ab"), [("ab", "a|a")])
         with pytest.raises(InternalError):
-            morse_boundary(matching, {C("a|b")})
+            morse_boundary(matching, {matching.chain("a|b")})
 
 
 class TestReducedComplex:
@@ -186,8 +190,7 @@ class TestPerGradeCollapse:
             matching = BarMatching(mon)
             census = {}
             for T in mon.system.sf():
-                cell = matching.essential_cell(T)
-                key = (cell_length(cell), len(T))
+                key = (len(matching.essential_chain(T)[0]), len(T))
                 census[key] = census.get(key, 0) + 1
             top = max(n for n, _ in census)
             for n in range(top + 3):
@@ -229,11 +232,11 @@ class TestBoundaryWords:
 class TestMorseBoundaryDirectly:
     def test_flow_reproduces_known_two_cell_boundary(self, mon_a2):
         matching = BarMatching(mon_a2)
-        essentials = set(matching.essential_cells().values())
-        chains = morse_boundary(matching, essentials)
-        two_cell = matching.essential_cell("ab")
-        assert chains[two_cell] in (
-            {(W("a"),): 1, (W("b"),): -1},
-            {(W("a"),): -1, (W("b"),): 1},
+        essentials = {matching.essential_chain(T) for T in mon_a2.system.sf()}
+        flows = morse_boundary(matching, essentials)
+        two_cell = matching.essential_chain("ab")
+        assert flows[two_cell] in (
+            {(W("a"), ()): 1, (W("b"), ()): -1},
+            {(W("a"), ()): -1, (W("b"), ()): 1},
         )
-        assert chains[(W("a"),)] == {}
+        assert flows[(W("a"), ())] == {}
