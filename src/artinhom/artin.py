@@ -231,15 +231,6 @@ class ArtinMonoid:
             self._splits[x] = divisors
         return divisors
 
-    def left_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
-        """The y with d*y = x, or None when d does not left divide x."""
-        x = self.system.check_word(x)
-        d = self.system.check_word(d)
-        if len(d) > len(x):
-            return None
-        quotient = self._left_quotient(self._normal(x), d)
-        return None if quotient is None else self._word(quotient)
-
     def right_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
         """The y with y*d = x, or None when d does not right divide x."""
         key = (tuple(x), tuple(d))

@@ -99,46 +99,34 @@ def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
     that interval's `interval_complex`.  Removing beat points of the open
     interval (1, x), the proper non-identity right divisors of x, keeps
     that homology, so the fiber is the interval complex of the chains
-    x > p_1 > ... > p_k > 1 with every p_i in the core.  When x has one
-    left letter s, every such divisor right-divides s^-1 x, the greatest
-    element; when it has one right letter t, every one is right-divisible
-    by t, the least.  Either way the core is that one element, and no
-    right divisors are listed.  The ranks run to dimension len(x), the
-    longest factorization; for x of length n >= 1 the homology lives in
-    dimensions 1..n, and the identity's fiber is the single 0-cell.
+    x > p_1 > ... > p_k > 1 with every p_i in the core.  The ranks run to
+    dimension len(x), the longest factorization; for x of length n >= 1
+    the homology lives in dimensions 1..n, and the identity's fiber is the
+    single 0-cell.
     """
     x = mon.canon(x)
     below = _core_below(mon, x)
-    if below is None:
-        extreme = _extreme_divisor(mon, x)
-        below = {x: [extreme], extreme: []}
     return interval_complex(interval_chains(x, below.__getitem__, ()), len(x) + 1)
 
 
-def _core_below(mon: ArtinMonoid, x: Word) -> dict[Word, list[Word]] | None:
-    """x and each element of the beat-point core of the open interval
-    (1, x) of right divisors, with the core elements below it; None when
-    x has one left or one right letter, so that the core is the one
-    element `_extreme_divisor` names."""
-    if len(x) > 1 and (
+def _one_sided(mon: ArtinMonoid, x: Word) -> bool:
+    """Whether x has length at least 2 and one left letter s or one right
+    letter t: then s^-1 x is the greatest element of (1, x), or t the
+    least, and the core is that one element."""
+    return len(x) > 1 and (
         len(mon.starting_set(x)) == 1 or len(mon.finishing_set(x)) == 1
-    ):
-        return None
+    )
+
+
+def _core_below(mon: ArtinMonoid, x: Word) -> dict[Word, list[Word]]:
+    """x and each element of the beat-point core of the open interval
+    (1, x) of right divisors, with the core elements below it."""
     below = {q: mon.right_divisors(q) for q in mon.right_divisors(x)}
     core = poset_core(below, below)
     kept = set(core)
     below = {q: [r for r in below[q] if r in kept] for q in core}
     below[x] = core
     return below
-
-
-def _extreme_divisor(mon: ArtinMonoid, x: Word) -> Word:
-    """The greatest or least element of (1, x) for x of length at least 2
-    with one left letter s or one right letter t: s^-1 x or t."""
-    starting = mon.starting_set(x)
-    if len(starting) == 1:
-        return mon.left_quotient(x, tuple(starting))
-    return tuple(mon.finishing_set(x))
 
 
 def layer_homology(mon: ArtinMonoid, n: int) -> list[HomologyGroup]:
@@ -156,8 +144,8 @@ def layer_homology(mon: ArtinMonoid, n: int) -> list[HomologyGroup]:
     free = [0] * (n + 1)
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
     for x in mon.elements_of_length(n):
-        below = _core_below(mon, x)
-        if below is None or len(below) == 2:
+        # a one-sided x is skipped before any right divisor is listed
+        if _one_sided(mon, x) or len(_core_below(mon, x)) == 2:
             continue
         # few fibers get here, so `fiber_complex` finding the core again
         # costs little

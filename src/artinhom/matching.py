@@ -131,7 +131,6 @@ class BarMatching:
         self.delta_of: dict[Word, frozenset[str]] = {
             delta: T for T, delta in mon.deltas().items()
         }
-        self._finishing: dict[Word, frozenset[str]] = {}
 
     # -- tail data ----------------------------------------------------------
 
@@ -141,12 +140,6 @@ class BarMatching:
         while j > 1 and products[j - 2] in self.delta_of:
             j -= 1
         return j
-
-    def _finishing_set(self, p: Word) -> frozenset[str]:
-        found = self._finishing.get(p)
-        if found is None:
-            found = self._finishing[p] = self.mon.finishing_set(p)
-        return found
 
     # -- the second matching, on depth-1 chains ------------------------------
 
@@ -193,7 +186,7 @@ class BarMatching:
             target = sets[d - 1] | {max(sets[d - 2], key=self.system.index)}
         else:
             kind = "M1"
-            target = self._finishing_set(chain[d - 2])
+            target = self.mon.finishing_set(chain[d - 2])
             tail = self.delta_of[chain[d - 1]] if d < len(chain) else frozenset()
             if target == tail:
                 return chain, chain[: d - 1] + chain[d:], kind

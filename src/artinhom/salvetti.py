@@ -2,12 +2,14 @@
 
 Cells are pairs (u, T) of a group element and a finite-type subset,
 ordered by (u, T) <= (v, R) when T is contained in R, v^-1 u lies in the
-standard subgroup on R, and v^-1 u is T-minimal.  The library defines
-this order once, by listing: the cells below (v, R) are the (v b, T)
-with T <= R and b a T-minimal element of W_R (`SalvettiPoset.down_set`).
-The geometric realization of the derived complex carries one cell per
-pair, of dimension |T|; the group acts freely by left multiplication and
-the quotient keeps one cell per finite-type subset.
+standard subgroup on R, and v^-1 u is T-minimal.  The poset of a finite
+group W has every such pair, W x `sf`, and no other.  The library
+defines this order once, by listing: the cells below (v, R) are the
+(v b, T) with T <= R and b a T-minimal element of W_R
+(`SalvettiPoset.down_set`).  The geometric realization of the derived
+complex carries one cell per pair, of dimension |T|; the group acts
+freely by left multiplication and the quotient keeps one cell per
+finite-type subset.
 
 `cell_pair_check` certifies the local structure (Bjorner's criterion for
 regular CW posets): the strict down-set of an n-cell must have the
@@ -20,24 +22,17 @@ alone; the empty (-1)-sphere and the two-point 0-sphere need no special
 case.  The closed down-set needs no check once the cell's listing
 contains it: the cell is then the maximum of its down-set, so every chain
 of the closed down-set that misses the cell extends by it, and the order
-complex is a cone on the cell and acyclic.  A cell missing from its own
-listing, as a cell outside the poset is, fails outright.  Its closed
-down-set is no cone on it, and the chains listed from the cell down would
-not show that: a non-canonical name of a 1-cell removed from the poset
-can still list a 0-sphere below it.
+complex is a cone on the cell and acyclic.
 
 Left multiplication by v maps the down-set of (e, R) onto that of
-(v, R), so each W-orbit needs its homology once.  The poset certifies
-once, at construction, that its cells are exactly W x `sf`.  Then every
-(u, T) with u in W and T in `sf` is a member, so `down_set((v, R))` is
+(v, R), so each W-orbit needs its homology once.  `down_set((v, R))` is
 the listing of (e, R) with each entry multiplied on the left by v, and
 the listing below each q in it is the listing below v q: both run through
 the same (b, T) with v (b c) = (v b) c, since W's canonical `mul` is
 associative.  Left multiplication is a bijection of W, so q -> v q is an
 isomorphism of the two down-sets as posets that carries (e, R) to
 (v, R), and the strict one onto the strict one: (v, R) has the homology
-of (e, R).  A poset that is not the whole W x `sf`, or a cell outside
-it, has each cell checked reduce its own strict down-set.
+of (e, R).
 """
 
 from __future__ import annotations
@@ -52,47 +47,32 @@ SalCell = tuple[Word, frozenset]
 
 
 class SalvettiPoset:
-    """The cells of a poset of cosets-with-types, with its order listed
-    on demand."""
+    """The cells W x `sf` of the poset of cosets-with-types, with its
+    order listed on demand; requires the whole group to be finite."""
 
-    __hash__ = None
-
-    def __init__(self, system: CoxeterSystem, cells: list[SalCell]):
+    def __init__(self, system: CoxeterSystem):
+        if not system.is_finite_type(system.gens):
+            raise InfiniteType("the full poset needs a finite group")
         self.system = system
-        self.cells = cells
-        self._members = frozenset(self.cells)
-        self._subsets = self.system.sf()
+        self._subsets = system.sf()
+        self.cells: list[SalCell] = [
+            (u, T) for u in system.enumerate_group(system.gens) for T in self._subsets
+        ]
         self._below: dict[SalCell, tuple[SalCell, ...]] = {}
         self._minimal_in: dict[frozenset, list[tuple[Word, list[frozenset]]]] = {}
-        # whether the cells are exactly W x sf, so each (v, R) is a translate of (e, R)
-        self._whole = self._is_whole()
-        # reduced cell -> homology of its strict down-set
-        self._pair_homology: dict[SalCell, list[HomologyGroup]] = {}
-
-    def _is_whole(self) -> bool:
-        """Whether the cells are exactly the (u, T) with u in W and T in sf."""
-        if not self.system.is_finite_type(self.system.gens):
-            return False
-        elements = self.system.enumerate_group(self.system.gens)
-        return self._members == {(u, T) for u in elements for T in self._subsets}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.system, self.cells) == (other.system, other.cells)
+        # R -> homology of the strict down-set of (e, R)
+        self._pair_homology: dict[frozenset, list[HomologyGroup]] = {}
 
     def dim(self, cell: SalCell) -> int:
         return len(cell[1])
 
     def census(self) -> tuple[int, ...]:
-        top = max((self.dim(c) for c in self.cells), default=0)
-        counts = [0] * (top + 1)
-        for cell in self.cells:
-            counts[self.dim(cell)] += 1
-        return tuple(counts)
+        """Cells per dimension: |W| cells for each finite-type subset."""
+        order = len(self.cells) // len(self._subsets)
+        return tuple(order * count for count in quotient_census(self.system))
 
     def down_set(self, cell: SalCell) -> tuple[SalCell, ...]:
-        """The poset's cells below (v, R): the (v b, T) with T <= R and b a
+        """The cells below (v, R): the (v b, T) with T <= R and b a
         T-minimal element of W_R, each listed once."""
         below = self._below.get(cell)
         if below is None:
@@ -100,7 +80,7 @@ class SalvettiPoset:
             listed = []
             for beta, types in self._minimal(R):
                 u = self.system.mul(v, beta)
-                listed.extend((u, T) for T in types if (u, T) in self._members)
+                listed.extend((u, T) for T in types)
             below = self._below[cell] = tuple(listed)
         return below
 
@@ -119,12 +99,7 @@ class SalvettiPoset:
 
 def sal_poset(system: CoxeterSystem) -> SalvettiPoset:
     """The full poset; requires the whole group to be finite."""
-    if not system.is_finite_type(system.gens):
-        raise InfiniteType("the full poset needs a finite group")
-    elements = system.enumerate_group(system.gens)
-    subsets = system.sf()
-    cells = [(u, T) for u in elements for T in subsets]
-    return SalvettiPoset(system, cells)
+    return SalvettiPoset(system)
 
 
 class PairCheck(NamedTuple):
@@ -133,34 +108,36 @@ class PairCheck(NamedTuple):
     strict_size: int
 
 
-def _strict_homology(poset: SalvettiPoset, cell: SalCell) -> list[HomologyGroup]:
-    """Homology of the interval complex of a cell's strict down-set,
+def _strict_homology(poset: SalvettiPoset, R: frozenset) -> list[HomologyGroup]:
+    """Homology of the interval complex of the strict down-set of (e, R),
     reduced once."""
-    found = poset._pair_homology.get(cell)
+    found = poset._pair_homology.get(R)
     if found is None:
         chains = interval_chains(
-            cell, lambda q: [p for p in poset.down_set(q) if p != q], None
+            ((), R), lambda q: [p for p in poset.down_set(q) if p != q], None
         )
-        found = poset._pair_homology[cell] = interval_complex(chains).homology()
+        found = poset._pair_homology[R] = interval_complex(chains).homology()
     return found
 
 
 def cell_pair_check(poset: SalvettiPoset, cell: SalCell) -> PairCheck:
     """Certify that a cell's down-set pair looks like (disk, sphere).
 
-    A member (v, R) of a poset whose cells are all of W x `sf` is a
-    translate of (e, R), whose strict down-set is reduced once for the
-    orbit; any other cell reduces its own.  A cell missing from its own
-    listing fails; otherwise the closed down-set is a cone on the cell and
+    A cell (v, R) is a translate of (e, R), whose strict down-set is
+    reduced once for the orbit.  A name that is not canonical, or a type
+    outside `sf`, names no cell and fails, as does (e, R) missing from its
+    own listing; otherwise the closed down-set is a cone on the cell and
     is not reduced (module docstring)."""
-    base = ((), cell[1])
-    reduced = base if poset._whole and cell in poset._members else cell
-    closed = poset.down_set(reduced)
-    if reduced not in closed:
+    v, R = cell
+    if R not in poset._subsets or poset.system.canon(v) != v:
+        raise CheckFailed(f"{cell} is not a cell of the poset")
+    base = ((), R)
+    closed = poset.down_set(base)
+    if base not in closed:
         raise CheckFailed(f"{cell} is not in its own down-set")
     closed_size = len(closed)
     n = poset.dim(cell)
-    strict_homology = _strict_homology(poset, reduced)
+    strict_homology = _strict_homology(poset, R)
     if strict_homology != [HomologyGroup(0)] * (n + 1) + [HomologyGroup(1)]:
         raise CheckFailed(
             f"strict down-set of {cell} is not a {n - 1}-sphere: reduced homology "

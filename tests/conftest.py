@@ -295,13 +295,6 @@ class BraidClassMonoid:
                 quotient.setdefault(self.canon(w[:k]), self.canon(w[k:]))
         return sorted(quotient.items(), key=lambda pair: self.system.key(pair[0]))
 
-    def left_quotient(self, x, d):
-        d = self.canon(d)
-        for w in self.braid_class(x):
-            if len(d) <= len(w) and self.canon(w[: len(d)]) == d:
-                return self.canon(w[len(d) :])
-        return None
-
     def starting_set(self, x):
         return frozenset(w[0] for w in self.braid_class(x) if w)
 
@@ -609,10 +602,9 @@ def translates(poset, base, cell):
     `cell` = (v, R) as posets: translated, the listing below (e, R) must
     be the listing below (v, R), and the listing below each q the listing
     below v q.  Listings run through b in ShortLex order, then T, so a
-    translate keeps that order.  The library instead certifies once that
-    a poset's cells are all of W x sf, which makes this hold by
-    construction of `down_set`."""
-    if base not in poset._members:
+    translate keeps that order.  The library's poset is all of W x sf by
+    construction, which makes this hold by construction of `down_set`."""
+    if base not in poset.cells:
         return False
     source = poset.down_set(base)
     left = {u: poset.system.mul(cell[0], u) for u in {u for u, _ in source}}

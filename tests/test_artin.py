@@ -364,7 +364,6 @@ class TestAgainstBraidClasses:
                         assert mon.left_divides(x, y) == oracle.left_divides(x, y), args
                         assert mon.right_divides(x, y) == oracle.right_divides(x, y), args
                         assert mon.right_quotient(y, x) == oracle.right_quotient(y, x), args
-                        assert mon.left_quotient(y, x) == oracle.left_quotient(y, x), args
                 quotients = [q for _, q in oracle.left_splits(y)]
                 assert mon.right_divisors(y) == quotients, (mon.system.gens, y)
 

@@ -28,6 +28,7 @@ A3_TEXT = "gens: a b c\nm a b 3\nm b c 3\n"
 B3_TEXT = "gens: a b c\nm a b 4\nm b c 3\n"
 AFFINE_A2_TEXT = "gens: a b c\nm a b 3\nm b c 3\nm a c 3\n"
 D4_TEXT = "gens: a b c d\nm a b 3\nm b c 3\nm b d 3\n"
+H3_TEXT = "gens: a b c\nm a b 5\nm b c 3\n"
 # reduced words of the longest elements; (abc)^3 is w0 = -1 of B3
 A3_DELTA = "acb" * 2
 B3_DELTA = "abc" * 3
@@ -434,17 +435,26 @@ class TestMonoidReach:
 
 class TestPosetReach:
     def test_d4_salvetti_stats(self, tmp_path, capsys):
-        # |W(D4)| = 192 and all 16 subsets have finite type, so dimension k
-        # holds 192 * C(4, k) cells, and the quotient one cell per subset
-        path = tmp_path / "d4.system"
-        path.write_text(D4_TEXT)
-        assert main(["--system", str(path), "--format", "jsonl", "salvetti-stats"]) == 0
-        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:]]
-        assert records == [
-            {"record": "poset-census", "cells": 3072, "census": [192, 768, 1152, 768, 192]},
-            {"record": "pair-checks", "checked": 3072},
-            {"record": "quotient-census", "counts": [1, 4, 6, 4, 1]},
-        ]
+        # every subset of D4, B3 and H3 has finite type, so dimension k holds
+        # |W| * C(rank, k) cells, and the quotient one cell per subset:
+        # |W(D4)| = 192, |W(B3)| = 48 and |W(H3)| = 120
+        cases = {
+            D4_TEXT: (3072, [192, 768, 1152, 768, 192], [1, 4, 6, 4, 1]),
+            B3_TEXT: (384, [48, 144, 144, 48], [1, 3, 3, 1]),
+            H3_TEXT: (960, [120, 360, 360, 120], [1, 3, 3, 1]),
+        }
+        path = tmp_path / "system"
+        for text, (cells, census, quotient) in cases.items():
+            path.write_text(text)
+            argv = ["--system", str(path), "--format", "jsonl", "salvetti-stats"]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            records = [json.loads(line) for line in out.splitlines()[1:]]
+            assert records == [
+                {"record": "poset-census", "cells": cells, "census": census},
+                {"record": "pair-checks", "checked": cells},
+                {"record": "quotient-census", "counts": quotient},
+            ], text
 
 
 class TestVerifyReach:

@@ -91,6 +91,8 @@ class TestPoset:
     def test_infinite_type_rejected(self, ainf):
         with pytest.raises(InfiniteType):
             sal_poset(ainf)
+        with pytest.raises(InfiniteType):
+            SalvettiPoset(ainf)
 
     def test_group_action_is_free_and_order_preserving(self, poset_a2, a2):
         elements = a2.enumerate_group("ab")
@@ -226,81 +228,58 @@ class TestCellPairs:
         for c in poset_a2.cells:
             cell_pair_check(poset_a2, c)
 
-    def test_corrupted_poset_detected(self, a2, poset_a2):
-        # dropping a vertex from the strict down-set breaks the sphere
-        import artinhom.salvetti as salvetti
-
-        target = cell("", "ab")
-        broken = salvetti.SalvettiPoset(
-            a2, [c for c in poset_a2.cells if c != cell("a", "")]
+    def test_corrupted_poset_detected(self, a2, monkeypatch):
+        # dropping a vertex from every listing breaks the sphere
+        poset = sal_poset(a2)
+        dropped = cell("a", "")
+        listed = poset.down_set
+        monkeypatch.setattr(
+            poset, "down_set", lambda c: tuple(p for p in listed(c) if p != dropped)
         )
-        with pytest.raises(CheckFailed):
-            cell_pair_check(broken, target)
-
-    def test_corrupted_translate_detected(self, a2, poset_a2):
-        # (e, {a}) is whole, so its homologies are reduced and kept; its
-        # translate by b lost (ba, {}), so it may not reuse them
-        broken = SalvettiPoset(a2, [c for c in poset_a2.cells if c != cell("ba", "")])
-        cell_pair_check(broken, cell("", "a"))
-        with pytest.raises(CheckFailed):
-            cell_pair_check(broken, cell("b", "a"))
+        with pytest.raises(CheckFailed, match="sphere"):
+            cell_pair_check(poset, cell("", "ab"))
 
     @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
     def test_one_reduction_per_orbit(self, system):
-        # every cell of the full poset is certified as a translate of its
-        # (e, R), so only the |sf| identity cells are reduced
+        # every cell is checked as a translate of its (e, R), so only one
+        # strict down-set per finite-type subset is reduced
         poset = sal_poset(system)
         for c in poset.cells:
             cell_pair_check(poset, c)
-        assert set(poset._pair_homology) == {((), T) for T in system.sf()}
+        assert set(poset._pair_homology) == set(system.sf())
 
     def test_cell_outside_the_poset_fails(self, poset_a2):
         # aa = e, so this names (e, {a}) in W, but it is no cell of the poset:
-        # no chain ends at it, and its strict complex is no sphere
+        # its name is not canonical
         outside = (W("aa"), frozenset("a"))
         assert outside not in poset_a2.cells
         with pytest.raises(CheckFailed):
             cell_pair_check(poset_a2, outside)
 
-    def test_cell_missing_from_its_own_listing_fails(self, a2, poset_a2):
-        # (bab, {a}) names the removed (aba, {a}): its listing below is the
-        # two points (aba, {}) and (ab, {}), a 0-sphere, but lacks the cell
-        removed = cell("aba", "a")
-        broken = SalvettiPoset(a2, [c for c in poset_a2.cells if c != removed])
-        named = cell("bab", "a")
-        assert set(broken.down_set(named)) == {cell("aba", ""), cell("ab", "")}
+    def test_type_outside_sf_fails(self, poset_a2, a2):
+        # W is finite, so a type outside sf names a letter outside the system
+        outside = cell("", "ac")
+        assert outside[1] not in a2.sf()
         with pytest.raises(CheckFailed):
-            cell_pair_check(broken, named)
+            cell_pair_check(poset_a2, outside)
 
-    def test_shuffled_full_poset_reduces_one_cell_per_orbit(self, a2):
-        # the cell set is certified whole as a set, whatever its order
-        cells = list(sal_poset(a2).cells)
-        random.Random(20261019).shuffle(cells)
-        poset = SalvettiPoset(a2, cells)
-        for c in cells:
-            cell_pair_check(poset, c)
-        assert set(poset._pair_homology) == {((), T) for T in a2.sf()}
+    def test_cell_missing_from_its_own_listing_fails(self, a2, monkeypatch):
+        # (e, {a}) dropped from its own listing leaves the two points
+        # (e, {}) and (a, {}) below it, a 0-sphere, but no cone on the cell
+        poset = sal_poset(a2)
+        minimal = poset._minimal
 
-    def test_partial_poset_reduces_each_cell_itself(self, a2, poset_a2):
-        # without (ba, {}) the cells are not all of W x sf, so no cell is
-        # covered by translation; exactly those whose down-set held the
-        # missing cell lose their sphere
-        missing = cell("ba", "")
-        broken = SalvettiPoset(a2, [c for c in poset_a2.cells if c != missing])
-        failed = set()
-        for c in broken.cells:
-            try:
-                cell_pair_check(broken, c)
-            except CheckFailed:
-                failed.add(c)
-        assert set(broken._pair_homology) == set(broken.cells)
-        assert failed == {c for c in broken.cells if missing in poset_a2.down_set(c)}
-        assert failed and len(failed) < len(broken.cells)
+        def without_identity_cell(R):
+            return [
+                (beta, [T for T in types if beta or T != R])
+                for beta, types in minimal(R)
+            ]
 
-    def test_infinite_group_has_no_whole_cell_set(self, ainf):
-        poset = SalvettiPoset(ainf, [cell("", "")])
-        assert cell_pair_check(poset, cell("", "")).strict_size == 0
-        assert set(poset._pair_homology) == {cell("", "")}
+        monkeypatch.setattr(poset, "_minimal", without_identity_cell)
+        named = cell("b", "a")
+        assert set(poset.down_set(((), frozenset("a")))) == {cell("", ""), cell("a", "")}
+        with pytest.raises(CheckFailed, match="not in its own down-set"):
+            cell_pair_check(poset, named)
 
 
 class TestDeletedGuarantees:
