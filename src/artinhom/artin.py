@@ -19,20 +19,28 @@ EMS 2015): after multiplying by a letter on the right one right-to-left
 sweep of pair normalizations restores the form, and after dividing by a
 letter on the left one left-to-right sweep does.
 
-A simple is named by the canonical word of the Coxeter-group element it
-lifts, so its L and R are that element's descent sets and the
-transitions between simples (times a letter, strip a letter) are the
-group's: all are read from the table of W in `CoxeterSystem`, its
-naming map from words to canonical words plus its entry table, whose
-only fill is `CoxeterSystem._lookup`.  Every pair normalization is
-memoized.  No class of positive words is ever
+A simple is named by the id of the Coxeter-group element it lifts in the
+table of W in `CoxeterSystem`, so its L and R are that element's descent
+sets and the transitions between simples (times a letter, strip a
+letter) are the group's (`CoxeterSystem._up` and `_down`), all read from
+that table, whose only fill is `CoxeterSystem._lookup`.  Every pair
+normalization is memoized.  No class of positive words is ever
 enumerated; the test suite keeps braid-class enumeration as the oracle
 for everything here.
 
-The ShortLex-least word peels min L(s_1) off repeatedly.  The right
-divisors of x are read off its splits d * q: `right_divisors` lists the q
-only, and these are the entries of the chains of the interval [1, x]
-that the bar fibers and the matching's audits walk.  Right-hand
+Each element met gets an integer id in one element table, filled in one
+place (`_element`) and keyed by normal form: per id it holds the normal
+form, L and R, the ids of the proper non-identity right divisors and the
+canonical word.  `elements_of_length` builds each element x of a layer
+as w * s from the layer before, so the letters s that build x are R(x)
+and are recorded there; any other element gets R, the L of its
+reversal, on first need.  The ShortLex-least word peels min L(s_1) off
+repeatedly, once per element.  The right divisors of x are read off its
+splits d * q, listing the q only (`_divisors`); these are the entries of
+the chains of the interval [1, x] that the bar fibers, the matching's
+audits and the collapse hold as tuples of ids.  Words go in through the
+map from every word met to its id (`_id`) and come back from an id
+(`_word`) only for answers, output and error messages.  Right-hand
 questions go through the reversal anti-automorphism.  Least common
 multiples use bounded search.  `none` is reported only when
 non-existence is a theorem: every common multiple is left-divisible by
@@ -49,10 +57,24 @@ from .errors import InfiniteType, InternalError, Undecided
 
 DEFAULT_SEARCH_BOUND = 16
 
-# a simple element, named by its ShortLex-least reduced word
-Simple = Word
+# a simple element, named by its id in the table of W (0 is the identity)
+Simple = int
 # the left-greedy normal form of an element: non-identity simples
 Normal = tuple[Simple, ...]
+
+
+class _Element:
+    """One monoid element: its normal form, L and R, its proper
+    non-identity right divisors (ids) and its canonical word.  R, the
+    divisors and the word are filled on first need."""
+
+    __slots__ = ("normal", "left", "right", "divisors", "word")
+
+    def __init__(self, normal: Normal, left: frozenset[str]):
+        self.normal, self.left = normal, left
+        self.right: frozenset[str] | None = None
+        self.divisors: list[int] | None = None
+        self.word: Word | None = None
 
 
 class ArtinMonoid:
@@ -60,13 +82,20 @@ class ArtinMonoid:
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
+        # the W table's entries, indexed by the ids that name the simples
+        self._simples = system._elements
+        # the element table: id -> entry, filled by `_element` alone; the
+        # identity is id 0, and its word is the one nothing is peeled from
+        self._table: list[_Element] = []
+        self._ids: dict[Normal, int] = {}
+        self._table[self._element(())].word = ()
+        # every word met -> the id of its element
+        self._of_word: dict[Word, int] = {(): 0}
         self._elements_by_length: list[list[Word]] = [[()]]
         self._deltas: dict[frozenset[str], Word] | None = None
         self._pairs: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
-        self._normals: dict[Word, Normal] = {}
-        self._words: dict[Normal, Word] = {}
-        self._splits: dict[Word, list[Word]] = {}
-        self._quotients: dict[tuple[Word, Word], Word | None] = {}
+        self._quotients: dict[tuple[int, int], int | None] = {}
+        self._letter_sets: dict[tuple[str, ...], frozenset[str]] = {}
 
     # -- normal forms --------------------------------------------------------
 
@@ -76,22 +105,24 @@ class ArtinMonoid:
         key = (u, v)
         pair = self._pairs.get(key)
         if pair is None:
+            simples = self._simples
             while v:
-                movable = self.system.descents(v)[0] - self.system.descents(u)[1]
+                movable = simples[v].left - simples[u].right
                 if not movable:
                     break
                 a = next(iter(movable))
-                u, v = self.system.times(u, a), self.system.strip(a, v)
+                u, v = self.system._up(u, a), self.system._down(a, v)
             pair = self._pairs[key] = (u, v)
         return pair
 
     def _append(self, normal: Normal, a: str) -> Normal:
         """Normal form of x * a: one right-to-left sweep."""
         parts = list(normal)
-        last = self.system.times(parts[-1], a) if parts else None
+        up = self.system._up
+        last = up(parts[-1], a) if parts else None
         if last is None:
-            # the identity times a: the simple a, one shared tuple
-            parts.append(self.system.times((), a))
+            # the identity times a: the simple a
+            parts.append(up(0, a))
         else:
             parts[-1] = last
         for i in range(len(parts) - 1, 0, -1):
@@ -106,7 +137,7 @@ class ArtinMonoid:
     def _strip_front(self, a: str, normal: Normal) -> Normal:
         """Normal form of a^-1 * x, for a in L(x) = L(s_1): one
         left-to-right sweep."""
-        head = self.system.strip(a, normal[0])
+        head = self.system._down(a, normal[0])
         if not head:
             return normal[1:]
         parts = [head, *normal[1:]]
@@ -119,39 +150,110 @@ class ArtinMonoid:
             parts.pop()
         return tuple(parts)
 
-    def _normal(self, word: Word) -> Normal:
-        """Normal form of a word, letter by letter; checked on a miss."""
-        normal = self._normals.get(word)
-        if normal is None:
-            normal = ()
-            for a in self.system.check_word(word):
-                normal = self._append(normal, a)
-            self._normals[word] = normal
-        return normal
-
     def _left(self, normal: Normal) -> frozenset[str]:
         """The letters that left-divide the element."""
-        return self.system.descents(normal[0])[0] if normal else frozenset()
+        return self._simples[normal[0]].left if normal else frozenset()
 
-    def _word(self, normal: Normal) -> Word:
-        """ShortLex-least word: peel min L(s_1) until nothing is left."""
-        word = self._words.get(normal)
+    # -- the element table -----------------------------------------------------
+
+    def _element(self, normal: Normal) -> int:
+        """Id of the element with this normal form; the table's only fill."""
+        i = self._ids.get(normal)
+        if i is None:
+            i = self._ids[normal] = len(self._table)
+            self._table.append(_Element(normal, self._left(normal)))
+        return i
+
+    def _id(self, word: Word) -> int:
+        """Id of the element a word names, letter by letter; checked on a miss."""
+        i = self._of_word.get(word)
+        if i is None:
+            normal: Normal = ()
+            for a in self.system.check_word(word):
+                normal = self._append(normal, a)
+            i = self._of_word[word] = self._element(normal)
+        return i
+
+    def _word(self, i: int) -> Word:
+        """ShortLex-least word: peel min L until an element with a word is left."""
+        table = self._table
+        word = table[i].word
         if word is None:
-            peeled: list[tuple[Normal, str]] = []
-            rest = normal
-            while rest and rest not in self._words:
-                a = min(self._left(rest), key=self.system.index)
-                peeled.append((rest, a))
-                rest = self._strip_front(a, rest)
-            word = self._words.get(rest, ())
-            for rest, a in reversed(peeled):
-                word = self._words[rest] = (a,) + word
+            peeled: list[tuple[int, str]] = []
+            while table[i].word is None:
+                # min L(x) = min L(s_1), the first letter of the word of s_1
+                a = self._simples[table[i].normal[0]].word[0]
+                peeled.append((i, a))
+                i = self._element(self._strip_front(a, table[i].normal))
+            word = table[i].word
+            for i, a in reversed(peeled):
+                word = table[i].word = (a,) + word
+                self._of_word[word] = i
         return word
+
+    def _right(self, i: int) -> frozenset[str]:
+        """R of element i: recorded when `elements_of_length` built it, else
+        L of the reversal, once."""
+        entry = self._table[i]
+        right = entry.right
+        if right is None:
+            right = entry.right = self._table[self._id(self._word(i)[::-1])].left
+        return right
+
+    def _divisors(self, i: int) -> list[int]:
+        """Ids of the proper non-identity right divisors of element i: each
+        q with d * q = x for a non-identity d, once, in the ShortLex order
+        of d.
+
+        The ShortLex-least word of d is its least left letter b followed
+        by the word of b^-1 d, and b left-divides d exactly when q
+        right-divides b^-1 x (cancel b on the left of x = d * q).  So for
+        each b in L(x) in turn, the q whose d begins with b are b^-1 x and
+        the right divisors of b^-1 x, less those a smaller letter already
+        reached; they come out in order.
+        """
+        entry = self._table[i]
+        divisors = entry.divisors
+        if divisors is None:
+            divisors = []
+            reached: set[int] = set()
+            for b in self.system.gens:
+                if b not in entry.left:
+                    continue
+                y = self._element(self._strip_front(b, entry.normal))
+                if not y:
+                    continue
+                for q in [y, *self._divisors(y)]:
+                    if q not in reached:
+                        reached.add(q)
+                        divisors.append(q)
+            entry.divisors = divisors
+        return divisors
+
+    def _quotient(self, x: int, d: int) -> int | None:
+        """Id of the y with y * d = x, or None when d does not right divide x."""
+        key = (x, d)
+        try:
+            return self._quotients[key]
+        except KeyError:
+            pass
+        x_word, d_word = self._word(x), self._word(d)
+        # rev(d) * rev(y) = rev(x)
+        quotient = (
+            self._left_quotient(self._table[self._id(x_word[::-1])].normal, d_word[::-1])
+            if len(d_word) <= len(x_word)
+            else None
+        )
+        result = None
+        if quotient is not None:
+            result = self._id(self._word(self._element(quotient))[::-1])
+        self._quotients[key] = result
+        return result
 
     # -- equivalence ------------------------------------------------------
 
     def canon(self, word: Iterable[str]) -> Word:
-        return self._word(self._normal(tuple(word)))
+        return self._word(self._id(tuple(word)))
 
     def mul(self, *words: Iterable[str]) -> Word:
         combined: tuple[str, ...] = ()
@@ -164,17 +266,35 @@ class ArtinMonoid:
 
     def elements_of_length(self, n: int) -> list[Word]:
         """Canonical words of all monoid elements of length n."""
+        table = self._table
         while len(self._elements_by_length) <= n:
-            # one letter on the right of each normal form, filed under
-            # the canonical word it names
-            grown: dict[Word, Normal] = {}
+            # one letter on the right of each element of the layer before.
+            # The letters s that build x are R(x), since every x s^-1 is in
+            # that layer.  The least word of x ends in some s of R(x), after
+            # the least word of x s^-1; the layer before is in ShortLex
+            # order and the letters go in generator order, so the first
+            # (w, s) to build x spells its least word w s, and the new
+            # layer comes out in ShortLex order.
+            grown: dict[int, list[str]] = {}
             for w in self._elements_by_length[-1]:
-                normal = self._normal(w)
+                normal = table[self._of_word[w]].normal
                 for s in self.system.gens:
-                    longer = self._append(normal, s)
-                    grown[self._word(longer)] = longer
-            self._normals.update(grown)
-            self._elements_by_length.append(sorted(grown, key=self.system.key))
+                    i = self._element(self._append(normal, s))
+                    right = grown.get(i)
+                    if right is None:
+                        grown[i] = [s]
+                        table[i].word = w + (s,)
+                    else:
+                        right.append(s)
+            words = []
+            for i, right in grown.items():
+                entry = table[i]
+                # one frozenset per set of letters, listed in generator order
+                key = tuple(right)
+                entry.right = self._letter_sets.setdefault(key, frozenset(key))
+                self._of_word[entry.word] = i
+                words.append(entry.word)
+            self._elements_by_length.append(words)
         return self._elements_by_length[n]
 
     # -- divisibility -----------------------------------------------------
@@ -193,62 +313,15 @@ class ArtinMonoid:
         y = self.system.check_word(y)
         if len(x) > len(y):
             return False
-        return self._left_quotient(self._normal(y), x) is not None
+        return self._left_quotient(self._table[self._id(y)].normal, x) is not None
 
     def right_divides(self, x: Iterable[str], y: Iterable[str]) -> bool:
         return self.left_divides(tuple(x)[::-1], tuple(y)[::-1])
 
-    def right_divisors(self, x: Iterable[str]) -> list[Word]:
-        """The proper non-identity right divisors of x: each q with
-        d * q = x for a non-identity d, once, in the ShortLex order of d.
-
-        The ShortLex-least word of d is its least left letter b followed
-        by the word of b^-1 d, and b left-divides d exactly when q
-        right-divides b^-1 x (cancel b on the left of x = d * q).  So for
-        each b in L(x) in turn, the q whose d begins with b are b^-1 x and
-        the right divisors of b^-1 x, less those a smaller letter already
-        reached; they come out in order.  Every q listed is the word of
-        b^-1 x or one listed for it, so the lists share their words.
-        """
-        # the memo is keyed by canonical words, so a hit needs no canon
-        x = tuple(x)
-        divisors = self._splits.get(x)
-        if divisors is None:
-            x = self.canon(x)
-            divisors = self._splits.get(x)
-        if divisors is None:
-            normal = self._normal(x)
-            divisors = []
-            reached: set[Word] = set()
-            for b in sorted(self._left(normal), key=self.system.index):
-                y = self._word(self._strip_front(b, normal))
-                if not y:
-                    continue
-                for q in [y, *self.right_divisors(y)]:
-                    if q not in reached:
-                        reached.add(q)
-                        divisors.append(q)
-            self._splits[x] = divisors
-        return divisors
-
     def right_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
         """The y with y*d = x, or None when d does not right divide x."""
-        key = (tuple(x), tuple(d))
-        try:
-            return self._quotients[key]
-        except KeyError:
-            pass
-        x = self.system.check_word(key[0])
-        d = self.system.check_word(key[1])
-        # rev(d) * rev(y) = rev(x)
-        quotient = (
-            self._left_quotient(self._normal(x[::-1]), d[::-1])
-            if len(d) <= len(x)
-            else None
-        )
-        result = None if quotient is None else self.rev(self._word(quotient))
-        self._quotients[key] = result
-        return result
+        y = self._quotient(self._id(tuple(x)), self._id(tuple(d)))
+        return None if y is None else self._word(y)
 
     # -- gcd / lcm ----------------------------------------------------------
 
@@ -258,7 +331,7 @@ class ArtinMonoid:
         A letter divides the gcd exactly when it divides every argument,
         so peeling the least such letter spells the gcd's canonical word.
         """
-        normals = [self._normal(self.system.check_word(e)) for e in elems]
+        normals = [self._table[self._id(self.system.check_word(e))].normal for e in elems]
         if not normals:
             raise ValueError("left_gcd of an empty set")
         gcd: list[str] = []
@@ -292,7 +365,7 @@ class ArtinMonoid:
             raise ValueError("right_lcm of an empty set")
         if len(elems) == 1:
             return elems[0]
-        letters = frozenset().union(*(self._left(self._normal(e)) for e in elems))
+        letters = frozenset().union(*(self.starting_set(e) for e in elems))
         if not self.system.is_finite_type(letters):
             return None
         guaranteed = False
@@ -360,11 +433,11 @@ class ArtinMonoid:
 
     def starting_set(self, x: Iterable[str]) -> frozenset[str]:
         """Generators whose letter left divides x."""
-        return self._left(self._normal(tuple(x)))
+        return self._table[self._id(tuple(x))].left
 
     def finishing_set(self, x: Iterable[str]) -> frozenset[str]:
-        """Generators whose letter right divides x: L of the reversal."""
-        return self._left(self._normal(tuple(x)[::-1]))
+        """Generators whose letter right divides x."""
+        return self._right(self._id(tuple(x)))
 
     # -- normal form ---------------------------------------------------------
 

@@ -4,8 +4,10 @@ A cell [x_1|...|x_n] is a tuple of non-identity monoid elements; its
 dimension is n and its length is the length of its product x.  The
 library holds a cell as its chain of suffix products
 P[j] = x_{j+1} ... x_n, the chain x = P[0] > P[1] > ... > P[n] = 1 of
-right divisors of x; the factors are the right quotients of consecutive
-entries (`matching.BarMatching.cell_of`), needed only for output.  The
+right divisors of x, each entry the integer id the monoid's element
+table gives it (`artin`; the identity is 0).  The factors are the right
+quotients of consecutive entries, and they and every word come back
+from ids only through `matching.BarMatching.cell_of`, for output.  The
 simplicial faces, with the usual alternating signs, read on chains:
 dropping x_1 drops P[0], merging x_i with x_{i+1} deletes the inner
 entry P[i], and dropping x_n divides every entry on the right by
@@ -33,7 +35,8 @@ Who reads what: `homology --verify` consumes the fibers that are not
 cones, one at a time; the matching rule and its audits (`matching`) and
 the zig-zag collapse (`morse`) read chains too, the collapse through
 `faces` and `boundary` here.  Chains of an interval come from
-`homology.interval_chains` over the monoid's `right_divisors`.  No whole
+`homology.interval_chains` over the divisor lists of the monoid's
+element table, and `_one_sided` reads L and R from that table.  No whole
 layer of cells is ever listed: the test suite keeps a cell enumerator,
 the faces of cells, the factorizations of x with their suffix products,
 and the full fiber of all factorizations as independent oracles.
@@ -53,8 +56,8 @@ from .homology import (
 )
 
 BarCell = tuple[Word, ...]
-# the suffix products of a cell: x = P[0] > ... > P[n] = 1
-Chain = tuple[Word, ...]
+# the suffix products of a cell as element ids: x = P[0] > ... > P[n] = 1
+Chain = tuple[int, ...]
 
 
 def cell_length(cell: BarCell) -> int:
@@ -69,7 +72,7 @@ def faces(mon: ArtinMonoid, chain: Chain) -> list[tuple[int, Chain]]:
         return []
     # dropping x_n = P[n-1] divides each entry by it on the right
     last = chain[-2]
-    dropped = (*[mon.right_quotient(p, last) for p in chain[:-2]], ())
+    dropped = (*[mon._quotient(p, last) for p in chain[:-2]], 0)
     return [
         (1, chain[1:]),
         *[(-1 if i % 2 else 1, chain[:i] + chain[i + 1 :]) for i in range(1, n)],
@@ -104,24 +107,24 @@ def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
     the homology lives in dimensions 1..n, and the identity's fiber is the
     single 0-cell.
     """
-    x = mon.canon(x)
-    below = _core_below(mon, x)
-    return interval_complex(interval_chains(x, below.__getitem__, ()), len(x) + 1)
+    x = tuple(x)
+    top = mon._id(x)
+    below = _core_below(mon, top)
+    return interval_complex(interval_chains(top, below.__getitem__, 0), len(x) + 1)
 
 
-def _one_sided(mon: ArtinMonoid, x: Word) -> bool:
-    """Whether x has length at least 2 and one left letter s or one right
-    letter t: then s^-1 x is the greatest element of (1, x), or t the
-    least, and the core is that one element."""
-    return len(x) > 1 and (
-        len(mon.starting_set(x)) == 1 or len(mon.finishing_set(x)) == 1
-    )
+def _one_sided(mon: ArtinMonoid, x: int, length: int) -> bool:
+    """Whether element x has length at least 2 and one left letter s or
+    one right letter t: then s^-1 x is the greatest element of (1, x), or
+    t the least, and the core is that one element."""
+    return length > 1 and (len(mon._table[x].left) == 1 or len(mon._right(x)) == 1)
 
 
-def _core_below(mon: ArtinMonoid, x: Word) -> dict[Word, list[Word]]:
-    """x and each element of the beat-point core of the open interval
-    (1, x) of right divisors, with the core elements below it."""
-    below = {q: mon.right_divisors(q) for q in mon.right_divisors(x)}
+def _core_below(mon: ArtinMonoid, x: int) -> dict[int, list[int]]:
+    """Element x and each element of the beat-point core of the open
+    interval (1, x) of right divisors, with the core elements below it."""
+    divisors = mon._divisors
+    below = {q: divisors(q) for q in divisors(x)}
     core = poset_core(below, below)
     kept = set(core)
     below = {q: [r for r in below[q] if r in kept] for q in core}
@@ -144,8 +147,9 @@ def layer_homology(mon: ArtinMonoid, n: int) -> list[HomologyGroup]:
     free = [0] * (n + 1)
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
     for x in mon.elements_of_length(n):
+        i = mon._id(x)
         # a one-sided x is skipped before any right divisor is listed
-        if _one_sided(mon, x) or len(_core_below(mon, x)) == 2:
+        if _one_sided(mon, i, n) or len(_core_below(mon, i)) == 2:
             continue
         # few fibers get here, so `fiber_complex` finding the core again
         # costs little

@@ -11,8 +11,8 @@ Words on the command line are generator names joined by ``.`` (or
 commas); when every generator is a single character a bare string like
 ``abab`` also works.
 
-Exit codes: 0 success, 1 domain or usage error, 2 audit or verification
-failure.
+Exit codes: 0 success, 1 domain, usage or out-of-memory error, 2 audit or
+verification failure.
 """
 
 from __future__ import annotations
@@ -522,6 +522,19 @@ def main(argv: list[str] | None = None) -> int:
             f"failure: {err}", record="error", code=err.code, message=str(err)
         )
         return 2
+    except MemoryError:
+        pass
+    # only a MemoryError gets here, after its handler has dropped the
+    # exception and with it the failed command's frames and their memory;
+    # the stderr line names it, without a traceback
+    print("MemoryError: the command ran out of memory", file=sys.stderr)
+    out.emit(
+        "error: out of memory",
+        record="error",
+        code="out-of-memory",
+        message="the command ran out of memory",
+    )
+    return 1
 
 
 if __name__ == "__main__":

@@ -9,14 +9,17 @@ generator order given at construction) is the canonical form; that same
 generator order is the total order consumed by the matching machinery
 downstream, so there is one global convention.
 
-The table of W is two maps: `_canon` names every word met by its
-element's canonical word, and `_elements` holds, per canonical word,
-L(w), R(w) and a reduced word of ws and of a^-1 w per descent.  Both are
-filled in one place, the miss branch of `_lookup`, from one braid
-closure per element.  The transitions ws (None when s is in R(w)) and
-a^-1 w are read through `_lookup`; `canon` folds letters through them,
-and the Artin monoid's simples (the positive lifts of W) read the same
-table.
+The table of W numbers its elements.  `_canon` names every word met by
+its element's id, and `_elements`, a list indexed by id, holds per
+element its canonical word, L(w), R(w), a reduced word of a^-1 w per
+left descent a, and the ids of ws and a^-1 w, resolved on first use.
+Both are filled in one place, the miss branch of `_lookup`, from one
+braid closure per element.  The Artin monoid's simples (the positive
+lifts of W) are these ids and move between each other through the
+private transitions `_up` (ws) and `_down` (a^-1 w); a word comes back
+from an id, as `_elements[i].word`, only where a public method returns
+one.  `canon` folds a word's letters from the right: a letter of L
+strips off, any other prepends.
 
 Finite-type recognition classifies each connected component of the
 Coxeter graph against the catalogue A_n, B_n, D_n, E6, E7, E8, F4, H3,
@@ -50,20 +53,24 @@ def _pair(s: str, t: str) -> tuple[str, str]:
 
 
 class _Element:
-    """L(w), R(w), and words of a^-1 w for a in L(w) and of ws for s in R(w)."""
+    """One element of W: its canonical word, L(w), R(w), a word of a^-1 w
+    for each a in L(w), and the ids of ws (`up`, None for s in R(w)) and
+    of a^-1 w (`down`), filled on first use."""
 
-    __slots__ = ("left", "right", "tails", "heads")
+    __slots__ = ("word", "left", "right", "tails", "up", "down")
 
-    def __init__(self, closure: frozenset[Word]):
+    def __init__(self, word: Word, closure: frozenset[Word]):
         tails: dict[str, Word] = {}
-        heads: dict[str, Word] = {}
+        right: set[str] = set()
         for w in closure:
             if w and w[0] not in tails:
                 tails[w[0]] = w[1:]
-            if w and w[-1] not in heads:
-                heads[w[-1]] = w[:-1]
-        self.tails, self.heads = tails, heads
-        self.left, self.right = frozenset(tails), frozenset(heads)
+            if w:
+                right.add(w[-1])
+        self.word, self.tails = word, tails
+        self.left, self.right = frozenset(tails), frozenset(right)
+        self.up: dict[str, int | None] = {}
+        self.down: dict[str, int] = {}
 
 
 class CoxeterSystem:
@@ -103,10 +110,10 @@ class CoxeterSystem:
                 right = alternating_word(t, s, m)
                 self._moves.append((left, right))
                 self._moves.append((right, left))
-        # every value of _canon is a key of _elements; the identity is seeded
-        # because `canon(())` names it without a braid closure
-        self._canon: dict[Word, Word] = {(): ()}
-        self._elements: dict[Word, _Element] = {(): _Element(frozenset({()}))}
+        # every value of _canon indexes _elements; the identity is seeded as
+        # id 0 because `canon(())` names it without a braid closure
+        self._canon: dict[Word, int] = {(): 0}
+        self._elements: list[_Element] = [_Element((), frozenset({()}))]
         self._finite: dict[frozenset[str], bool] = {}
 
     # -- basic structure ------------------------------------------------
@@ -130,7 +137,7 @@ class CoxeterSystem:
 
     def key(self, word: Iterable[str]) -> tuple[int, ...]:
         """ShortLex sort key of a word (all comparisons go through this)."""
-        return tuple(self._index[s] for s in word)
+        return tuple(map(self._index.__getitem__, word))
 
     def check_word(self, word: Iterable[str]) -> Word:
         word = tuple(word)
@@ -167,51 +174,69 @@ class CoxeterSystem:
                             stack.append(new)
         return frozenset(seen)
 
-    def _lookup(self, word: Word) -> Word:
-        """Canonical word of the element with reduced word `word`.
+    def _lookup(self, word: Word) -> int:
+        """Id of the element with reduced word `word`.
 
-        The table's only fill: on a miss, close the class once, store its
-        entry under the ShortLex-least word and name every word of the
-        class by it.
+        The table's only fill: on a miss, close the class once, number its
+        entry, keyed by the ShortLex-least word, and name every word of
+        the class by it.
         """
-        least = self._canon.get(word)
-        if least is None:
+        i = self._canon.get(word)
+        if i is None:
             closure = self.braid_closure(word)
-            least = min(closure, key=self.key)
-            self._elements[least] = _Element(closure)
+            i = len(self._elements)
+            self._elements.append(_Element(min(closure, key=self.key), closure))
             for w in closure:
-                self._canon[w] = least
-        return least
+                self._canon[w] = i
+        return i
 
-    def _entry(self, w: Word) -> _Element:
-        return self._elements[self._lookup(w)]
+    def _up(self, i: int, s: str) -> int | None:
+        """Id of ws for the element with id i, or None when s is in R(w)."""
+        entry = self._elements[i]
+        try:
+            return entry.up[s]
+        except KeyError:
+            j = entry.up[s] = None if s in entry.right else self._lookup(entry.word + (s,))
+            return j
+
+    def _down(self, a: str, i: int) -> int:
+        """Id of a^-1 w for the element with id i, for a in L(w)."""
+        entry = self._elements[i]
+        try:
+            return entry.down[a]
+        except KeyError:
+            j = entry.down[a] = self._lookup(entry.tails[a])
+            return j
 
     def descents(self, w: Word) -> tuple[frozenset[str], frozenset[str]]:
         """(L(w), R(w)) for a reduced word w."""
-        entry = self._entry(w)
+        entry = self._elements[self._lookup(w)]
         return entry.left, entry.right
 
     def times(self, w: Word, s: str) -> Word | None:
         """Canonical word of ws for a reduced word w, or None when s is in R(w)."""
-        return None if s in self._entry(w).right else self._lookup(w + (s,))
+        j = self._up(self._lookup(w), s)
+        return None if j is None else self._elements[j].word
 
     def strip(self, a: str, w: Word) -> Word:
         """Canonical word of a^-1 w, for a in L(w)."""
-        return self._lookup(self._entry(w).tails[a])
+        return self._elements[self._down(a, self._lookup(w))].word
 
     def canon(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element `word` represents."""
         word = self.check_word(word)
-        result = self._canon.get(word)
-        if result is not None:
-            return result
-        current: Word = ()
-        for s in word:
-            # `current` is reduced, so s either lengthens it or deletes (exchange)
-            up = self.times(current, s)
-            current = self._lookup(self._entry(current).heads[s]) if up is None else up
-        self._canon[word] = current
-        return current
+        i = self._canon.get(word)
+        if i is None:
+            current: Word = ()
+            for s in reversed(word):
+                # `current` is reduced and s = s^-1, so s either strips off
+                # the left (exchange) or lengthens it
+                if s in self.descents(current)[0]:
+                    current = self.strip(s, current)
+                else:
+                    current = self._elements[self._lookup((s,) + current)].word
+            i = self._canon[word] = self._lookup(current)
+        return self._elements[i].word
 
     def mul(self, *words: Iterable[str]) -> Word:
         combined: tuple[str, ...] = ()

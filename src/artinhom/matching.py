@@ -2,11 +2,13 @@
 
 A cell [x_1|...|x_n] is held as its chain of suffix products
 P[j] = x_{j+1} ... x_n, the chain x = P[0] > P[1] > ... > P[n] = 1 of
-right divisors of its product x (see `bar`).  Merging x_i with x_{i+1}
-deletes P[i] and keeps every other entry.  Both matchings are one rule
-on such chains (`BarMatching.edge`), and an edge is a pair of chains;
-the factors of a cell, the right quotients of consecutive entries
-(`BarMatching.cell_of`), are needed only for output and error messages.
+right divisors of its product x, as a tuple of the element ids of the
+monoid's table (see `artin` and `bar`; the identity is 0).  Merging x_i
+with x_{i+1} deletes P[i] and keeps every other entry.  Both matchings
+are one rule on such chains (`BarMatching.edge`), and an edge is a pair
+of chains; the factors of a cell, the right quotients of consecutive
+entries (`BarMatching.cell_of`), are the only way back to words, needed
+only for output and error messages.
 
 The set D of fundamental elements delta_T (T non-empty, finite type)
 classifies chains.  The depth d is the least j with P[j-1], ..., P[n-1]
@@ -20,7 +22,8 @@ sets I_1 > ... > I_{n+1} = {}: at the depth d of that condition a
 collapsible chain deletes P[d-1], and any other gets delta of I_d plus
 the maximum of I_{d-1} inserted there.  The chains left unmatched are
 the essential ones.  The rule multiplies nothing: it reads membership in
-D and finishing sets, each once per divisor.
+D from a map of the fundamental elements' ids to their subsets and
+finishing sets from the element table, which holds each once.
 
 The union is graded by (length, flag), the flag being 0 exactly on
 depth-1 chains, and every matched pair keeps the grade and the product
@@ -53,11 +56,10 @@ fiber, that (a) the matching is perfect off the essential chains and
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .artin import ArtinMonoid
 from .bar import BarCell, Chain
-from .coxeter import Word
 from .errors import AuditFailure, InfiniteType, InternalError
 from .homology import interval_chains
 
@@ -112,8 +114,11 @@ class LengthAudit(NamedTuple):
 def _deletion_sign(upper: Chain, lower: Chain) -> int:
     """(-1)^i when `lower` is `upper` with inner entry i deleted, else 0;
     `upper` is one entry longer."""
-    i = next((i for i, (p, q) in enumerate(zip(upper, lower)) if p != q), len(lower))
-    return (-1) ** i if 0 < i < len(lower) and upper[i + 1 :] == lower[i:] else 0
+    n = len(lower)
+    i = 0
+    while i < n and upper[i] == lower[i]:
+        i += 1
+    return (-1) ** i if 0 < i < n and upper[i + 1 :] == lower[i:] else 0
 
 
 class BarMatching:
@@ -127,25 +132,28 @@ class BarMatching:
     def __init__(self, mon: ArtinMonoid):
         self.mon = mon
         self.system = mon.system
-        # each fundamental element -> its generating subset
-        self.delta_of: dict[Word, frozenset[str]] = {
-            delta: T for T, delta in mon.deltas().items()
+        # the id of each fundamental element -> its generating subset, and back
+        self._subset_of: dict[int, frozenset[str]] = {
+            mon._id(delta): T for T, delta in mon.deltas().items()
+        }
+        self._delta_id: dict[frozenset[str], int] = {
+            T: i for i, T in self._subset_of.items()
         }
 
     # -- tail data ----------------------------------------------------------
 
-    def _depth(self, products: Sequence[Word]) -> int:
+    def _depth(self, chain: Chain) -> int:
         """Least j (1-based) whose tail products P[j-1..n-1] all lie in D."""
-        j = len(products)
-        while j > 1 and products[j - 2] in self.delta_of:
+        j = len(chain)
+        while j > 1 and chain[j - 2] in self._subset_of:
             j -= 1
         return j
 
     # -- the second matching, on depth-1 chains ------------------------------
 
-    def _sets(self, products: Sequence[Word]) -> list[frozenset[str]]:
+    def _sets(self, chain: Chain) -> list[frozenset[str]]:
         """I_1 .. I_{n+1} for a depth-essential cell (strictly decreasing)."""
-        return [self.delta_of[p] for p in products[:-1]] + [frozenset()]
+        return [self._subset_of[p] for p in chain[:-1]] + [frozenset()]
 
     def _chain_step_ok(self, sets: list[frozenset[str]], k: int) -> bool:
         """Whether I_k drops exactly the maximum of I_k (1-based k)."""
@@ -186,11 +194,11 @@ class BarMatching:
             target = sets[d - 1] | {max(sets[d - 2], key=self.system.index)}
         else:
             kind = "M1"
-            target = self.mon.finishing_set(chain[d - 2])
-            tail = self.delta_of[chain[d - 1]] if d < len(chain) else frozenset()
+            target = self.mon._right(chain[d - 2])
+            tail = self._subset_of[chain[d - 1]] if d < len(chain) else frozenset()
             if target == tail:
                 return chain, chain[: d - 1] + chain[d:], kind
-        delta = self.mon.deltas().get(target)
+        delta = self._delta_id.get(target)
         if delta is None:
             raise InternalError(f"no fundamental element on {sorted(target)}")
         return chain[: d - 1] + (delta,) + chain[d - 1 :], chain, kind
@@ -198,14 +206,16 @@ class BarMatching:
     def cell_of(self, chain: Chain) -> BarCell:
         """The cell whose suffix products are the chain: the right
         quotients of its consecutive entries."""
+        word = self.mon._word
         factors = []
         for above, below in zip(chain, chain[1:]):
-            factor = self.mon.right_quotient(above, below)
+            factor = self.mon._quotient(above, below)
             if not factor:
                 raise InternalError(
-                    f"{below} is not a proper right divisor of {above} in {chain}"
+                    f"{word(below)} is not a proper right divisor of {word(above)} "
+                    f"in {tuple(map(word, chain))}"
                 )
-            factors.append(factor)
+            factors.append(word(factor))
         return tuple(factors)
 
     def essential_chain(self, T: Iterable[str]) -> Chain:
@@ -214,12 +224,11 @@ class BarMatching:
         T = self.system.check_subset(T)
         if not self.system.is_finite_type(T):
             raise InfiniteType(f"no fundamental element on {sorted(T)}")
-        deltas = self.mon.deltas()
         chain = []
         while T:
-            chain.append(deltas[T])
+            chain.append(self._delta_id[T])
             T = T - {max(T, key=self.system.index)}
-        return (*chain, ())
+        return (*chain, 0)
 
     # -- grading and per-fiber audits ------------------------------------------
 
@@ -237,16 +246,18 @@ class BarMatching:
         triples, is audited in place of the matching's own edges.
         """
         audits = (GradeAudit((length, 0)), GradeAudit((length, 1)))
-        given: dict[Word, set[ChainEdge]] | None = None
+        given: dict[int, set[ChainEdge]] | None = None
         if edges is not None:
             given = {}
             for upper, lower, kind in edges:
                 given.setdefault(lower[0], set()).add((upper, lower, kind))
+        divisors = self.mon._divisors
         for x in self.mon.elements_of_length(length):
+            top = self.mon._id(x)
             flag_of: dict[Chain, int] = {}
             essential: set[Chain] = set()
             own: set[ChainEdge] = set()
-            for chain in interval_chains(x, self.mon.right_divisors, ()):
+            for chain in interval_chains(top, divisors, 0):
                 edge = self.edge(chain)
                 if edge is None:
                     flag_of[chain] = 0
@@ -254,7 +265,7 @@ class BarMatching:
                 else:
                     flag_of[chain] = 0 if edge[2] == "M2" else 1
                     own.add(edge)
-            fiber_edges = own if given is None else given.pop(x, set())
+            fiber_edges = own if given is None else given.pop(top, set())
             self._audit_fiber(length, flag_of, essential, fiber_edges, audits)
         if given:
             _, lower, _ = next(iter(next(iter(given.values()))))
@@ -268,7 +279,9 @@ class BarMatching:
 
         `flag_of` maps every chain of [1, x] to its flag, in the order of
         the walk, and `essential` holds the unmatched ones."""
-        occurrences: dict[Chain, int] = {}
+        # each chain on an edge -> the other end of its edge (a dict is
+        # smaller than a set of as many chains)
+        partner: dict[Chain, Chain] = {}
         matched: tuple[list, list] = ([], [])
         for upper, lower, kind in edges:
             flag = flag_of.get(lower, 1)
@@ -283,39 +296,38 @@ class BarMatching:
                     f"{(length, flag)}: matched face of {self.cell_of(upper)} "
                     f"has incidence {incidence}"
                 )
-            for endpoint in (upper, lower):
-                occurrences[endpoint] = occurrences.get(endpoint, 0) + 1
+            for endpoint, other in ((upper, lower), (lower, upper)):
                 if flag_of.get(endpoint) != flag:
                     raise AuditFailure(
                         f"{(length, flag)}: edge endpoint {self.cell_of(endpoint)} "
                         "escapes the fiber"
                     )
+                if endpoint in partner:
+                    raise AuditFailure(
+                        f"{(length, flag)}: cell {self.cell_of(endpoint)} "
+                        "lies on more than one edge"
+                    )
+                partner[endpoint] = other
             if kind != ("M2" if flag == 0 else "M1"):
                 raise AuditFailure(
                     f"{(length, flag)}: edge {self.cell_of(upper)} -> "
                     f"{self.cell_of(lower)} has kind {kind}"
                 )
-            audits[flag].edges += 1
             matched[flag].append((upper, lower))
-        for chain, count in occurrences.items():
-            if count > 1:
-                raise AuditFailure(
-                    f"{(length, flag_of[chain])}: cell {self.cell_of(chain)} "
-                    f"lies on {count} edges"
-                )
         for chain, flag in flag_of.items():
             if chain in essential:
-                if chain in occurrences:
+                if chain in partner:
                     raise AuditFailure(
                         f"{(length, flag)}: essential cell {self.cell_of(chain)} is matched"
                     )
                 audits[flag].essential.append(self.cell_of(chain))
-            elif chain not in occurrences:
+            elif chain not in partner:
                 raise AuditFailure(
                     f"{(length, flag)}: cell {self.cell_of(chain)} is unmatched"
                 )
             audits[flag].cells += 1
         for flag in (0, 1):
+            audits[flag].edges += len(matched[flag])
             self._check_fiber_acyclic((length, flag), self.cell_of, matched[flag])
 
     def _check_fiber_acyclic(

@@ -1,8 +1,9 @@
 """Algebraic collapse along an acyclic matching: the reduced chain
 complex and attaching words of 2-cells.
 
-Cells are chains of suffix products throughout (see `bar`): the faces
-are `bar.faces` of a chain and the matching is `BarMatching.edge` of a
+Cells are chains of suffix products throughout, tuples of the element
+ids of the monoid's table (see `artin` and `bar`): the faces are
+`bar.faces` of a chain and the matching is `BarMatching.edge` of a
 chain, which is all the collapse needs (Skoldberg, "Morse theory from an
 algebraic viewpoint", Trans. AMS 358, 2006).  The reduced boundary of an
 essential chain sums over alternating zig-zag paths: descend along a
@@ -14,7 +15,7 @@ path set is finite.  The paths are followed lazily: edges are asked of
 the matching on demand and only the chains the paths reach are
 expanded, so no cell set is enumerated up front.  A path that returns
 to a chain still being expanded raises NonAcyclicInput.  Chains become
-cells, by `BarMatching.cell_of`, only in the output.
+cells of words, by `BarMatching.cell_of`, only in the output.
 
 In dimension 2 the same traversal is run on the boundary *word* instead
 of the boundary sum: each non-essential edge of the attaching loop is
@@ -174,9 +175,9 @@ def boundary_word_2cell(matching: BarMatching, s: str, t: str) -> SignedWord:
         raise BadDiagonal(f"no 2-cell on the single generator {s}")
     if m == float("inf"):
         raise InfiniteM(f"no 2-cell: m({s},{t}) is infinite")
-    chain = matching.essential_chain({s, t})
-    x, y = matching.cell_of(chain)
-    word: list[tuple[int, Word]] = [(1, x), (1, y), (-1, chain[0])]
+    mon = matching.mon
+    x, y = matching.cell_of(matching.essential_chain({s, t}))
+    word: list[tuple[int, Word]] = [(1, x), (1, y), (-1, mon.mul(x, y))]
     while True:
         position = next(
             (i for i, (_, w) in enumerate(word) if len(w) > 1), None
@@ -184,7 +185,7 @@ def boundary_word_2cell(matching: BarMatching, s: str, t: str) -> SignedWord:
         if position is None:
             break
         sign, w = word[position]
-        edge = matching.edge((w, ()))
+        edge = matching.edge((mon._id(w), 0))
         if edge is None or len(edge[0]) != 3:
             raise InternalError(f"edge [{w}] is not matched with a 2-cell")
         u, v = matching.cell_of(edge[0])

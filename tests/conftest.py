@@ -428,6 +428,23 @@ def all_words(letters, max_len):
 # -- monoid, cell and matching oracles -------------------------------------------
 
 
+def ids(mon, words):
+    """The chain of element ids the library holds for a sequence of
+    positive words, such as the suffix products of a cell."""
+    return tuple(mon._id(tuple(w)) for w in words)
+
+
+def words(mon, chain):
+    """The canonical words of the elements of a chain of ids."""
+    return tuple(mon._word(i) for i in chain)
+
+
+def right_divisors(mon, x):
+    """The proper non-identity right divisors of x as the monoid's element
+    table lists them, as words."""
+    return [mon._word(q) for q in mon._divisors(mon._id(tuple(x)))]
+
+
 def iter_cells_of_grade(mon, n):
     """All cells of length n, from the element lists alone; checks
     `bar.factorizations`, which builds each product's cells by splitting."""
@@ -455,7 +472,7 @@ def factorizations(mon, x):
         found = memo.get(y)
         if found is None:
             found = [((y,), (y, ()))]
-            for q in mon.right_divisors(y):
+            for q in right_divisors(mon, y):
                 d = mon.right_quotient(y, q)
                 found.extend(((d,) + cell, (y,) + tail) for cell, tail in of(q))
             memo[y] = found
@@ -507,7 +524,11 @@ class MatchEdge(NamedTuple):
     def chains(self, mon):
         """The (upper chain, lower chain, kind) triple `BarMatching.edge`
         gives for this pair."""
-        return suffix_products(mon, self.upper), suffix_products(mon, self.lower), self.kind
+        return (
+            ids(mon, suffix_products(mon, self.upper)),
+            ids(mon, suffix_products(mon, self.lower)),
+            self.kind,
+        )
 
 
 def full_fiber_complex(mon, x):
@@ -542,9 +563,9 @@ def entry(complex_, T, R):
 def tail_data(matching, cell):
     """(d1, tail sets I_j for j >= d1, d2) read by the matching's helpers;
     I_{n+1} is empty and d2 is None off the depth-essential cells."""
-    products = suffix_products(matching.mon, cell)
+    products = ids(matching.mon, suffix_products(matching.mon, cell))
     d1 = matching._depth(products)
-    sets = {j: matching.delta_of[products[j - 1]] for j in range(d1, len(cell) + 1)}
+    sets = {j: matching._subset_of[products[j - 1]] for j in range(d1, len(cell) + 1)}
     sets[len(cell) + 1] = frozenset()
     return d1, sets, matching._max_depth(matching._sets(products)) if d1 == 1 else None
 
@@ -552,7 +573,7 @@ def tail_data(matching, cell):
 def grade(matching, cell):
     """(length, flag); the flag is 0 exactly when the cell's chain has no
     edge or an M2 edge."""
-    edge = matching.edge(suffix_products(matching.mon, cell))
+    edge = matching.edge(ids(matching.mon, suffix_products(matching.mon, cell)))
     return cell_length(cell), 0 if edge is None or edge[2] == "M2" else 1
 
 

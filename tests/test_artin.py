@@ -11,8 +11,12 @@ from conftest import (
     all_words,
     braid_class,
     is_squarefree,
+    make_a2,
+    make_a3,
     make_affine_a2,
+    make_b3,
     recompose,
+    right_divisors,
 )
 
 
@@ -96,7 +100,7 @@ class TestDivisibility:
                 left = mon_a2.right_quotient(mon_a2.rev(product), mon_a2.rev(x))
                 assert mon_a2.rev(left) == mon_a2.canon(y)
                 if x and y:
-                    assert mon_a2.canon(y) in mon_a2.right_divisors(product)
+                    assert mon_a2.canon(y) in right_divisors(mon_a2, product)
 
 
 class TestGcdLcm:
@@ -276,6 +280,15 @@ def random_system(rng):
     return CoxeterSystem(order, orders)
 
 
+def ask(mon, query):
+    """One query of the monoid, of its system or, for `right_divisors`,
+    of its element table."""
+    on_monoid, name, args = query
+    if name == "right_divisors":
+        return right_divisors(mon, *args)
+    return getattr(mon if on_monoid else mon.system, name)(*args)
+
+
 def test_answers_do_not_depend_on_what_the_memos_hold():
     """Each word's queries, asked of a fresh system (`canon` first, the
     identity included), get the answers that one system asked every
@@ -305,16 +318,13 @@ def test_answers_do_not_depend_on_what_the_memos_hold():
                 *((True, "right_quotient", (x, x[k:])) for k in range(len(x) + 1)),
                 (True, "right_quotient", (x, x[:1])),
             ]
-            for on_monoid, name, args in queries:
-                owner = mon if on_monoid else mon.system
-                cold[on_monoid, name, args] = getattr(owner, name)(*args)
+            for query in queries:
+                cold[query] = ask(mon, query)
         mon = ArtinMonoid(CoxeterSystem(shape.gens, orders))
         order = list(cold)
         rng.shuffle(order)
         for query in order:
-            on_monoid, name, args = query
-            owner = mon if on_monoid else mon.system
-            assert getattr(owner, name)(*args) == cold[query], (shape.gens, query)
+            assert ask(mon, query) == cold[query], (shape.gens, query)
 
 
 class TestAgainstBraidClasses:
@@ -365,7 +375,7 @@ class TestAgainstBraidClasses:
                         assert mon.right_divides(x, y) == oracle.right_divides(x, y), args
                         assert mon.right_quotient(y, x) == oracle.right_quotient(y, x), args
                 quotients = [q for _, q in oracle.left_splits(y)]
-                assert mon.right_divisors(y) == quotients, (mon.system.gens, y)
+                assert right_divisors(mon, y) == quotients, (mon.system.gens, y)
 
     def test_normal_form_and_gcd(self, cases):
         for mon, oracle, words in cases:
@@ -400,3 +410,55 @@ class TestAgainstBraidClasses:
                 assert found == expected, (mon.system.gens, x, y)
                 checked += 1
         assert checked > 20
+
+
+# systems whose element tables are checked, and the length up to which
+TABLE_SYSTEMS = {"A2": (make_a2, 8), "A3": (make_a3, 6), "B3": (make_b3, 5)}
+
+
+class TestElementTable:
+    """The monoid's element table against braid-class enumeration: every
+    element up to a length, once as `elements_of_length` builds it and
+    once in a fresh monoid as a right divisor of an element of the top
+    length, before any layer is built."""
+
+    @staticmethod
+    def check_entry(mon, oracle, i):
+        word = mon._word(i)
+        assert word == oracle.canon(word), word
+        assert mon._id(word) == i, word
+        assert mon._table[i].left == oracle.starting_set(word), word
+        assert mon._right(i) == oracle.finishing_set(word), word
+        quotients = [q for _, q in oracle.left_splits(word)]
+        assert [mon._word(q) for q in mon._divisors(i)] == quotients, word
+
+    @pytest.mark.parametrize("maker, top", TABLE_SYSTEMS.values(), ids=TABLE_SYSTEMS)
+    def test_elements_built_by_layers(self, maker, top):
+        system = maker()
+        mon, oracle = ArtinMonoid(system), BraidClassMonoid(system)
+        for n in range(top + 1):
+            for x in mon.elements_of_length(n):
+                i = mon._id(x)
+                # R was recorded as the layer was built
+                assert n == 0 or mon._table[i].right is not None, x
+                assert mon._word(i) == x, x
+                self.check_entry(mon, oracle, i)
+        # every word of each length names the id of its canonical word
+        for word in all_words(system.gens, min(top, 5)):
+            assert mon._id(word) == mon._id(oracle.canon(word)), word
+
+    @pytest.mark.parametrize("maker, top", TABLE_SYSTEMS.values(), ids=TABLE_SYSTEMS)
+    def test_elements_first_met_as_divisors(self, maker, top):
+        system = maker()
+        mon, oracle = ArtinMonoid(system), BraidClassMonoid(system)
+        # each shorter element right-divides one of the top length, so the
+        # table meets it first as a divisor
+        for word in all_words(system.gens, top):
+            if len(word) == top:
+                mon._divisors(mon._id(word))
+        assert len(mon._elements_by_length) == 1
+        lengths = [0] * (top + 1)
+        for i in range(len(mon._table)):
+            lengths[len(mon._word(i))] += 1
+            self.check_entry(mon, oracle, i)
+        assert lengths == [len(mon.elements_of_length(n)) for n in range(top + 1)]

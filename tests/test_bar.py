@@ -16,6 +16,7 @@ from conftest import (
     factorizations,
     full_fiber_complex,
     grade,
+    ids,
     iter_cells_of_grade,
     make_a1a1a1,
     make_a2,
@@ -27,6 +28,7 @@ from conftest import (
     make_i25,
     merge_faces,
     suffix_products,
+    words,
 )
 
 # systems whose chain faces are checked against the cell faces, through
@@ -45,29 +47,32 @@ def W(text):
 
 
 def chains_through(mon, top):
-    """Every chain of [1, x] for x of length at most `top`, with its cell,
-    from the factorization oracle."""
+    """Every chain of [1, x] for x of length at most `top`, as ids, with
+    its cell, from the factorization oracle."""
     for n in range(top + 1):
         for x in mon.elements_of_length(n):
-            yield from factorizations(mon, x)
+            for cell, products in factorizations(mon, x):
+                yield cell, ids(mon, products)
 
 
 class TestFaces:
     def test_two_cell(self, mon_a2):
         # [a|b] is the chain ab > b > 1; dropping b divides ab by it
-        assert faces(mon_a2, (W("ab"), W("b"), ())) == [
-            (1, (W("b"), ())),
-            (-1, (W("ab"), ())),
-            (1, (W("a"), ())),
+        chain = ids(mon_a2, (W("ab"), W("b"), ()))
+        assert faces(mon_a2, chain) == [
+            (1, ids(mon_a2, (W("b"), ()))),
+            (-1, ids(mon_a2, (W("ab"), ()))),
+            (1, ids(mon_a2, (W("a"), ()))),
         ]
 
     def test_one_cell_hits_the_point_twice(self, mon_a2):
-        assert faces(mon_a2, (W("a"), ())) == [(1, ((),)), (-1, ((),))]
-        assert boundary(mon_a2, (W("a"), ())) == {}
-        assert faces(mon_a2, ((),)) == []
+        point = ids(mon_a2, ((),))
+        assert faces(mon_a2, ids(mon_a2, (W("a"), ()))) == [(1, point), (-1, point)]
+        assert boundary(mon_a2, ids(mon_a2, (W("a"), ()))) == {}
+        assert faces(mon_a2, point) == []
 
     def test_sign_pattern(self, mon_a3):
-        chain = suffix_products(mon_a3, (W("a"), W("b"), W("c")))
+        chain = ids(mon_a3, suffix_products(mon_a3, (W("a"), W("b"), W("c"))))
         signs = [sign for sign, _ in faces(mon_a3, chain)]
         assert signs == [1, -1, 1, -1]
 
@@ -75,7 +80,8 @@ class TestFaces:
         # every face is again a chain: strictly decreasing down to 1
         for n in range(1, 5):
             for cell in iter_cells_of_grade(mon_a2, n):
-                for _, face in faces(mon_a2, suffix_products(mon_a2, cell)):
+                for _, face in faces(mon_a2, ids(mon_a2, suffix_products(mon_a2, cell))):
+                    face = words(mon_a2, face)
                     assert face[-1] == ()
                     assert all(len(p) > len(q) for p, q in zip(face, face[1:]))
                     assert all(mon_a2.right_divides(q, p) for p, q in zip(face, face[1:]))
@@ -84,14 +90,17 @@ class TestFaces:
         cell = (W("ab"), W("a"))
         assert merge_faces(mon_a2, cell) == [(-1, (W("aba"),))]
         # on the chain aba > a > 1 the merge deletes a
-        assert faces(mon_a2, (W("aba"), W("a"), ()))[1] == (-1, (W("aba"), ()))
+        chain = ids(mon_a2, (W("aba"), W("a"), ()))
+        assert faces(mon_a2, chain)[1] == (-1, ids(mon_a2, (W("aba"), ())))
 
     @pytest.mark.parametrize("maker", FACE_SYSTEMS.values(), ids=FACE_SYSTEMS)
     def test_chain_faces_are_the_cell_faces(self, maker):
         # the same faces in the same order with the same signs
         mon = ArtinMonoid(maker())
         for cell, chain in chains_through(mon, 6):
-            expected = [(sign, suffix_products(mon, face)) for sign, face in cell_faces(mon, cell)]
+            expected = [
+                (sign, ids(mon, suffix_products(mon, face))) for sign, face in cell_faces(mon, cell)
+            ]
             assert faces(mon, chain) == expected, cell
 
 
@@ -184,7 +193,7 @@ class TestFibers:
                     assert sorted(cell for cell, _ in found) == sorted(cells)
                     for cell, products in found:
                         assert products == suffix_products(mon, cell)
-                        assert matching.cell_of(products) == cell
+                        assert matching.cell_of(ids(mon, products)) == cell
 
     @pytest.mark.parametrize(
         "maker, top",

@@ -267,6 +267,26 @@ class TestExitCodes:
         assert main(["--system", a2_file, "matching-audit", "--max-len", "2"]) == 2
         assert "failure" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    def test_out_of_memory_is_one(self, a2_file, capsys, monkeypatch, fmt):
+        from artinhom import cli
+
+        def exhausted(args, system, out):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.COMMANDS, "homology", exhausted)
+        assert main(["--system", a2_file, "--format", fmt, "homology"]) == 1
+        captured = capsys.readouterr()
+        # one stderr line naming MemoryError, for callers that classify a
+        # run by it, and no traceback
+        (line,) = captured.err.splitlines()
+        assert "MemoryError" in line and "Traceback" not in captured.err
+        if fmt == "jsonl":
+            record = json.loads(captured.out.splitlines()[-1])
+            assert record["record"] == "error" and record["code"] == "out-of-memory"
+        else:
+            assert captured.out == "error: out of memory\n"
+
     def test_a_wrong_core_fails_the_layer_check(self, a2_file, capsys, monkeypatch):
         # a fiber whose core loses all but one element passes for a cone
         from artinhom import bar
@@ -469,6 +489,23 @@ class TestVerifyReach:
         assert verdict["h1_agrees"] and verdict["grades_agree"]
 
 
+# The A3 audit to length 6: cells per length 1, 3, 17, 94, 518, 2852 and
+# 15701, the counts of ordered factorizations of the elements of each
+# length, and 2 * edges + essential = cells in every grade.
+A3_AUDIT_GOLDEN = [
+    '{"cells":1,"edges":0,"essential":1,"grade":[0,0],"record":"grade-audit"}',
+    '{"cells":3,"edges":0,"essential":3,"grade":[1,0],"record":"grade-audit"}',
+    '{"cells":3,"edges":1,"essential":1,"grade":[2,0],"record":"grade-audit"}',
+    '{"cells":14,"edges":7,"essential":0,"grade":[2,1],"record":"grade-audit"}',
+    '{"cells":6,"edges":2,"essential":2,"grade":[3,0],"record":"grade-audit"}',
+    '{"cells":88,"edges":44,"essential":0,"grade":[3,1],"record":"grade-audit"}',
+    '{"cells":518,"edges":259,"essential":0,"grade":[4,1],"record":"grade-audit"}',
+    '{"cells":2852,"edges":1426,"essential":0,"grade":[5,1],"record":"grade-audit"}',
+    '{"cells":13,"edges":6,"essential":1,"grade":[6,0],"record":"grade-audit"}',
+    '{"cells":15688,"edges":7844,"essential":0,"grade":[6,1],"record":"grade-audit"}',
+]
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("command", B2_GOLDEN, ids=B2_GOLDEN)
     def test_b2_records(self, tmp_path, capsys, command):
@@ -477,6 +514,18 @@ class TestGoldenOutput:
         argv = ["--system", str(path), "--format", "jsonl", *command.split()]
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines()[1:] == B2_GOLDEN[command]
+
+    def test_a3_audit_records(self, tmp_path, capsys):
+        path = tmp_path / "a3.system"
+        path.write_text(A3_TEXT)
+        argv = ["--system", str(path), "--format", "jsonl", "matching-audit", "--max-len", "6"]
+        assert main(argv) == 0
+        records = capsys.readouterr().out.splitlines()[1:]
+        assert records == A3_AUDIT_GOLDEN
+        per_length = [0] * 7
+        for record in map(json.loads, records):
+            per_length[record["grade"][0]] += record["cells"]
+        assert per_length == [1, 3, 17, 94, 518, 2852, 15701]
 
 
 class TestChildProcesses:

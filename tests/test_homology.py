@@ -392,7 +392,7 @@ class TestIntervalChains:
     def test_a_one_element_interval_is_its_one_chain(self):
         assert interval_chains("x", lambda p: ["never listed"], "x") == [("x",)]
         mon = ArtinMonoid(make_a3())
-        assert interval_chains((), mon.right_divisors, ()) == [((),)]
+        assert interval_chains(0, mon._divisors, 0) == [(0,)]
 
 
 class TestPosetCore:

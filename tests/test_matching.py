@@ -11,6 +11,7 @@ from conftest import (
     MatchEdge,
     factorizations,
     grade,
+    ids,
     iter_cells_of_grade,
     make_a1a1a1,
     make_a2,
@@ -46,7 +47,12 @@ def W(text):
 
 def edge_of(matching, cell):
     """The matched edge through the chain of a cell."""
-    return matching.edge(suffix_products(matching.mon, cell))
+    return matching.edge(ids(matching.mon, suffix_products(matching.mon, cell)))
+
+
+def id_edge(mon, upper, lower, kind):
+    """An (upper, lower, kind) edge given by chains of words, as ids."""
+    return ids(mon, upper), ids(mon, lower), kind
 
 
 def chain_edges(mon, *edges):
@@ -116,7 +122,7 @@ class TestDepthClassification:
             return (
                 edge is not None
                 and edge[2] == "M1"
-                and edge[0] == suffix_products(m_a2.mon, cell)
+                and edge[0] == ids(m_a2.mon, suffix_products(m_a2.mon, cell))
             )
 
         assert collapsible((W("a"), W("a")))
@@ -126,10 +132,11 @@ class TestDepthClassification:
 
     def test_m1_partner(self, m_a2):
         # [a|a] -> [aa]: the chain aa > a > 1 loses a
-        edge = ((W("aa"), W("a"), ()), (W("aa"), ()), "M1")
-        assert m_a2.edge((W("aa"), ())) == edge
-        assert m_a2.edge((W("aa"), W("a"), ())) == edge
-        assert m_a2.edge((W("aba"), W("a"), ())) is None
+        mon = m_a2.mon
+        edge = id_edge(mon, (W("aa"), W("a"), ()), (W("aa"), ()), "M1")
+        assert m_a2.edge(ids(mon, (W("aa"), ()))) == edge
+        assert m_a2.edge(ids(mon, (W("aa"), W("a"), ()))) == edge
+        assert m_a2.edge(ids(mon, (W("aba"), W("a"), ()))) is None
         assert m_a2.cell_of(edge[0]) == (W("a"), W("a"))
         assert m_a2.cell_of(edge[1]) == (W("aa"),)
 
@@ -151,24 +158,26 @@ class TestMaxClassification:
         # no tail of [aba] is max-essential, so the depth falls off the end
         assert tail_data(m_a2, (W("aba"),))[2] == 2
         # not collapsible: [aba] is the lower end of its second-matching edge
-        edge = m_a2.edge((W("aba"), ()))
-        assert edge[2] == "M2" and edge[0] != (W("aba"), ())
+        edge = m_a2.edge(ids(m_a2.mon, (W("aba"), ())))
+        assert edge[2] == "M2" and edge[0] != ids(m_a2.mon, (W("aba"), ()))
 
     def test_m2_partner(self, m_a2):
         # [ba|b] -> [aba]: the chain aba > b > 1 loses b (bab = aba)
-        edge = ((W("aba"), W("b"), ()), (W("aba"), ()), "M2")
-        assert m_a2.edge((W("aba"), ())) == edge
-        assert m_a2.edge((W("aba"), W("b"), ())) == edge
-        assert m_a2.edge((W("aba"), W("a"), ())) is None
+        mon = m_a2.mon
+        edge = id_edge(mon, (W("aba"), W("b"), ()), (W("aba"), ()), "M2")
+        assert m_a2.edge(ids(mon, (W("aba"), ()))) == edge
+        assert m_a2.edge(ids(mon, (W("aba"), W("b"), ()))) == edge
+        assert m_a2.edge(ids(mon, (W("aba"), W("a"), ()))) is None
         assert m_a2.cell_of(edge[0]) == (W("ba"), W("b"))
 
     def test_essential_cell_construction(self, m_a2, m_ainf, mon_a3):
-        assert m_a2.essential_chain(()) == ((),)
-        assert m_a2.essential_chain("a") == (W("a"), ())
-        assert m_a2.essential_chain("ab") == (W("aba"), W("a"), ())
+        mon = m_a2.mon
+        assert m_a2.essential_chain(()) == ids(mon, ((),))
+        assert m_a2.essential_chain("a") == ids(mon, (W("a"), ()))
+        assert m_a2.essential_chain("ab") == ids(mon, (W("aba"), W("a"), ()))
         assert m_a2.cell_of(m_a2.essential_chain("ab")) == (W("ab"), W("a"))
-        assert m_a2.cell_of(((),)) == ()
-        assert m_ainf.essential_chain("b") == (W("b"), ())
+        assert m_a2.cell_of(ids(mon, ((),))) == ()
+        assert m_ainf.essential_chain("b") == ids(m_ainf.mon, (W("b"), ()))
         with pytest.raises(InfiniteType):
             m_ainf.essential_chain("ab")
         m_a3 = BarMatching(mon_a3)
@@ -185,7 +194,7 @@ class TestPartnersAreAMatching:
     def test_partner_is_an_involution(self, m_a2):
         for n in range(6):
             for cell in iter_cells_of_grade(m_a2.mon, n):
-                chain = suffix_products(m_a2.mon, cell)
+                chain = ids(m_a2.mon, suffix_products(m_a2.mon, cell))
                 edge = m_a2.edge(chain)
                 if edge is None:
                     continue
@@ -211,8 +220,8 @@ class TestPartnersAreAMatching:
 class TestMatchingForGrade:
     def test_square_edges(self, m_a2):
         edges = grade_edges(m_a2, 2, 1)
-        assert ((W("aa"), W("a"), ()), (W("aa"), ()), "M1") in edges
-        assert ((W("bb"), W("b"), ()), (W("bb"), ()), "M1") in edges
+        assert id_edge(m_a2.mon, (W("aa"), W("a"), ()), (W("aa"), ()), "M1") in edges
+        assert id_edge(m_a2.mon, (W("bb"), W("b"), ()), (W("bb"), ()), "M1") in edges
         assert len(edges) == 4
 
     def test_point_grade_empty(self, m_a2):
@@ -220,7 +229,7 @@ class TestMatchingForGrade:
 
     def test_top_essential_grade(self, m_a2):
         edges = grade_edges(m_a2, 3, 0)
-        assert edges == {((W("aba"), W("b"), ()), (W("aba"), ()), "M2")}
+        assert edges == {id_edge(m_a2.mon, (W("aba"), W("b"), ()), (W("aba"), ()), "M2")}
         essential = [
             cell
             for cell in grade_cells(m_a2, 3, 0)
@@ -283,7 +292,7 @@ class TestAudits:
 
     def test_edge_of_wrong_kind_or_dimension_fails(self, m_a2):
         edges = grade_edges(m_a2, 2, 1)
-        square = ((W("aa"), W("a"), ()), (W("aa"), ()))
+        square = ids(m_a2.mon, (W("aa"), W("a"), ())), ids(m_a2.mon, (W("aa"), ()))
         with pytest.raises(AuditFailure, match="has kind M2"):
             m_a2.audit_grade(2, edges - {(*square, "M1")} | {(*square, "M2")})
         with pytest.raises(AuditFailure, match="is not codimension 1"):
@@ -325,8 +334,8 @@ class TestAgainstTheCellRule:
                 for cell, products in factorizations(mon, x):
                     edge = oracle.partner(cell)
                     expected = None if edge is None else edge.chains(mon)
-                    assert matching.edge(products) == expected, cell
-                    assert matching.cell_of(products) == cell
+                    assert matching.edge(ids(mon, products)) == expected, cell
+                    assert matching.cell_of(ids(mon, products)) == cell
 
 
 def matched_fibers(mon, top):
