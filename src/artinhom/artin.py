@@ -23,7 +23,7 @@ A simple is named by the id of the Coxeter-group element it lifts in the
 table of W in `CoxeterSystem`, so its L and R are that element's descent
 sets and the transitions between simples (times a letter, strip a
 letter) are the group's (`CoxeterSystem._up` and `_down`), all read from
-that table, whose only fill is `CoxeterSystem._lookup`.  Every pair
+that table, which grows in one place, `CoxeterSystem._make`.  Every pair
 normalization is memoized.  No class of positive words is ever
 enumerated; the test suite keeps braid-class enumeration as the oracle
 for everything here.

@@ -1,25 +1,32 @@
 """Coxeter systems: matrix validation, the word problem, finite-type tools.
 
-Group elements are plain words (tuples of generator names).  Equality is
-decided exactly by Tits' solution of the word problem and Matsumoto's
-theorem: the reduced words of one element form a single braid-closure
-class, and for reduced w, l(ws) < l(w) exactly when some word of that
-class ends in s.  The ShortLex-least reduced word (with respect to the
-generator order given at construction) is the canonical form; that same
-generator order is the total order consumed by the matching machinery
-downstream, so there is one global convention.
+Group elements are plain words (tuples of generator names); the
+ShortLex-least reduced word for the generator order given at
+construction is the canonical form, and that order is also the one the
+matching uses downstream.  The table of W numbers its elements:
+`_elements[x]` holds element x's canonical word, L, R, the ids of xt for
+t in R (`below`), of xs for s not in R (`up`, on first use) and of x^-1;
+`_canon` names each word met, read one letter at a time by `_lookup`.
+The monoid's simples are these ids, moved by `_up` (ws) and `_down`
+(a^-1 w).  The table grows only in `_make`, which enters x = ws, s not in
+R(w), by one local rule:
 
-The table of W numbers its elements.  `_canon` names every word met by
-its element's id, and `_elements`, a list indexed by id, holds per
-element its canonical word, L(w), R(w), a reduced word of a^-1 w per
-left descent a, and the ids of ws and a^-1 w, resolved on first use.
-Both are filled in one place, the miss branch of `_lookup`, from one
-braid closure per element.  The Artin monoid's simples (the positive
-lifts of W) are these ids and move between each other through the
-private transitions `_up` (ws) and `_down` (a^-1 w); a word comes back
-from an id, as `_elements[i].word`, only where a public method returns
-one.  `canon` folds a word's letters from the right: a letter of L
-strips off, any other prepends.
+- R(x).  Write x = uv with v in W_{s,t} and u minimal in its coset
+  (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, GTM 231, 2.4).
+  t != s is in R(x) exactly when v is the longest element of W_{s,t}:
+  m = m(s, t) is finite and the walk from w by t, s, t, ... descends
+  m - 1 times, to u.  Then xt is u times the alternating word of length
+  m - 1 that ends in s, m - 1 ascents.
+- Key.  x is entered as the `up` of xt by t for each t in R(x); any
+  w's' = x has s' in R(x) and w' = xs', so x is found, and numbered, once.
+- Inverse.  For a in L(w), x^-1 = (a^-1 x)^-1 a, where a^-1 x = (a^-1 w)s
+  is one letter shorter; L(x) = R(x^-1), and `_down` reads a^-1 w as
+  (w^-1 a)^-1.  Word: min L(x), then the word of min L(x)^-1 x.
+
+x is entered before x^-1 is made; x^-1 has the length of x and its own
+inverse step finds x, and all else the rule reads or makes is shorter,
+so the fill ends.  It runs on an explicit stack of `_make` generators,
+clear of the recursion limit.  No class of reduced words is enumerated.
 
 Finite-type recognition classifies each connected component of the
 Coxeter graph against the catalogue A_n, B_n, D_n, E6, E7, E8, F4, H3,
@@ -29,7 +36,7 @@ H4, I2(m).  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -53,24 +60,16 @@ def _pair(s: str, t: str) -> tuple[str, str]:
 
 
 class _Element:
-    """One element of W: its canonical word, L(w), R(w), a word of a^-1 w
-    for each a in L(w), and the ids of ws (`up`, None for s in R(w)) and
-    of a^-1 w (`down`), filled on first use."""
+    """One element x of W: its canonical word, L(x), R(x), the ids of xt
+    for t in R(x) (`below`) and of xs for s not in R(x) (`up`, filled on
+    first use), and the id of x^-1.  The defaults are the identity's."""
 
-    __slots__ = ("word", "left", "right", "tails", "up", "down")
+    __slots__ = ("word", "left", "right", "below", "up", "inverse")
 
-    def __init__(self, word: Word, closure: frozenset[Word]):
-        tails: dict[str, Word] = {}
-        right: set[str] = set()
-        for w in closure:
-            if w and w[0] not in tails:
-                tails[w[0]] = w[1:]
-            if w:
-                right.add(w[-1])
-        self.word, self.tails = word, tails
-        self.left, self.right = frozenset(tails), frozenset(right)
-        self.up: dict[str, int | None] = {}
-        self.down: dict[str, int] = {}
+    def __init__(self, right: frozenset[str], below: dict[str, int]):
+        self.word, self.left, self.right, self.below = (), frozenset(), right, below
+        self.up: dict[str, int] = {}
+        self.inverse = 0
 
 
 class CoxeterSystem:
@@ -101,19 +100,17 @@ class CoxeterSystem:
                     f"({self._m[key]} vs {value})"
                 )
             self._m[key] = value
-        # braid-move substitutions, which generate each reduced-word class
-        self._moves: list[tuple[Word, Word]] = []
-        for s, t in combinations(self.gens, 2):
+        # per s: each t with m(s, t) finite, the walk t s t ... and the climb back
+        self._walks: dict[str, list[tuple[str, Word, Word]]] = {s: [] for s in self.gens}
+        for s, t in permutations(self.gens, 2):
             m = self.m(s, t)
             if m != math.inf:
-                left = alternating_word(s, t, m)
-                right = alternating_word(t, s, m)
-                self._moves.append((left, right))
-                self._moves.append((right, left))
-        # every value of _canon indexes _elements; the identity is seeded as
-        # id 0 because `canon(())` names it without a braid closure
+                self._walks[s].append(
+                    (t, alternating_word(t, s, m - 1), alternating_word(s, t, m - 1)[::-1])
+                )
+        # every value of _canon indexes _elements; id 0 is the identity
         self._canon: dict[Word, int] = {(): 0}
-        self._elements: list[_Element] = [_Element((), frozenset({()}))]
+        self._elements: list[_Element] = [_Element(frozenset(), {})]
         self._finite: dict[frozenset[str], bool] = {}
 
     # -- basic structure ------------------------------------------------
@@ -158,55 +155,73 @@ class CoxeterSystem:
 
     # -- word problem ----------------------------------------------------
 
-    def braid_closure(self, word: Word) -> frozenset[Word]:
-        """All words reachable from `word` by braid moves alone."""
-        seen = {word}
-        stack = [word]
-        while stack:
-            w = stack.pop()
-            for pattern, replacement in self._moves:
-                k = len(pattern)
-                for i in range(len(w) - k + 1):
-                    if w[i : i + k] == pattern:
-                        new = w[:i] + replacement + w[i + k :]
-                        if new not in seen:
-                            seen.add(new)
-                            stack.append(new)
-        return frozenset(seen)
-
     def _lookup(self, word: Word) -> int:
-        """Id of the element with reduced word `word`.
-
-        The table's only fill: on a miss, close the class once, number its
-        entry, keyed by the ShortLex-least word, and name every word of
-        the class by it.
-        """
+        """Id of the element a word represents, read one letter at a time."""
         i = self._canon.get(word)
         if i is None:
-            closure = self.braid_closure(word)
-            i = len(self._elements)
-            self._elements.append(_Element(min(closure, key=self.key), closure))
-            for w in closure:
-                self._canon[w] = i
+            i = 0
+            for s in word:
+                j = self._up(i, s)
+                i = self._elements[i].below[s] if j is None else j
+            self._canon[word] = i
         return i
 
     def _up(self, i: int, s: str) -> int | None:
-        """Id of ws for the element with id i, or None when s is in R(w)."""
-        entry = self._elements[i]
-        try:
-            return entry.up[s]
-        except KeyError:
-            j = entry.up[s] = None if s in entry.right else self._lookup(entry.word + (s,))
-            return j
+        """Id of ws for the element with id i, or None when s is in R(w).  A
+        miss runs `_make(i, s)`, and each `_make` it asks for, on one stack."""
+        elements = self._elements
+        if s in elements[i].right:
+            return None
+        j = elements[i].up.get(s)
+        stack = [self._make(i, s)] if j is None else []
+        while stack:
+            try:
+                i, s = stack[-1].send(j)
+            except StopIteration as made:
+                stack.pop()
+                j = made.value
+            else:
+                j = elements[i].up.get(s)
+                if j is None:
+                    stack.append(self._make(i, s))
+        return j
 
     def _down(self, a: str, i: int) -> int:
         """Id of a^-1 w for the element with id i, for a in L(w)."""
-        entry = self._elements[i]
-        try:
-            return entry.down[a]
-        except KeyError:
-            j = entry.down[a] = self._lookup(entry.tails[a])
-            return j
+        elements = self._elements
+        return elements[elements[elements[i].inverse].below[a]].inverse
+
+    def _make(self, i: int, s: str):
+        """Enter x = ws for w with id i, s not in R(w), by the module's rule:
+        a generator that yields each ascent (id, letter) it needs, is sent
+        its product's id, and returns the id of x."""
+        elements = self._elements
+        below = {s: i}
+        for t, walk, back in self._walks[s]:
+            u = i
+            for r in walk:
+                if r not in elements[u].right:
+                    break
+                u = elements[u].below[r]
+            else:
+                for r in back:
+                    u = yield u, r
+                below[t] = u
+        x = len(elements)
+        entry = _Element(frozenset(below), below)
+        elements.append(entry)
+        for t, v in below.items():
+            elements[v].up[t] = x
+        if i:
+            a = elements[i].word[0]
+            shorter = yield self._down(a, i), s
+            entry.inverse = yield elements[shorter].inverse, a
+        else:
+            entry.inverse = x
+        entry.left = elements[entry.inverse].right
+        a = min(entry.left, key=self._index.__getitem__)
+        entry.word = (a,) + elements[self._down(a, x)].word
+        return x
 
     def descents(self, w: Word) -> tuple[frozenset[str], frozenset[str]]:
         """(L(w), R(w)) for a reduced word w."""
@@ -218,25 +233,9 @@ class CoxeterSystem:
         j = self._up(self._lookup(w), s)
         return None if j is None else self._elements[j].word
 
-    def strip(self, a: str, w: Word) -> Word:
-        """Canonical word of a^-1 w, for a in L(w)."""
-        return self._elements[self._down(a, self._lookup(w))].word
-
     def canon(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element `word` represents."""
-        word = self.check_word(word)
-        i = self._canon.get(word)
-        if i is None:
-            current: Word = ()
-            for s in reversed(word):
-                # `current` is reduced and s = s^-1, so s either strips off
-                # the left (exchange) or lengthens it
-                if s in self.descents(current)[0]:
-                    current = self.strip(s, current)
-                else:
-                    current = self._elements[self._lookup((s,) + current)].word
-            i = self._canon[word] = self._lookup(current)
-        return self._elements[i].word
+        return self._elements[self._lookup(self.check_word(word))].word
 
     def mul(self, *words: Iterable[str]) -> Word:
         combined: tuple[str, ...] = ()

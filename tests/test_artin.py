@@ -310,7 +310,7 @@ def test_answers_do_not_depend_on_what_the_memos_hold():
                 (False, "canon", (x,)),
                 (False, "descents", (w,)),
                 *((False, "times", (w, s)) for s in shape.gens),
-                *((False, "strip", (a, w)) for a in left),
+                *((False, "canon", ((a,) + w,)) for a in left),
                 *(
                     (True, name, (x,))
                     for name in ("canon", "normal_form", "right_divisors", "finishing_set")

@@ -412,3 +412,113 @@ class TestAgainstTits:
                     assert len(tits_canon(system, w0 + (s,))) < len(w0), (system.gens, T)
                 checked += len(T) >= 2
         assert checked > 20
+
+
+def tits_elements(system, max_len):
+    """Canonical words of the elements of length at most max_len, in
+    ShortLex order, by Tits' word problem."""
+    found, seen = [()], {()}
+    for w in found:
+        for s in system.gens:
+            u = tits_canon(system, w + (s,))
+            if len(w) < len(u) <= max_len and u not in seen:
+                seen.add(u)
+                found.append(u)
+    return sorted(found, key=lambda w: (len(w), system.key(w)))
+
+
+WHOLE_TABLES = {
+    "A3": ("abc", {("a", "b"): 3, ("b", "c"): 3}, math.inf),
+    "B3": ("abc", {("a", "b"): 4, ("b", "c"): 3}, math.inf),
+    "H3": ("abc", {("a", "b"): 5, ("b", "c"): 3}, math.inf),
+    "I2(5)": ("ab", {("a", "b"): 5}, math.inf),
+    "I2(8)": ("ab", {("a", "b"): 8}, math.inf),
+    "A2xA1": ("abc", {("a", "b"): 3}, math.inf),
+    "affine A2": ("abc", {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 3}, 7),
+}
+
+
+def oracle_row(system, w):
+    """w, L(w) and R(w) from the braid class of w (Matsumoto), and the
+    words of w^-1, ws and sw by Tits' word problem."""
+    words = braid_class(system, w) - {()}
+    return (
+        w,
+        {v[0] for v in words},
+        {v[-1] for v in words},
+        tits_canon(system, w[::-1]),
+        {s: tits_canon(system, w + (s,)) for s in system.gens},
+        {s: tits_canon(system, (s,) + w) for s in system.gens},
+    )
+
+
+class TestWholeTable:
+    """Every entry of W's table, filled in two orders, against braid
+    classes and Tits' word problem.  Filled forward, an element is mostly
+    made before its inverse; filled from reversed words, mostly after, so
+    the same-length inverse step runs both ways."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        found = {}
+        for name, (gens, orders, max_len) in WHOLE_TABLES.items():
+            system = CoxeterSystem(gens, orders)
+            found[name] = [oracle_row(system, w) for w in tits_elements(system, max_len)]
+        return found
+
+    def test_group_orders(self, oracle):
+        sizes = {name: len(rows) for name, rows in oracle.items()}
+        # |W| from the degrees (Humphreys, table 3.1); A~2 has 3n
+        # elements of length n >= 1
+        assert sizes == {
+            "A3": 24,
+            "B3": 48,
+            "H3": 120,
+            "I2(5)": 10,
+            "I2(8)": 16,
+            "A2xA1": 12,
+            "affine A2": 1 + sum(3 * n for n in range(1, 8)),
+        }
+
+    @pytest.mark.parametrize("reversed_first", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("name", list(WHOLE_TABLES))
+    def test_every_entry(self, oracle, name, reversed_first):
+        gens, orders, _ = WHOLE_TABLES[name]
+        system = CoxeterSystem(gens, orders)
+        rows = oracle[name]
+        if reversed_first:
+            for w, *_ in reversed(rows):
+                system.canon(w[::-1])
+        ids = {w: system._lookup(w) for w, *_ in rows}
+        # each element is numbered once, and nothing longer is tabled
+        assert sorted(ids.values()) == list(range(len(rows)))
+        for w, left, right, inverse, times, strip in rows:
+            i = ids[w]
+            entry = system._elements[i]
+            assert (entry.word, entry.left, entry.right) == (w, left, right), (name, w)
+            assert system._elements[entry.inverse].word == inverse, (name, w)
+            for s in system.gens:
+                up = system._up(i, s)
+                if s in right:
+                    assert up is None, (name, w, s)
+                else:
+                    assert system._elements[up].word == times[s], (name, w, s)
+                    if times[s] in ids:
+                        assert up == ids[times[s]], (name, w, s)
+            for a in left:
+                assert system._elements[system._down(a, i)].word == strip[a], (name, w, a)
+
+
+class TestLongWords:
+    """The table's fill runs on its own stack: a word far longer than the
+    recursion limit reduces without a RecursionError."""
+
+    def test_a_long_reduced_word_on_affine_a2(self):
+        system = make_affine_a2()
+        assert len(system.canon("abc" * 1000)) == 3000
+
+    def test_a_long_word_times_its_inverse_on_a_triangle_group(self):
+        system = CoxeterSystem("abc", {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 7})
+        rng = random.Random(20261020)
+        w = tuple(rng.choice(system.gens) for _ in range(1000))
+        assert system.canon(w + w[::-1]) == ()

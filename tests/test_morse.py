@@ -147,8 +147,36 @@ class TestReducedComplex:
                 {("a", "b"): 4, ("b", "c"): 3, ("c", "d"): 3},
                 [Z(1), Z(2), Z(2, 2), Z(2), Z(1)],
             ),
+            # A5: the output of this program when W's table was still
+            # filled by braid closures (about 48 s)
+            (
+                "abcde",
+                {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("d", "e"): 3},
+                [Z(1), Z(1), Z(0, 2), Z(0, 2), Z(0, 3), Z(0)],
+            ),
+            # D5 and H4: they agree with a computation of W by floating-point
+            # roots, which is not exact
+            (
+                "abcde",
+                {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("c", "e"): 3},
+                [Z(1), Z(1), Z(0, 2, 2), Z(0, 2), Z(0, 2), Z(0)],
+            ),
+            (
+                "abcd",
+                {("a", "b"): 5, ("b", "c"): 3, ("c", "d"): 3},
+                [Z(1), Z(1), Z(0, 2), Z(1), Z(1)],
+            ),
+            # F4: no independent value; only H_1 = Z^2 (the odd edges ab and cd
+            # give two conjugacy classes of generators) and the Euler
+            # characteristic 1 - 2 + 2 - 2 + 1 = 0 = sum over T in sf of
+            # (-1)^|T| check it
+            (
+                "abcd",
+                {("a", "b"): 3, ("b", "c"): 4, ("c", "d"): 3},
+                [Z(1), Z(2), Z(2), Z(2), Z(1)],
+            ),
         ],
-        ids=["B3", "H3", "A4", "D4", "B4"],
+        ids=["B3", "H3", "A4", "D4", "B4", "A5", "D5", "H4", "F4"],
     )
     def test_homology_of_larger_finite_types(
         self, gens, orders, expected
