@@ -6,7 +6,7 @@ construction is the canonical form, and that order is also the one the
 matching uses downstream.  The table of W numbers its elements:
 `_elements[x]` holds element x's canonical word, L, R, the ids of xt for
 t in R (`below`), of xs for s not in R (`up`, on first use) and of x^-1;
-`_canon` names each word met, read one letter at a time by `_lookup`.
+`_lookup` reads a word one letter at a time from the identity, id 0.
 The monoid's simples are these ids, moved by `_up` (ws) and `_down`
 (a^-1 w).  The table grows only in `_make`, which enters x = ws, s not in
 R(w), by one local rule:
@@ -108,8 +108,7 @@ class CoxeterSystem:
                 self._walks[s].append(
                     (t, alternating_word(t, s, m - 1), alternating_word(s, t, m - 1)[::-1])
                 )
-        # every value of _canon indexes _elements; id 0 is the identity
-        self._canon: dict[Word, int] = {(): 0}
+        # id 0 is the identity
         self._elements: list[_Element] = [_Element(frozenset(), {})]
         self._finite: dict[frozenset[str], bool] = {}
 
@@ -157,23 +156,20 @@ class CoxeterSystem:
 
     def _lookup(self, word: Word) -> int:
         """Id of the element a word represents, read one letter at a time."""
-        i = self._canon.get(word)
-        if i is None:
-            i = 0
-            for s in word:
-                j = self._up(i, s)
-                i = self._elements[i].below[s] if j is None else j
-            self._canon[word] = i
+        i = 0
+        for s in word:
+            j = self._up(i, s)
+            i = self._elements[i].below[s] if j is None else j
         return i
 
     def _up(self, i: int, s: str) -> int | None:
         """Id of ws for the element with id i, or None when s is in R(w).  A
         miss runs `_make(i, s)`, and each `_make` it asks for, on one stack."""
         elements = self._elements
-        if s in elements[i].right:
-            return None
         j = elements[i].up.get(s)
-        stack = [self._make(i, s)] if j is None else []
+        if j is not None or s in elements[i].right:
+            return j
+        stack = [self._make(i, s)]
         while stack:
             try:
                 i, s = stack[-1].send(j)
@@ -224,14 +220,9 @@ class CoxeterSystem:
         return x
 
     def descents(self, w: Word) -> tuple[frozenset[str], frozenset[str]]:
-        """(L(w), R(w)) for a reduced word w."""
+        """(L(w), R(w)) for the element a word w represents."""
         entry = self._elements[self._lookup(w)]
         return entry.left, entry.right
-
-    def times(self, w: Word, s: str) -> Word | None:
-        """Canonical word of ws for a reduced word w, or None when s is in R(w)."""
-        j = self._up(self._lookup(w), s)
-        return None if j is None else self._elements[j].word
 
     def canon(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element `word` represents."""
@@ -293,13 +284,14 @@ class CoxeterSystem:
             raise InfiniteType(f"subgroup on {sorted(T)} is infinite")
         letters = self.sorted_subset(T)
         # canonical words are prefix-closed: each element comes once, in ShortLex order
-        elements: list[Word] = [()]
-        for w in elements:
+        table = self._elements
+        ids = [0]
+        for i in ids:
             for s in letters:
-                u = self.times(w, s)
-                if u is not None and u[:-1] == w:
-                    elements.append(u)
-        return elements
+                j = self._up(i, s)
+                if j is not None and table[j].word[:-1] == table[i].word:
+                    ids.append(j)
+        return [table[i].word for i in ids]
 
     def longest_element(self, T: Iterable[str]) -> Word:
         """Canonical word of the longest element of W_T: climb by ascents."""
@@ -307,17 +299,17 @@ class CoxeterSystem:
         if not self.is_finite_type(T):
             raise InfiniteType(f"subgroup on {sorted(T)} is infinite")
         letters = self.sorted_subset(T)
-        w: Word = ()
+        table = self._elements
+        i = 0
         while True:
-            below = self.descents(w)[1]
-            ascent = next((s for s in letters if s not in below), None)
+            ascent = next((s for s in letters if s not in table[i].right), None)
             if ascent is None:
-                return w
-            w = self.times(w, ascent)
+                return table[i].word
+            i = self._up(i, ascent)
 
     def is_t_minimal(self, word: Iterable[str], T: Iterable[str]) -> bool:
         """Shortest-in-coset test: no letter of T is a right descent."""
-        return self.check_subset(T).isdisjoint(self.descents(self.canon(word))[1])
+        return self.check_subset(T).isdisjoint(self.descents(self.check_word(word))[1])
 
 
 def _finite_component(comp: list[str], m) -> bool:

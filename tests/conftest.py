@@ -7,8 +7,10 @@ x -> sign*x + shift on Z (mod 2m) for the dihedral systems, window
 notation for the affine permutations of the affine Weyl group A~2, and
 signed permutations for B3.  The positive monoid is checked against
 enumeration of braid classes of positive words (`BraidClassMonoid`),
-which shares no code with `artin.py`.  Library surface that only the
-tests need lives here too.
+which shares no code with `artin.py`.  Homology of finite types is
+checked against De Concini-Salvetti's closed-form complex, built from the
+degrees of W's parabolic subgroups (`closed_form_homology`).  Library
+surface that only the tests need lives here too.
 """
 
 import math
@@ -20,7 +22,7 @@ import pytest
 from artinhom import ArtinMonoid, CoxeterSystem
 from artinhom.bar import cell_length
 from artinhom.errors import AuditFailure, InternalError
-from artinhom.homology import interval_complex
+from artinhom.homology import HomologyGroup, interval_complex
 from artinhom.matching import GradeAudit, LengthAudit
 
 
@@ -414,6 +416,82 @@ def smith_normal_form(matrix):
             D[t], S[t] = [-v for v in D[t]], [-v for v in S[t]]
         t += 1
     return [D[k][k] for k in range(min(m, n))], S, T
+
+
+# -- closed-form homology of finite-type Artin groups ------------------------------
+
+
+def _degrees(comp, m):
+    """Degrees of the irreducible finite Coxeter group on a connected
+    component (Humphreys, *Reflection Groups and Coxeter Groups*, table
+    3.1), for the types A_n, B_n, D_n, F4, H3, H4 and I2(p) only."""
+    n = len(comp)
+    edges = {(s, t): m(s, t) for s, t in combinations(comp, 2) if m(s, t) != 2}
+    top = max(edges.values(), default=2)
+    valence = max((sum(s in e for e in edges) for s in comp), default=0)
+    if n <= 2:
+        return [2, top][:n]
+    if top == 3:
+        return list(range(2, 2 * n - 1, 2)) + [n] if valence == 3 else list(range(2, n + 2))
+    if top == 4:
+        (s, t), = (e for e, v in edges.items() if v == 4)
+        inner = all(sum(r in e for e in edges) == 2 for r in (s, t))
+        return [2, 6, 8, 12] if n == 4 and inner else list(range(2, 2 * n + 1, 2))
+    return {3: [2, 6, 10], 4: [2, 12, 20, 30]}[n]
+
+
+def _poincare(T, m):
+    """Coefficients of W_T(q) = sum of q^l(w): the product of [d]_q over
+    the degrees d of each component of T."""
+    poly, rest = [1], list(T)
+    while rest:
+        comp = [rest.pop()]
+        for s in comp:
+            comp += [t for t in rest if m(s, t) != 2]
+            rest = [t for t in rest if m(s, t) == 2]
+        for d in _degrees(comp, m):
+            poly = [sum(poly[k - i] for i in range(d) if 0 <= k - i < len(poly))
+                    for k in range(len(poly) + d - 1)]
+    return poly
+
+
+def _quotient_at_minus_one(num, den):
+    """(num / den)(-1) for integer polynomials, den monic and dividing num."""
+    num, quotient = list(num), [0] * (len(num) - len(den) + 1)
+    for k in reversed(range(len(quotient))):
+        quotient[k] = num[k + len(den) - 1]
+        for i, c in enumerate(den):
+            num[k + i] -= quotient[k] * c
+    assert not any(num)
+    return sum(c * (-1) ** k for k, c in enumerate(quotient))
+
+
+def closed_form_homology(system):
+    """Integral homology of a finite-type Artin group from De Concini-
+    Salvetti's complex with trivial coefficients (Math. Res. Lett. 3, 1996):
+    one cell e_T per subset T of S, and the coefficient of e_{T-s} in
+    d(e_T) is (-1)^#{t in T : t < s} W_T(q)/W_{T-s}(q) at q = -1.  It uses
+    neither W's table nor the monoid."""
+    gens = system.gens
+    cells = [list(combinations(gens, k)) for k in range(len(gens) + 1)]
+    boundaries = [[]]
+    for k in range(1, len(gens) + 1):
+        rows = {R: i for i, R in enumerate(cells[k - 1])}
+        matrix = [[0] * len(cells[k]) for _ in cells[k - 1]]
+        for j, T in enumerate(cells[k]):
+            for pos in range(k):
+                R = T[:pos] + T[pos + 1 :]
+                matrix[rows[R]][j] = (-1) ** pos * _quotient_at_minus_one(
+                    _poincare(T, system.m), _poincare(R, system.m)
+                )
+        boundaries.append(matrix)
+    boundaries.append([[] for _ in cells[-1]])
+    factors = [[d for d in smith_normal_form(b)[0] if d] for b in boundaries]
+    return [
+        HomologyGroup(len(cells[k]) - len(factors[k]) - len(factors[k + 1]),
+                      tuple(d for d in factors[k + 1] if d > 1))
+        for k in range(len(gens) + 1)
+    ]
 
 
 def all_words(letters, max_len):

@@ -309,7 +309,7 @@ def test_answers_do_not_depend_on_what_the_memos_hold():
             queries = [
                 (False, "canon", (x,)),
                 (False, "descents", (w,)),
-                *((False, "times", (w, s)) for s in shape.gens),
+                *((False, "canon", (w + (s,),)) for s in shape.gens),
                 *((False, "canon", ((a,) + w,)) for a in left),
                 *(
                     (True, name, (x,))

@@ -16,7 +16,15 @@ from artinhom.morse import (
     morse_boundary,
     reduced_complex,
 )
-from conftest import MatchEdge, columns, entry, ids, suffix_products, words
+from conftest import (
+    MatchEdge,
+    closed_form_homology,
+    columns,
+    entry,
+    ids,
+    suffix_products,
+    words,
+)
 
 
 def W(text):
@@ -127,8 +135,9 @@ class TestReducedComplex:
     @pytest.mark.parametrize(
         "gens, orders, expected",
         [
-            # Squier / De Concini-Salvetti with trivial coefficients: the
-            # coefficient of e_{T-s} in d(e_T) is +-W_T(q)/W_{T-s}(q) at q = -1
+            # every literal is also the homology of De Concini-Salvetti's
+            # closed-form complex (`closed_form_homology`), which the test
+            # recomputes without W's table or the monoid
             ("abc", {("a", "b"): 4, ("b", "c"): 3}, [Z(1), Z(2), Z(2), Z(1)]),
             ("abc", {("a", "b"): 5, ("b", "c"): 3}, [Z(1), Z(1), Z(1), Z(1)]),
             # H_*(Br_5) (Arnold 1970)
@@ -147,15 +156,12 @@ class TestReducedComplex:
                 {("a", "b"): 4, ("b", "c"): 3, ("c", "d"): 3},
                 [Z(1), Z(2), Z(2, 2), Z(2), Z(1)],
             ),
-            # A5: the output of this program when W's table was still
-            # filled by braid closures (about 48 s)
+            # H_*(Br_6)
             (
                 "abcde",
                 {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("d", "e"): 3},
                 [Z(1), Z(1), Z(0, 2), Z(0, 2), Z(0, 3), Z(0)],
             ),
-            # D5 and H4: they agree with a computation of W by floating-point
-            # roots, which is not exact
             (
                 "abcde",
                 {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("c", "e"): 3},
@@ -166,10 +172,8 @@ class TestReducedComplex:
                 {("a", "b"): 5, ("b", "c"): 3, ("c", "d"): 3},
                 [Z(1), Z(1), Z(0, 2), Z(1), Z(1)],
             ),
-            # F4: no independent value; only H_1 = Z^2 (the odd edges ab and cd
-            # give two conjugacy classes of generators) and the Euler
-            # characteristic 1 - 2 + 2 - 2 + 1 = 0 = sum over T in sf of
-            # (-1)^|T| check it
+            # F4: H_1 = Z^2, since the odd edges ab and cd give two conjugacy
+            # classes of generators
             (
                 "abcd",
                 {("a", "b"): 3, ("b", "c"): 4, ("c", "d"): 3},
@@ -181,6 +185,7 @@ class TestReducedComplex:
     def test_homology_of_larger_finite_types(
         self, gens, orders, expected
     ):
+        assert closed_form_homology(CoxeterSystem(gens, orders)) == expected
         mon = ArtinMonoid(CoxeterSystem(gens, orders))
         complex_ = reduced_complex(BarMatching(mon)).chain_complex()
         assert complex_.homology() == expected
