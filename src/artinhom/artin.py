@@ -30,22 +30,23 @@ for everything here.
 
 Each element met gets an integer id in one element table, filled in one
 place (`_element`) and keyed by normal form: per id it holds the normal
-form, L and R, the ids of the proper non-identity right divisors and the
-canonical word.  `elements_of_length` builds each element x of a layer
-as w * s from the layer before, so the letters s that build x are R(x)
-and are recorded there; any other element gets R, the L of its
-reversal, on first need.  The ShortLex-least word peels min L(s_1) off
-repeatedly, once per element.  The right divisors of x are read off its
-splits d * q, listing the q only (`_divisors`); these are the entries of
-the chains of the interval [1, x] that the bar fibers, the matching's
-audits and the collapse hold as tuples of ids.  Words go in through the
-map from every word met to its id (`_id`) and come back from an id
+form, L and R, the ids of the proper non-identity right divisors and of
+the reversal, and the canonical word.  `_layer` lists the ids of one
+length, building each x as w * s from the layer before, so the letters
+s that build x are R(x) and are recorded there; any other element gets
+R, the L of its reversal, on first need.  The ShortLex-least word peels
+min L(s_1) off repeatedly, once per element.  The right divisors of x
+are read off its splits d * q, listing the q only (`_divisors`); these
+are the entries of the chains of the interval [1, x] that the bar
+fibers, the matching's audits and the collapse hold as tuples of ids.
+A word goes in by folding its letters (`_id`) and comes back from an id
 (`_word`) only for answers, output and error messages.  Right-hand
-questions go through the reversal anti-automorphism.  Least common
-multiples use bounded search.  `none` is reported only when
-non-existence is a theorem: every common multiple is left-divisible by
-all letters that left-divide an argument, and a set of letters has a
-common multiple only when it is of finite type (Brieskorn-Saito).
+questions go through the reversal anti-automorphism, linked both ways
+between entries (`_reverse`).  Least common multiples use bounded
+search over ids.  `none` is reported only when non-existence is a
+theorem: every common multiple is left-divisible by all letters that
+left-divide an argument, and a set of letters has a common multiple
+only when it is of finite type (Brieskorn-Saito).
 """
 
 from __future__ import annotations
@@ -65,15 +66,17 @@ Normal = tuple[Simple, ...]
 
 class _Element:
     """One monoid element: its normal form, L and R, its proper
-    non-identity right divisors (ids) and its canonical word.  R, the
-    divisors and the word are filled on first need."""
+    non-identity right divisors (ids), the id of its reversal and its
+    canonical word.  All but the normal form and L are filled on first
+    need."""
 
-    __slots__ = ("normal", "left", "right", "divisors", "word")
+    __slots__ = ("normal", "left", "right", "divisors", "reverse", "word")
 
     def __init__(self, normal: Normal, left: frozenset[str]):
         self.normal, self.left = normal, left
         self.right: frozenset[str] | None = None
         self.divisors: list[int] | None = None
+        self.reverse: int | None = None
         self.word: Word | None = None
 
 
@@ -89,9 +92,8 @@ class ArtinMonoid:
         self._table: list[_Element] = []
         self._ids: dict[Normal, int] = {}
         self._table[self._element(())].word = ()
-        # every word met -> the id of its element
-        self._of_word: dict[Word, int] = {(): 0}
-        self._elements_by_length: list[list[Word]] = [[()]]
+        # length n -> the ids of the elements of length n, in ShortLex order
+        self._layers: list[list[int]] = [[0]]
         self._deltas: dict[frozenset[str], Word] | None = None
         self._pairs: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
         self._quotients: dict[tuple[int, int], int | None] = {}
@@ -165,14 +167,11 @@ class ArtinMonoid:
         return i
 
     def _id(self, word: Word) -> int:
-        """Id of the element a word names, letter by letter; checked on a miss."""
-        i = self._of_word.get(word)
-        if i is None:
-            normal: Normal = ()
-            for a in self.system.check_word(word):
-                normal = self._append(normal, a)
-            i = self._of_word[word] = self._element(normal)
-        return i
+        """Id of the element a word names: its checked letters folded in."""
+        normal: Normal = ()
+        for a in self.system.check_word(word):
+            normal = self._append(normal, a)
+        return self._element(normal)
 
     def _word(self, i: int) -> Word:
         """ShortLex-least word: peel min L until an element with a word is left."""
@@ -188,17 +187,53 @@ class ArtinMonoid:
             word = table[i].word
             for i, a in reversed(peeled):
                 word = table[i].word = (a,) + word
-                self._of_word[word] = i
         return word
 
+    def _reverse(self, i: int) -> int:
+        """Id of the reversal of element i, linked both ways on first need."""
+        entry = self._table[i]
+        j = entry.reverse
+        if j is None:
+            j = entry.reverse = self._id(self._word(i)[::-1])
+            self._table[j].reverse = i
+        return j
+
     def _right(self, i: int) -> frozenset[str]:
-        """R of element i: recorded when `elements_of_length` built it, else
-        L of the reversal, once."""
+        """R of element i: recorded when `_layer` built it, else L of the
+        reversal, once."""
         entry = self._table[i]
         right = entry.right
         if right is None:
-            right = entry.right = self._table[self._id(self._word(i)[::-1])].left
+            right = entry.right = self._table[self._reverse(i)].left
         return right
+
+    def _layer(self, n: int) -> list[int]:
+        """Ids of all monoid elements of length n, in ShortLex order."""
+        table, layers = self._table, self._layers
+        while len(layers) <= n:
+            # one letter on the right of each element of the layer before.
+            # The letters s that build x are R(x), since every x s^-1 is in
+            # that layer.  The least word of x ends in some s of R(x), after
+            # the least word of x s^-1; the layer before is in ShortLex
+            # order and the letters go in generator order, so the first
+            # (w, s) to build x spells its least word w s, and the new
+            # layer comes out in ShortLex order.
+            grown: dict[int, list[str]] = {}
+            for w in layers[-1]:
+                normal = table[w].normal
+                for s in self.system.gens:
+                    i = self._element(self._append(normal, s))
+                    right = grown.get(i)
+                    if right is None:
+                        grown[i] = [s]
+                    else:
+                        right.append(s)
+            for i, right in grown.items():
+                # one frozenset per set of letters, listed in generator order
+                key = tuple(right)
+                table[i].right = self._letter_sets.setdefault(key, frozenset(key))
+            layers.append(list(grown))
+        return layers[n]
 
     def _divisors(self, i: int) -> list[int]:
         """Ids of the proper non-identity right divisors of element i: each
@@ -237,16 +272,11 @@ class ArtinMonoid:
             return self._quotients[key]
         except KeyError:
             pass
-        x_word, d_word = self._word(x), self._word(d)
         # rev(d) * rev(y) = rev(x)
-        quotient = (
-            self._left_quotient(self._table[self._id(x_word[::-1])].normal, d_word[::-1])
-            if len(d_word) <= len(x_word)
-            else None
+        quotient = self._left_quotient(
+            self._table[self._reverse(x)].normal, self._word(d)[::-1]
         )
-        result = None
-        if quotient is not None:
-            result = self._id(self._word(self._element(quotient))[::-1])
+        result = None if quotient is None else self._reverse(self._element(quotient))
         self._quotients[key] = result
         return result
 
@@ -263,39 +293,6 @@ class ArtinMonoid:
 
     def rev(self, word: Iterable[str]) -> Word:
         return self.canon(tuple(reversed(tuple(word))))
-
-    def elements_of_length(self, n: int) -> list[Word]:
-        """Canonical words of all monoid elements of length n."""
-        table = self._table
-        while len(self._elements_by_length) <= n:
-            # one letter on the right of each element of the layer before.
-            # The letters s that build x are R(x), since every x s^-1 is in
-            # that layer.  The least word of x ends in some s of R(x), after
-            # the least word of x s^-1; the layer before is in ShortLex
-            # order and the letters go in generator order, so the first
-            # (w, s) to build x spells its least word w s, and the new
-            # layer comes out in ShortLex order.
-            grown: dict[int, list[str]] = {}
-            for w in self._elements_by_length[-1]:
-                normal = table[self._of_word[w]].normal
-                for s in self.system.gens:
-                    i = self._element(self._append(normal, s))
-                    right = grown.get(i)
-                    if right is None:
-                        grown[i] = [s]
-                        table[i].word = w + (s,)
-                    else:
-                        right.append(s)
-            words = []
-            for i, right in grown.items():
-                entry = table[i]
-                # one frozenset per set of letters, listed in generator order
-                key = tuple(right)
-                entry.right = self._letter_sets.setdefault(key, frozenset(key))
-                self._of_word[entry.word] = i
-                words.append(entry.word)
-            self._elements_by_length.append(words)
-        return self._elements_by_length[n]
 
     # -- divisibility -----------------------------------------------------
 
@@ -376,23 +373,27 @@ class ArtinMonoid:
             bound = DEFAULT_SEARCH_BOUND
         base = elems[-1]
         others = elems[:-1]
-        multiples = {base}
+        table = self._table
+        # the ids of the multiples of base of each length; the others are
+        # no longer than base, so a quotient decides divisibility
+        multiples = {self._id(base)}
         for total in range(len(base), bound + 1):
             if total > len(base):
                 multiples = {
-                    self.canon(w + (s,))
+                    self._element(self._append(table[w].normal, s))
                     for w in multiples
                     for s in self.system.gens
                 }
-            found = {
-                w for w in multiples if all(self.left_divides(e, w) for e in others)
-            }
+            found = [
+                w
+                for w in multiples
+                if all(self._left_quotient(table[w].normal, e) is not None for e in others)
+            ]
             if found:
                 if len(found) != 1:
-                    raise InternalError(
-                        f"distinct minimal common multiples {sorted(found)}"
-                    )
-                return next(iter(found))
+                    words = sorted(self._word(w) for w in found)
+                    raise InternalError(f"distinct minimal common multiples {words}")
+                return self._word(found[0])
         if guaranteed:
             raise InternalError(
                 f"least common multiple of {elems} not found within its bound"

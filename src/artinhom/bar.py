@@ -146,14 +146,13 @@ def layer_homology(mon: ArtinMonoid, n: int) -> list[HomologyGroup]:
     """
     free = [0] * (n + 1)
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
-    for x in mon.elements_of_length(n):
-        i = mon._id(x)
+    for x in mon._layer(n):
         # a one-sided x is skipped before any right divisor is listed
-        if _one_sided(mon, i, n) or len(_core_below(mon, i)) == 2:
+        if _one_sided(mon, x, n) or len(_core_below(mon, x)) == 2:
             continue
-        # few fibers get here, so `fiber_complex` finding the core again
-        # costs little
-        for k, (rank, factors) in enumerate(fiber_complex(mon, x).invariants()):
+        # few fibers get here, so `fiber_complex` spelling x and finding
+        # the core again costs little
+        for k, (rank, factors) in enumerate(fiber_complex(mon, mon._word(x)).invariants()):
             free[k] += rank
             torsion[k].extend(factors)
     # one group per dimension, its torsion merged into invariant factors

@@ -252,8 +252,7 @@ class BarMatching:
             for upper, lower, kind in edges:
                 given.setdefault(lower[0], set()).add((upper, lower, kind))
         divisors = self.mon._divisors
-        for x in self.mon.elements_of_length(length):
-            top = self.mon._id(x)
+        for top in self.mon._layer(length):
             flag_of: dict[Chain, int] = {}
             essential: set[Chain] = set()
             own: set[ChainEdge] = set()

@@ -523,6 +523,12 @@ def right_divisors(mon, x):
     return [mon._word(q) for q in mon._divisors(mon._id(tuple(x)))]
 
 
+def elements_of_length(mon, n):
+    """The canonical words of the monoid elements of length n, in the
+    ShortLex order of the layer the monoid builds."""
+    return [mon._word(i) for i in mon._layer(n)]
+
+
 def iter_cells_of_grade(mon, n):
     """All cells of length n, from the element lists alone; checks
     `bar.factorizations`, which builds each product's cells by splitting."""
@@ -530,7 +536,7 @@ def iter_cells_of_grade(mon, n):
         yield ()
         return
     for first_len in range(1, n + 1):
-        for x in mon.elements_of_length(first_len):
+        for x in elements_of_length(mon, first_len):
             for rest in iter_cells_of_grade(mon, n - first_len):
                 yield (x,) + rest
 
@@ -816,7 +822,7 @@ class CellMatching:
             given = {}
             for edge in edges:
                 given.setdefault(self.mon.mul(*edge.lower), set()).add(edge)
-        for x in self.mon.elements_of_length(length):
+        for x in elements_of_length(self.mon, length):
             # cell -> (flag, essential, suffix products)
             cells = {}
             own = set()

@@ -16,7 +16,13 @@ from artinhom.homology import (
     invariant_factors,
     poset_core,
 )
-from conftest import columns, full_fiber_complex, make_a3, smith_normal_form
+from conftest import (
+    columns,
+    elements_of_length,
+    full_fiber_complex,
+    make_a3,
+    smith_normal_form,
+)
 
 # the 6-vertex projective plane (half an icosahedron): H = Z, Z/2, 0
 RP2_FACETS = [
@@ -309,7 +315,7 @@ class TestChainComplexes:
         fibers = [
             full_fiber_complex(mon, x)
             for n in range(6)
-            for x in mon.elements_of_length(n)
+            for x in elements_of_length(mon, n)
         ]
         assert len(fibers) == 168
         for complex_ in fibers:

@@ -9,6 +9,7 @@ from artinhom.matching import BarMatching
 from conftest import (
     CellMatching,
     MatchEdge,
+    elements_of_length,
     factorizations,
     grade,
     ids,
@@ -330,7 +331,7 @@ class TestAgainstTheCellRule:
         mon = ArtinMonoid(maker())
         matching, oracle = BarMatching(mon), CellMatching(mon)
         for n in range(top + 1):
-            for x in mon.elements_of_length(n):
+            for x in elements_of_length(mon, n):
                 for cell, products in factorizations(mon, x):
                     edge = oracle.partner(cell)
                     expected = None if edge is None else edge.chains(mon)
@@ -343,7 +344,7 @@ def matched_fibers(mon, top):
     every (x, flag) fiber up to length `top`, from the cell rule."""
     oracle = CellMatching(mon)
     for n in range(top + 1):
-        for x in mon.elements_of_length(n):
+        for x in elements_of_length(mon, n):
             cells = factorizations(mon, x)
             products_of = dict(cells)
             flag_of = {
