@@ -11,8 +11,13 @@ Words on the command line are generator names joined by ``.`` (or
 commas); when every generator is a single character a bare string like
 ``abab`` also works.
 
-Exit codes: 0 success, 1 domain, usage or out-of-memory error, 2 audit or
-verification failure.
+Exit codes: 0 success, 1 domain, usage, output or out-of-memory error,
+2 audit or verification failure.
+
+Every process pays for the imports at the top of this module, so they are
+only what every command needs: `argparse`, `json`, `coxeter`, `artin` and
+`errors`.  A command that needs a further layer (`bar`, `matching`,
+`morse`, `homology`, `salvetti`) imports it inside its own function.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from . import __version__
 from .artin import ArtinMonoid
-from .bar import cell_length, layer_homology
 from .coxeter import CoxeterSystem, Word
 from .errors import (
     DomainError,
@@ -34,20 +39,6 @@ from .errors import (
     UnknownGenerator,
     UsageError,
     VerificationError,
-)
-from .homology import HomologyGroup, abelianized_presentation_h1
-from .matching import BarMatching
-from .morse import (
-    boundary_word_2cell,
-    braid_relator_word,
-    cyclic_words_equal,
-    reduced_complex,
-)
-from .salvetti import (
-    cell_pair_check,
-    polygon_boundary_word,
-    quotient_census,
-    sal_poset,
 )
 
 
@@ -233,6 +224,10 @@ def cmd_sf(args, system, out):
 
 
 def cmd_morse_cells(args, system, out):
+    from .bar import cell_length
+    from .matching import BarMatching
+    from .morse import reduced_complex
+
     mon = ArtinMonoid(system)
     matching = BarMatching(mon)
     complex_ = reduced_complex(matching)
@@ -258,6 +253,11 @@ def cmd_morse_cells(args, system, out):
 
 
 def cmd_homology(args, system, out):
+    from .bar import cell_length, layer_homology
+    from .homology import HomologyGroup, abelianized_presentation_h1
+    from .matching import BarMatching
+    from .morse import reduced_complex
+
     mon = ArtinMonoid(system)
     reduced = reduced_complex(BarMatching(mon))
     groups = reduced.chain_complex().homology()
@@ -306,6 +306,8 @@ def cmd_homology(args, system, out):
 
 
 def cmd_matching_audit(args, system, out):
+    from .matching import BarMatching
+
     matching = BarMatching(ArtinMonoid(system))
     for length in range(args.max_len + 1):
         for report in matching.audit_grade(length).grades:
@@ -326,6 +328,8 @@ def cmd_matching_audit(args, system, out):
 
 
 def cmd_salvetti_stats(args, system, out):
+    from .salvetti import cell_pair_check, quotient_census, sal_poset
+
     poset = sal_poset(system)
     census = poset.census()
     out.emit(
@@ -351,6 +355,10 @@ def cmd_salvetti_stats(args, system, out):
 
 
 def cmd_boundary2(args, system, out):
+    from .matching import BarMatching
+    from .morse import boundary_word_2cell, braid_relator_word, cyclic_words_equal
+    from .salvetti import polygon_boundary_word
+
     matching = BarMatching(ArtinMonoid(system))
     s, t = args.s, args.t
     word = boundary_word_2cell(matching, s, t)
@@ -494,7 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        return _run(list(sys.argv[1:] if argv is None else argv))
+    except OSError as err:
+        # `_run` handles the system file's errors: this is a failed write
+        return _output_failed(err)
+
+
+def _run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as err:
@@ -505,16 +520,17 @@ def main(argv: list[str] | None = None) -> int:
     out = Reporter(args.format, sys.stdout)
     try:
         with open(args.system, encoding="utf-8") as handle:
-            system = parse_system_file(handle.read())
-        return COMMANDS[args.command](args, system, out)
-    except DomainError as err:
-        out.emit(
-            f"error: {err}", record="error", code=err.code, message=str(err)
-        )
-        return 1
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
         out.emit(
             f"error: {err}", record="error", code="io-error", message=str(err)
+        )
+        return 1
+    try:
+        return COMMANDS[args.command](args, parse_system_file(text), out)
+    except DomainError as err:
+        out.emit(
+            f"error: {err}", record="error", code=err.code, message=str(err)
         )
         return 1
     except VerificationError as err:
@@ -537,5 +553,47 @@ def main(argv: list[str] | None = None) -> int:
     return 1
 
 
+def _output_failed(err: OSError) -> int:
+    """Exit code 1 for a failed write to stdout, named in one stderr line.
+
+    stdout is then pointed at devnull, so that no later flush fails again
+    (the note on SIGPIPE in the documentation of the `signal` module)."""
+    print(f"error: cannot write the report: {err}", file=sys.stderr)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
+
+
+def _observed() -> bool:
+    """Whether a profiler, a tracer or (Python 3.12+) a monitoring tool
+    such as cProfile watches this process; monitoring tool ids are 0 to 5."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))
+
+
+def run_and_exit() -> NoReturn:
+    """Entry point of `python -m artinhom.cli` and the `artinhom` script.
+
+    Runs `main()`, flushes both output streams and ends the process with
+    `os._exit`: interpreter teardown, which frees every table the command
+    built, is skipped.  A profiler or tracer writes its results at normal
+    exit, so under one the process exits normally."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as err:
+        code = _output_failed(err)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # nowhere is left to report it
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

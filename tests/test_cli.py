@@ -42,15 +42,20 @@ USAGE_ERRORS = {
 }
 
 
-def run_child(argv, **kwargs):
-    """Run Python on argv from the repository root, importing src/."""
+def child_env():
+    """This process's environment, with src/ first on PYTHONPATH."""
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
-    path = os.pathsep.join(filter(None, paths))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def run_child(argv, stdout=subprocess.PIPE, **kwargs):
+    """Run Python on argv from the repository root, importing src/."""
     return subprocess.run(
         [sys.executable, *argv],
         cwd=REPO,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
+        env=child_env(),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=600,
         **kwargs,
@@ -369,6 +374,40 @@ def test_import_loads_only_the_package_and_the_standard_modules_it_names():
     assert result.stdout.strip() == "[]"
 
 
+def test_each_command_loads_only_the_package_modules_it_uses(tmp_path):
+    # the monoid arithmetic needs neither the collapse nor the Salvetti
+    # layers, whose import every one of its processes would pay for
+    path = tmp_path / "a3.system"
+    path.write_text(A3_TEXT)
+    commands = [
+        ["nf", "abab"],
+        ["divides", "ab", "aba"],
+        ["lcm", "a", "b"],
+        ["gcd", "aba", "bab"],
+        ["delta", "a", "b"],
+        ["sf"],
+        ["salvetti-stats"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'artinhom')\n"
+        "import artinhom.cli as cli\n"
+        "stages = [loaded()]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['--system', sys.argv[2], *argv]) == 0, argv\n"
+        "    stages.append(loaded())\n"
+        "print(json.dumps(stages))\n"
+    )
+    result = run_child(["-c", code, json.dumps(commands), str(path)])
+    assert result.returncode == 0, result.stderr
+    stages = json.loads(result.stdout)
+    base = ["artinhom", *(f"artinhom.{m}" for m in ("artin", "cli", "coxeter", "errors"))]
+    assert stages[:-1] == [base] * len(commands)
+    assert stages[-1] == sorted([*base, "artinhom.homology", "artinhom.salvetti"])
+
+
 B2_TEXT = "gens: a b\nm a b 4\n"
 # B2 `--format jsonl` records after the meta line, pinned as they were
 # before the per-grade cell path was deleted
@@ -586,3 +625,87 @@ class TestChildProcesses:
         assert result.returncode == 0, result.stderr
         names = {name for _, name, _, _ in json.loads(trace.read_text())["nodes"]}
         assert spans <= names
+
+    @pytest.mark.parametrize(
+        "command",
+        [["matching-audit", "--max-len", "6"], ["homology", "--verify"]],
+        ids=["matching-audit", "homology-verify"],
+    )
+    def test_the_module_entry_prints_what_main_prints(self, tmp_path, capsys, command):
+        path = tmp_path / "a3.system"
+        path.write_text(A3_TEXT)
+        argv = ["--system", str(path), "--format", "jsonl", *command]
+        assert main(argv) == 0
+        result = run_child(["-m", "artinhom.cli", *argv])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == capsys.readouterr().out
+        assert result.stderr == ""
+
+    def test_the_module_entry_reports_a_missing_file(self, tmp_path):
+        argv = ["--system", str(tmp_path / "missing"), "--format", "jsonl", "nf", "ab"]
+        result = run_child(["-m", "artinhom.cli", *argv])
+        assert result.returncode == 1, result.stderr
+        record = json.loads(result.stdout.splitlines()[-1])
+        assert record["record"] == "error" and record["code"] == "io-error"
+
+    def test_an_audit_failure_exits_two_without_teardown(self, a2_file):
+        # the atexit handler would print only if teardown ran
+        code = (
+            "import atexit, runpy, sys\n"
+            "from artinhom.errors import AuditFailure\n"
+            "from artinhom.matching import BarMatching\n"
+            "def sabotaged(self, length, edges=None):\n"
+            "    raise AuditFailure(f'length {length}: forced failure')\n"
+            "BarMatching.audit_grade = sabotaged\n"
+            "atexit.register(print, 'teardown', file=sys.stderr)\n"
+            "sys.argv = ['artinhom', *sys.argv[1:]]\n"
+            "runpy.run_module('artinhom.cli', run_name='__main__')\n"
+        )
+        argv = ["--system", a2_file, "matching-audit", "--max-len", "2"]
+        result = run_child(["-c", code, *argv])
+        assert result.returncode == 2, result.stderr
+        assert "forced failure" in result.stdout
+        assert "teardown" not in result.stderr
+
+    def test_a_profiled_run_writes_its_stats(self, a2_file, tmp_path):
+        # cProfile writes its file after the module returns, so the entry
+        # point must exit normally under it
+        stats = tmp_path / "nf.prof"
+        argv = ["--system", a2_file, "nf", "abab"]
+        result = run_child(["-m", "cProfile", "-o", str(stats), "-m", "artinhom.cli", *argv])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "nf(abab) = {a b} {a}\n"
+        assert stats.stat().st_size > 0
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_closed_pipe_ends_in_one_line(self, tmp_path, unbuffered):
+        # unbuffered, the first record's write fails; buffered, the flush
+        # before the hard exit does
+        path = tmp_path / "a3.system"
+        path.write_text(A3_TEXT)
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ["--system", str(path), "--format", "jsonl", "matching-audit", "--max-len", "6"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "artinhom.cli", *argv],
+            cwd=REPO,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()  # before the child, still starting up, writes
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=600) == 1
+        (line,) = stderr.splitlines()
+        assert "Broken pipe" in line and "Traceback" not in stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_device_ends_in_one_line(self, a2_file):
+        with open("/dev/full", "w") as full:
+            result = run_child(["-m", "artinhom.cli", "--system", a2_file, "homology"], stdout=full)
+        assert result.returncode == 1
+        (line,) = result.stderr.splitlines()
+        assert "No space left" in line and "Traceback" not in result.stderr
