@@ -15,30 +15,25 @@ Exit codes: 0 success, 1 domain, usage, output or out-of-memory error,
 2 audit or verification failure.
 
 Every process pays for the imports at the top of this module, so they are
-only what every command needs: `argparse`, `json`, `coxeter`, `artin` and
-`errors`.  A command that needs a further layer (`bar`, `matching`,
-`morse`, `homology`, `salvetti`) imports it inside its own function.
+only what every command needs: `json`, `coxeter`, `artin` and `errors`.
+A command that needs a further layer (`bar`, `matching`, `morse`,
+`homology`, `salvetti`) imports it inside its own function.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Iterable, NoReturn
 
 from . import __version__
 from .artin import ArtinMonoid
 from .coxeter import CoxeterSystem, Word
 from .errors import (
-    DomainError,
-    ParseError,
-    ConflictingEntry,
-    UnknownGenerator,
-    UsageError,
-    VerificationError,
+    ConflictingEntry, DomainError, ParseError, UnknownGenerator, UsageError, VerificationError
 )
 
 
@@ -97,9 +92,7 @@ def word_str(system: CoxeterSystem, word: Iterable[str]) -> str:
     word = tuple(word)
     if not word:
         return "e"
-    if all(len(s) == 1 for s in system.gens):
-        return "".join(word)
-    return ".".join(word)
+    return ("" if all(len(s) == 1 for s in system.gens) else ".").join(word)
 
 
 def subset_str(system: CoxeterSystem, T: Iterable[str]) -> str:
@@ -123,15 +116,11 @@ class Reporter:
         else:
             print(text, file=self.stream)
 
+    def error(self, err: Exception, code: str | None = None, label: str = "error"):
+        self.emit(f"{label}: {err}", record="error", code=code or err.code, message=str(err))
+
     def emit_record(self, record):
-        print(
-            json.dumps(record, sort_keys=True, separators=(",", ":")),
-            file=self.stream,
-        )
-
-
-def _json_m(value):
-    return "inf" if value == math.inf else value
+        print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=self.stream)
 
 
 def cmd_nf(args, system, out):
@@ -197,8 +186,7 @@ def cmd_gcd(args, system, out):
 
 def cmd_divides(args, system, out):
     mon = ArtinMonoid(system)
-    x = parse_word(system, args.x)
-    y = parse_word(system, args.y)
+    x, y = parse_word(system, args.x), parse_word(system, args.y)
     side = "right" if args.right else "left"
     test = mon.right_divides if args.right else mon.left_divides
     result = test(x, y)
@@ -215,11 +203,8 @@ def cmd_divides(args, system, out):
 
 def cmd_sf(args, system, out):
     for T in system.sf():
-        out.emit(
-            subset_str(system, T),
-            record="finite-type-subset",
-            subset=sorted(T, key=system.index),
-        )
+        subset = sorted(T, key=system.index)
+        out.emit(subset_str(system, T), record="finite-type-subset", subset=subset)
     return 0
 
 
@@ -228,9 +213,7 @@ def cmd_morse_cells(args, system, out):
     from .matching import BarMatching
     from .morse import reduced_complex
 
-    mon = ArtinMonoid(system)
-    matching = BarMatching(mon)
-    complex_ = reduced_complex(matching)
+    complex_ = reduced_complex(BarMatching(ArtinMonoid(system)))
     out.emit(
         f"census = {complex_.census()}",
         record="census",
@@ -269,40 +252,33 @@ def cmd_homology(args, system, out):
             free_rank=h.free_rank,
             torsion=list(h.torsion),
         )
-    code = 0
-    if args.verify:
-        oracle = abelianized_presentation_h1(system)
-        h1 = groups[1] if len(groups) > 1 else HomologyGroup(0)
-        ok_h1 = h1 == oracle
-        max_len = max((len(delta) for delta in mon.deltas().values()), default=0)
-        # essential cells per (length, dimension)
-        expected: dict[tuple[int, int], int] = {}
-        for T, cell in reduced.essential.items():
-            key = (cell_length(cell), len(T))
-            expected[key] = expected.get(key, 0) + 1
-        per_grade_ok = True
-        for n in range(max_len + 3):
-            layer = layer_homology(mon, n)
-            got = tuple(
-                (h.free_rank, h.torsion) for h in layer
-            )
-            want = tuple(
-                (expected.get((n, k), 0), ()) for k in range(len(layer))
-            )
-            if got != want:
-                per_grade_ok = False
-        ok = ok_h1 and per_grade_ok
-        out.emit(
-            f"verify: presentation H_1 {'agrees' if ok_h1 else 'DISAGREES'}; "
-            f"per-grade layers {'agree' if per_grade_ok else 'DISAGREE'}",
-            record="verification",
-            presentation_h1=[oracle.free_rank, list(oracle.torsion)],
-            h1_agrees=ok_h1,
-            grades_agree=per_grade_ok,
-        )
-        if not ok:
-            code = 2
-    return code
+    if not args.verify:
+        return 0
+    oracle = abelianized_presentation_h1(system)
+    h1 = groups[1] if len(groups) > 1 else HomologyGroup(0)
+    ok_h1 = h1 == oracle
+    max_len = max((len(delta) for delta in mon.deltas().values()), default=0)
+    # essential cells per (length, dimension)
+    expected: dict[tuple[int, int], int] = {}
+    for T, cell in reduced.essential.items():
+        key = (cell_length(cell), len(T))
+        expected[key] = expected.get(key, 0) + 1
+    per_grade_ok = True
+    for n in range(max_len + 3):
+        layer = layer_homology(mon, n)
+        got = tuple((h.free_rank, h.torsion) for h in layer)
+        want = tuple((expected.get((n, k), 0), ()) for k in range(len(layer)))
+        if got != want:
+            per_grade_ok = False
+    out.emit(
+        f"verify: presentation H_1 {'agrees' if ok_h1 else 'DISAGREES'}; "
+        f"per-grade layers {'agree' if per_grade_ok else 'DISAGREE'}",
+        record="verification",
+        presentation_h1=[oracle.free_rank, list(oracle.torsion)],
+        h1_agrees=ok_h1,
+        grades_agree=per_grade_ok,
+    )
+    return 0 if ok_h1 and per_grade_ok else 2
 
 
 def cmd_matching_audit(args, system, out):
@@ -340,17 +316,10 @@ def cmd_salvetti_stats(args, system, out):
     )
     for cell in poset.cells:
         cell_pair_check(poset, cell)
-    out.emit(
-        f"all {len(poset.cells)} cell pair checks pass",
-        record="pair-checks",
-        checked=len(poset.cells),
-    )
+    checked = len(poset.cells)
+    out.emit(f"all {checked} cell pair checks pass", record="pair-checks", checked=checked)
     quotient = quotient_census(system)
-    out.emit(
-        f"quotient census = {quotient}",
-        record="quotient-census",
-        counts=list(quotient),
-    )
+    out.emit(f"quotient census = {quotient}", record="quotient-census", counts=list(quotient))
     return 0
 
 
@@ -369,14 +338,12 @@ def cmd_boundary2(args, system, out):
     polygon_agrees = cyclic_words_equal(word, polygon)
     out.emit(
         f"attaching word = {signed_word_str(word)}\n"
-        f"dihedral relator = {signed_word_str(reference)} "
-        f"(match: {agrees})\n"
-        f"polygon relator = {signed_word_str(polygon)} "
-        f"(match: {polygon_agrees})",
+        f"dihedral relator = {signed_word_str(reference)} (match: {agrees})\n"
+        f"polygon relator = {signed_word_str(polygon)} (match: {polygon_agrees})",
         record="boundary-word",
         s=s,
         t=t,
-        m=_json_m(m),
+        m="inf" if m == math.inf else m,
         word=[[sign, g] for sign, g in word],
         matches_relator=agrees,
         matches_polygon=polygon_agrees,
@@ -384,121 +351,161 @@ def cmd_boundary2(args, system, out):
     return 0 if agrees and polygon_agrees else 2
 
 
-COMMANDS = {
-    "nf": cmd_nf,
-    "delta": cmd_delta,
-    "lcm": cmd_lcm,
-    "gcd": cmd_gcd,
-    "divides": cmd_divides,
-    "sf": cmd_sf,
-    "morse-cells": cmd_morse_cells,
-    "homology": cmd_homology,
-    "matching-audit": cmd_matching_audit,
-    "salvetti-stats": cmd_salvetti_stats,
-    "boundary2": cmd_boundary2,
+# Each command's function, help line, arguments (a name ending in "*"
+# takes any number of them, in "+" at least one) and options with their
+# defaults: a flag's is False, and any other option takes an integer >= 0.
+SIDE = {"--left": False, "--right": False}
+SYNTAX = {
+    "nf": (cmd_nf, "Garside normal form of a positive word", ["word"], {}),
+    "delta": (cmd_delta, "fundamental element of a subset", ["generators*"], {}),
+    "lcm": (cmd_lcm, "least common multiple", ["words+"], {**SIDE, "--bound": None}),
+    "gcd": (cmd_gcd, "greatest common divisor", ["words+"], SIDE),
+    "divides": (cmd_divides, "divisibility test", ["x", "y"], SIDE),
+    "sf": (cmd_sf, "list the finite-type subsets", [], {}),
+    "morse-cells": (cmd_morse_cells, "essential cells of the reduced complex", [], {}),
+    "homology": (cmd_homology, "homology of the reduced complex", [], {"--verify": False}),
+    "matching-audit": (cmd_matching_audit, "audit the matching per grade", [], {"--max-len": 6}),
+    "salvetti-stats": (cmd_salvetti_stats, "poset census and cell pair checks", [], {}),
+    "boundary2": (cmd_boundary2, "attaching word of a 2-cell", ["s", "t"], {}),
 }
+COMMANDS = {name: entry[0] for name, entry in SYNTAX.items()}
+TOP = {"--system": None, "--format": "text"}  # the options before the command
+HELP = ("-h", "--help")
 
 
-def _non_negative(text: str) -> int:
-    """Option type for counts and bounds: an integer >= 0."""
+def _option(token: str, names) -> tuple[str | None, str | None] | None:
+    """(name, `=value` or None) of an option token, (None, None) for an
+    unknown one, None for an argument.  A unique prefix names a long
+    option; "-", negative numbers and tokens with a space are arguments."""
+    key, eq, value = token.partition("=")
+    found = [key] if key in names else [n for n in names if n.startswith(key)]
+    if key in names or len(found) == 1 and key[:2] == "--":
+        return found[0], value if eq else None
+    if token[:1] != "-" or token == "-" or " " in token:
+        return None
+    number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
+    return None if number else (None, None)
+
+
+def _choose(argument: str, text: str, choices) -> str:
+    if text not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise UsageError(f"argument {argument}: invalid choice: {text!r} (choose from {listed})")
+    return text
+
+
+def _value(option: str, text: str) -> str | int:
+    """The value of --system, of --format or of an integer option."""
+    if option in TOP:
+        return text if option == "--system" else _choose(option, text, ("text", "jsonl"))
     try:
-        value = int(text)
+        number = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative; need an integer >= 0")
-    return value
+        raise UsageError(f"argument {option}: invalid int value: {text!r}") from None
+    if number < 0:
+        raise UsageError(f"argument {option}: {number} is negative; need an integer >= 0")
+    return number
 
 
-class Parser(argparse.ArgumentParser):
-    """Reports a usage error as `UsageError` instead of exiting with 2,
-    which the exit contract reserves for failed audits and checks."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
-
-
-def _add_side(parser: argparse.ArgumentParser) -> None:
-    """The --left/--right choice shared by lcm, gcd and divides."""
-    side = parser.add_mutually_exclusive_group()
-    side.add_argument("--left", action="store_true")
-    side.add_argument("--right", action="store_true")
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "jsonl"),
-        default="text",
-        help="report format (default: text)",
-    )
-
-
-def _requested_format(argv: list[str]) -> str:
-    """The report format of a command line the full parser refused.
-
-    A parser that knows only `--format` reads it, so an abbreviation such
-    as `--form jsonl` counts as it does in the full parser; text when the
-    option itself is malformed."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    _add_format(pre)
+def read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The fields of a command line (an option's is its name without the
+    dashes), or None once the help that -h or --help asks for is printed;
+    a refused line raises `UsageError` after its usage line on stderr.  A
+    "*" or "+" argument list ends at an option, and "--" ends the options."""
+    command, options, values, arguments, unknown, cut = None, TOP, dict(TOP), [], [], 0
+    tokens = iter(argv)
     try:
-        return pre.parse_known_args(argv)[0].format
-    except argparse.ArgumentError:
-        return "text"
+        for token in tokens:
+            names = (*HELP, *options)
+            found = None if token == "--" else _option(token, names)
+            if token == "--":
+                arguments += tokens
+            elif found is None and command is None:
+                command, options = _choose("command", token, SYNTAX), SYNTAX[token][3]
+                values.update(options)
+            elif found is None:
+                arguments.append(token)
+            elif found[0] is None:
+                unknown.append(token)
+            else:
+                cut = cut or len(arguments)  # a "*" or "+" list ends here
+                name, value = found
+                if name in HELP or options[name] is False:
+                    if value is not None:
+                        raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+                    if name in HELP:
+                        return _help(command)
+                    other = {"--left": "--right", "--right": "--left"}.get(name)
+                    if values.get(other):
+                        raise UsageError(f"argument {name}: not allowed with argument {other}")
+                    value = True
+                elif value is None:
+                    value = next(tokens, "--")
+                    if value == "--" or _option(value, names):
+                        raise UsageError(f"argument {name}: expected one argument")
+                values[name] = value if value is True else _value(name, value)
+        fields, missing = {"command": command}, []
+        for name in SYNTAX[command][2] if command else ():
+            if not arguments and name[-1] != "*":
+                missing.append(name.rstrip("+"))
+            elif name[-1] in "*+":  # a list is its command's only argument
+                end = cut or len(arguments)
+                fields[name[:-1]], arguments = arguments[:end], arguments[end:]
+            else:
+                fields[name] = arguments.pop(0)
+        if not missing:
+            missing = [n for n in ("--system", "command") if {**values, **fields}[n] is None]
+            command = None  # what is checked from here on is the top level's
+        if missing:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+        unknown += arguments
+        if unknown:
+            raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    except UsageError:
+        print(_usage(command), file=sys.stderr)
+        raise
+    fields.update((name[2:].replace("-", "_"), value) for name, value in values.items())
+    return SimpleNamespace(**fields)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = Parser(
-        prog="artinhom",
-        description="computations over an Artin monoid given by a Coxeter matrix file",
-    )
-    parser.add_argument("--system", required=True, help="path to the system file")
-    _add_format(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _error_format(argv: list[str]) -> str:
+    """The report format of a refused line: its last --format, wherever it
+    sits, or text when one --format in it is malformed."""
+    chosen = "text"
+    for i, token in enumerate(argv):
+        if token == "--":
+            break
+        name, value = _option(token, ["--format"]) or (None, None)
+        if name:
+            chosen = value if value is not None else (argv[i + 1 :] or [""])[0]
+            if chosen not in ("text", "jsonl"):
+                return "text"
+    return chosen
 
-    p = sub.add_parser("nf", help="Garside normal form of a positive word")
-    p.add_argument("word")
 
-    p = sub.add_parser("delta", help="fundamental element of a subset")
-    p.add_argument("generators", nargs="*")
+def _usage(command: str | None) -> str:
+    """The usage line of the top level or of a command, wrapped for 80 columns."""
+    if command is None:
+        indent = "\n" + " " * len("usage: artinhom ")
+        commands = "{" + ",".join(SYNTAX) + "}"
+        return f"usage: artinhom [-h] --system SYSTEM [--format {{text,jsonl}}]{indent}{commands}{indent}..."
+    _, _, names, options = SYNTAX[command]
+    parts = [f"usage: artinhom {command} [-h]"]
+    for option, default in options.items():
+        if option == "--left":
+            parts.append("[--left | --right]")
+        elif option != "--right":
+            metavar = "" if default is False else " " + option[2:].upper().replace("-", "_")
+            parts.append(f"[{option}{metavar}]")
+    for name in names:
+        parts.append({"*": f"[{name[:-1]} ...]", "+": f"{name[:-1]} [{name[:-1]} ...]"}.get(name[-1], name))
+    return " ".join(parts)
 
-    p = sub.add_parser("lcm", help="least common multiple")
-    p.add_argument("words", nargs="+")
-    _add_side(p)
-    p.add_argument(
-        "--bound", type=_non_negative, default=None, help="search length bound"
-    )
 
-    p = sub.add_parser("gcd", help="greatest common divisor")
-    p.add_argument("words", nargs="+")
-    _add_side(p)
-
-    p = sub.add_parser("divides", help="divisibility test")
-    p.add_argument("x")
-    p.add_argument("y")
-    _add_side(p)
-
-    sub.add_parser("sf", help="list the finite-type subsets")
-    sub.add_parser("morse-cells", help="essential cells of the reduced complex")
-
-    p = sub.add_parser("homology", help="homology of the reduced complex")
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check against the presentation and per-grade layers",
-    )
-
-    p = sub.add_parser("matching-audit", help="audit the matching per grade")
-    p.add_argument("--max-len", type=_non_negative, default=6)
-
-    sub.add_parser("salvetti-stats", help="poset census and cell pair checks")
-
-    p = sub.add_parser("boundary2", help="attaching word of a 2-cell")
-    p.add_argument("s")
-    p.add_argument("t")
-    return parser
+def _help(command: str | None) -> None:
+    """The usage line, then the command's help line or every command's."""
+    lines = ["commands:", *(f"  {name:<16}{entry[1]}" for name, entry in SYNTAX.items())]
+    print(_usage(command), "", *([SYNTAX[command][1]] if command else lines), sep="\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -511,32 +518,26 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = read_args(argv)
     except UsageError as err:
-        Reporter(_requested_format(argv), sys.stdout).emit(
-            f"error: {err}", record="error", code=err.code, message=str(err)
-        )
+        Reporter(_error_format(argv), sys.stdout).error(err)
         return 1
+    if args is None:
+        return 0
     out = Reporter(args.format, sys.stdout)
     try:
         with open(args.system, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
-        out.emit(
-            f"error: {err}", record="error", code="io-error", message=str(err)
-        )
+        out.error(err, "io-error")
         return 1
     try:
         return COMMANDS[args.command](args, parse_system_file(text), out)
     except DomainError as err:
-        out.emit(
-            f"error: {err}", record="error", code=err.code, message=str(err)
-        )
+        out.error(err)
         return 1
     except VerificationError as err:
-        out.emit(
-            f"failure: {err}", record="error", code=err.code, message=str(err)
-        )
+        out.error(err, label="failure")
         return 2
     except MemoryError:
         pass
@@ -544,12 +545,8 @@ def _run(argv: list[str]) -> int:
     # exception and with it the failed command's frames and their memory;
     # the stderr line names it, without a traceback
     print("MemoryError: the command ran out of memory", file=sys.stderr)
-    out.emit(
-        "error: out of memory",
-        record="error",
-        code="out-of-memory",
-        message="the command ran out of memory",
-    )
+    message = "the command ran out of memory"
+    out.emit("error: out of memory", record="error", code="out-of-memory", message=message)
     return 1
 
 

@@ -9,11 +9,14 @@ signed permutations for B3.  The positive monoid is checked against
 enumeration of braid classes of positive words (`BraidClassMonoid`),
 which shares no code with `artin.py`.  Homology of finite types is
 checked against De Concini-Salvetti's closed-form complex, built from the
-degrees of W's parabolic subgroups (`closed_form_homology`).  Library
-surface that only the tests need lives here too.
+degrees of W's parabolic subgroups (`closed_form_homology`).  The CLI's
+command line is checked against the argparse parser it replaced
+(`build_parser`).  Library surface that only the tests need lives here too.
 """
 
+import argparse
 import math
+import sys
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -21,7 +24,7 @@ import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
 from artinhom.bar import cell_length
-from artinhom.errors import AuditFailure, InternalError
+from artinhom.errors import AuditFailure, InternalError, UsageError
 from artinhom.homology import HomologyGroup, interval_complex
 from artinhom.matching import GradeAudit, LengthAudit
 
@@ -916,3 +919,107 @@ class CellMatching:
                 key=lambda c: (len(c), c),
             )
             raise AuditFailure(f"{grade}: matched fiber graph has a cycle through {stuck[:4]}")
+
+
+# -- the argparse command line: the reference for `cli.read_args` ---------------
+
+
+def non_negative(text: str) -> int:
+    """Option type for counts and bounds: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; need an integer >= 0")
+    return value
+
+
+class Parser(argparse.ArgumentParser):
+    """Reports a usage error as `UsageError` instead of exiting with 2,
+    which the exit contract reserves for failed audits and checks."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _add_side(parser: argparse.ArgumentParser) -> None:
+    """The --left/--right choice shared by lcm, gcd and divides."""
+    side = parser.add_mutually_exclusive_group()
+    side.add_argument("--left", action="store_true")
+    side.add_argument("--right", action="store_true")
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--format",
+        choices=("text", "jsonl"),
+        default="text",
+        help="report format (default: text)",
+    )
+
+
+def requested_format(argv: list[str]) -> str:
+    """The report format of a command line the full parser refused.
+
+    A parser that knows only `--format` reads it, so an abbreviation such
+    as `--form jsonl` counts as it does in the full parser; text when the
+    option itself is malformed."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_format(pre)
+    try:
+        return pre.parse_known_args(argv)[0].format
+    except argparse.ArgumentError:
+        return "text"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's command line as argparse read it before `cli.read_args`."""
+    parser = Parser(
+        prog="artinhom",
+        description="computations over an Artin monoid given by a Coxeter matrix file",
+    )
+    parser.add_argument("--system", required=True, help="path to the system file")
+    _add_format(parser)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("nf", help="Garside normal form of a positive word")
+    p.add_argument("word")
+
+    p = sub.add_parser("delta", help="fundamental element of a subset")
+    p.add_argument("generators", nargs="*")
+
+    p = sub.add_parser("lcm", help="least common multiple")
+    p.add_argument("words", nargs="+")
+    _add_side(p)
+    p.add_argument("--bound", type=non_negative, default=None, help="search length bound")
+
+    p = sub.add_parser("gcd", help="greatest common divisor")
+    p.add_argument("words", nargs="+")
+    _add_side(p)
+
+    p = sub.add_parser("divides", help="divisibility test")
+    p.add_argument("x")
+    p.add_argument("y")
+    _add_side(p)
+
+    sub.add_parser("sf", help="list the finite-type subsets")
+    sub.add_parser("morse-cells", help="essential cells of the reduced complex")
+
+    p = sub.add_parser("homology", help="homology of the reduced complex")
+    p.add_argument(
+        "--verify",
+        action="store_true",
+        help="cross-check against the presentation and per-grade layers",
+    )
+
+    p = sub.add_parser("matching-audit", help="audit the matching per grade")
+    p.add_argument("--max-len", type=non_negative, default=6)
+
+    sub.add_parser("salvetti-stats", help="poset census and cell pair checks")
+
+    p = sub.add_parser("boundary2", help="attaching word of a 2-cell")
+    p.add_argument("s")
+    p.add_argument("t")
+    return parser

@@ -8,18 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from artinhom.cli import main, parse_system_file, parse_word
+from artinhom.cli import COMMANDS, SYNTAX, main, parse_system_file, parse_word, read_args
 from artinhom.errors import (
     BadDiagonal,
     ConflictingEntry,
     ParseError,
     UnknownGenerator,
+    UsageError,
 )
 from conftest import (
     BraidClassMonoid,
     braid_class,
+    build_parser,
     make_a3,
     make_b3,
+    requested_format,
     signed_perm_of_word,
 )
 
@@ -39,6 +42,15 @@ USAGE_ERRORS = {
     "negative-max-len": ["matching-audit", "--max-len", "-2"],
     "negative-bound": ["lcm", "ab", "ba", "--bound", "-1"],
     "both-sides": ["gcd", "a", "b", "--left", "--right"],
+}
+# their messages, pinned here rather than read from argparse, whose
+# wording may change between Python versions
+USAGE_MESSAGES = {
+    "missing-argument": "the following arguments are required: t",
+    "non-integer-option": "argument --max-len: invalid int value: 'x'",
+    "negative-max-len": "argument --max-len: -2 is negative; need an integer >= 0",
+    "negative-bound": "argument --bound: -1 is negative; need an integer >= 0",
+    "both-sides": "argument --right: not allowed with argument --left",
 }
 
 
@@ -255,11 +267,28 @@ class TestExitCodes:
         assert out.startswith("error: ")
         assert len(out.splitlines()) == 1
 
-    def test_help_is_zero(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["--help"])
-        assert info.value.code == 0
-        assert "usage:" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", USAGE_ERRORS)
+    def test_usage_error_messages(self, a2_file, capsys, name):
+        assert main(["--system", a2_file, *USAGE_ERRORS[name]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"error: {USAGE_MESSAGES[name]}\n"
+        # the usage line of the command goes to stderr, as argparse wrote it
+        (usage,) = captured.err.splitlines()
+        assert usage.startswith(f"usage: artinhom {USAGE_ERRORS[name][0]} [-h]")
+
+    @pytest.mark.parametrize("command", ["top-level", *COMMANDS])
+    def test_help_is_zero(self, capsys, command):
+        # no --system: help is read before the required options are checked
+        argv = ["--help"] if command == "top-level" else [command, "--help"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: artinhom") and captured.err == ""
+        if command == "top-level":
+            for name, (_, line, _, _) in SYNTAX.items():
+                assert f"  {name}" in captured.out and line in captured.out
+        else:
+            assert captured.out.startswith(f"usage: artinhom {command} [-h]")
+            assert SYNTAX[command][1] in captured.out
 
     def test_audit_failure_is_two(self, a2_file, capsys, monkeypatch):
         from artinhom.errors import AuditFailure
@@ -350,6 +379,115 @@ class TestJsonLines:
         assert records[-1]["code"] == "usage"
 
 
+# Command lines that the reader and the argparse parser it replaced both
+# accept; they must read the same value for every field.  The system path
+# S is never opened.
+ACCEPTED = [
+    "--system S nf ab",
+    "--system S nf -",
+    "--system S nf -1",
+    "--system S lcm ab ba --b 3",
+    "--system S lcm --left ab ba --bound=0",
+    "--system S lcm ab ba",
+    "--system S lcm ab ba --left --left",
+    "--system S gcd a",
+    "--system S gcd aba bab --r",
+    "--system S divides ab --right aba",
+    "--system S divides --l ab aba",
+    "--system S delta",
+    "--system S delta a b",
+    "--system S matching-audit --max-len=2 --max-len 1",
+    "--system S matching-audit --max 3",
+    "--system S matching-audit",
+    "--system other --system S sf",
+    "--system S --form jsonl morse-cells",
+    "--system=S --fo=jsonl homology --verify",
+    "--sys S --format jsonl --format text homology --v",
+    "--format jsonl --system S salvetti-stats",
+    "--system S boundary2 a b",
+]
+# Command lines that both refuse: exit 1 with one error, in the format the
+# line asks for.
+REFUSED = [
+    *(" ".join(["--system S", *argv]) for argv in USAGE_ERRORS.values()),
+    "--system S frob",
+    "--format jsonl --system S frob",
+    "sf",
+    "--system S",
+    "--system S --bogus sf",
+    "--system S nf ab --bogus",
+    "--system S nf -x",
+    "--system S nf ab --verify",
+    "--system S --verify homology",
+    "--system S --max-len 2 matching-audit",
+    "--system S --format xml sf",
+    "--system S --format",
+    "--system",
+    "--system --format sf",
+    "--system S matching-audit --max-len",
+    "--system S matching-audit --max-len --verify",
+    "--system S lcm ab --bound",
+    "--system S lcm",
+    "--system S gcd a b --right --left",
+    "--system S divides a b c",
+    "--system S homology --verify=x",
+    "--system S nf --help=x",
+    "--system S nf ab --format jsonl",
+    "--system S nf ab --format=jsonl --format xml",
+]
+
+
+class TestReaderAgainstArgparse:
+    @pytest.mark.parametrize("line", ACCEPTED)
+    def test_accepted_lines_read_the_same_fields(self, line):
+        argv = line.split()
+        assert vars(read_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("line", REFUSED)
+    def test_refused_lines_give_one_usage_error(self, line, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to fit
+        argv = line.split()
+        with pytest.raises(UsageError):
+            build_parser().parse_args(argv)
+        # the usage of the top level or of the command, as argparse chose
+        # it; Python 3.13 wraps the top level's after its first line
+        usage = capsys.readouterr().err.splitlines()[0]
+        with pytest.raises(UsageError):
+            read_args(argv)
+        assert capsys.readouterr().err.splitlines()[0] == usage
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        if requested_format(argv) == "text":
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            records = [json.loads(line) for line in lines]
+            assert [r["record"] for r in records] == ["meta", "error"]
+            assert records[-1]["code"] == "usage"
+
+    def test_format_after_the_command_still_sets_the_error_format(self, capsys):
+        # --format is a top-level option, so after the command it is an
+        # unknown one; the error record still comes in the format it names
+        argv = "--system S nf ab --format jsonl".split()
+        assert requested_format(argv) == "jsonl"
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert record["code"] == "usage" and "--format jsonl" in record["message"]
+
+    def test_the_table_has_every_command(self):
+        assert list(SYNTAX) == list(build_parser()._subparsers._group_actions[0].choices)
+
+    def test_a_double_dash_ends_the_options(self):
+        assert read_args("--system S nf -- ab".split()).word == "ab"
+        assert read_args("--system S lcm ab -- --left".split()).words == ["ab", "--left"]
+
+    def test_a_list_of_words_ends_at_the_next_option(self, capsys):
+        # as argparse read it: a "+" argument takes one run of words, so a
+        # word after an option that follows the list is not one of them
+        with pytest.raises(UsageError, match="unrecognized arguments: ba"):
+            read_args("--system S lcm ab --left ba".split())
+        assert read_args("--system S lcm --left ab ba".split()).words == ["ab", "ba"]
+
+
 def test_import_leaves_out_dataclasses_and_inspect():
     # both cost start-up time in every command and the package needs neither
     code = "import sys, artinhom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
@@ -363,7 +501,7 @@ def test_import_loads_only_the_package_and_the_standard_modules_it_names():
     # what these standard modules load themselves
     code = (
         "import sys\n"
-        "import argparse, json, math, itertools, collections, typing\n"
+        "import json, math, itertools, collections, typing\n"
         "before = set(sys.modules)\n"
         "import artinhom.cli\n"
         "print(sorted(m for m in set(sys.modules) - before\n"
@@ -372,6 +510,28 @@ def test_import_loads_only_the_package_and_the_standard_modules_it_names():
     result = run_child(["-c", code])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_neither_import_nor_a_run_loads_argparse_gettext_or_locale(tmp_path):
+    # argparse, and the gettext and locale modules it imports, would add
+    # to the start-up of every process; the command line is read without
+    path = tmp_path / "a3.system"
+    path.write_text(A3_TEXT)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "def loaded():\n"
+        "    return sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before))\n"
+        "import artinhom.cli as cli\n"
+        "stages = [loaded()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['--system', sys.argv[1], 'nf', 'abab']) == 0\n"
+        "stages.append(loaded())\n"
+        "print(json.dumps(stages))\n"
+    )
+    result = run_child(["-c", code, str(path)])
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[], []]
 
 
 def test_each_command_loads_only_the_package_modules_it_uses(tmp_path):

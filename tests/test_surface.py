@@ -8,8 +8,7 @@ so only an `ast.Attribute` or import alias of its name counts: a bare
 `ast.Name`, such as a local variable that happens to share the name, is
 no call of the method.  So a name shared with a live attribute passes; a
 name that only the tests reach fails.  Dunders and methods overriding a
-base-class attribute (such as `Parser.error`) are called by the
-framework and are skipped.
+base-class attribute are called by the framework and are skipped.
 """
 
 import ast
