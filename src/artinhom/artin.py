@@ -94,7 +94,6 @@ class ArtinMonoid:
         self._table[self._element(())].word = ()
         # length n -> the ids of the elements of length n, in ShortLex order
         self._layers: list[list[int]] = [[0]]
-        self._deltas: dict[frozenset[str], Word] | None = None
         self._pairs: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
         self._quotients: dict[tuple[int, int], int | None] = {}
         self._letter_sets: dict[tuple[str, ...], frozenset[str]] = {}
@@ -174,14 +173,13 @@ class ArtinMonoid:
         return self._element(normal)
 
     def _word(self, i: int) -> Word:
-        """ShortLex-least word: peel min L until an element with a word is left."""
+        """ShortLex-least word: peel min L(x) until an element with a word is left."""
         table = self._table
         word = table[i].word
         if word is None:
             peeled: list[tuple[int, str]] = []
             while table[i].word is None:
-                # min L(x) = min L(s_1), the first letter of the word of s_1
-                a = self._simples[table[i].normal[0]].word[0]
+                a = min(table[i].left, key=self.system.index)
                 peeled.append((i, a))
                 i = self._element(self._strip_front(a, table[i].normal))
             word = table[i].word
@@ -421,14 +419,6 @@ class ArtinMonoid:
         if not self.system.is_finite_type(T):
             raise InfiniteType(f"no fundamental element on {sorted(T)}")
         return self.system.longest_element(T)
-
-    def deltas(self) -> dict[frozenset[str], Word]:
-        """Fundamental elements for every non-empty finite-type subset."""
-        if self._deltas is None:
-            self._deltas = {
-                T: self.delta(T) for T in self.system.sf() if T
-            }
-        return self._deltas
 
     # -- finishing sets --------------------------------------------------------
 

@@ -92,9 +92,10 @@ def boundary(mon: ArtinMonoid, chain: Chain) -> dict[Chain, int]:
     return acc
 
 
-def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
-    """The fiber of x: a complex with the homology of its factorizations
-    under the merge-only differential.
+def fiber_complex(mon: ArtinMonoid, x: int, below: dict, length: int) -> IntChainComplex:
+    """The fiber of element x, of the given length, from its core map
+    `below` (`_core_below(mon, x)`): a complex with the homology of its
+    factorizations under the merge-only differential.
 
     Merging x_i with x_{i+1} deletes the suffix product P[i] and keeps the
     others, so the suffix products are the chains x = P[0] > ... > P[n] = 1
@@ -103,14 +104,11 @@ def fiber_complex(mon: ArtinMonoid, x: Word) -> IntChainComplex:
     interval (1, x), the proper non-identity right divisors of x, keeps
     that homology, so the fiber is the interval complex of the chains
     x > p_1 > ... > p_k > 1 with every p_i in the core.  The ranks run to
-    dimension len(x), the longest factorization; for x of length n >= 1
+    dimension `length`, the longest factorization; for x of length n >= 1
     the homology lives in dimensions 1..n, and the identity's fiber is the
     single 0-cell.
     """
-    x = tuple(x)
-    top = mon._id(x)
-    below = _core_below(mon, top)
-    return interval_complex(interval_chains(top, below.__getitem__, 0), len(x) + 1)
+    return interval_complex(interval_chains(x, below.__getitem__, 0), length + 1)
 
 
 def _one_sided(mon: ArtinMonoid, x: int, length: int) -> bool:
@@ -148,11 +146,9 @@ def layer_homology(mon: ArtinMonoid, n: int) -> list[HomologyGroup]:
     torsion: list[list[int]] = [[] for _ in range(n + 1)]
     for x in mon._layer(n):
         # a one-sided x is skipped before any right divisor is listed
-        if _one_sided(mon, x, n) or len(_core_below(mon, x)) == 2:
+        if _one_sided(mon, x, n) or len(below := _core_below(mon, x)) == 2:
             continue
-        # few fibers get here, so `fiber_complex` spelling x and finding
-        # the core again costs little
-        for k, (rank, factors) in enumerate(fiber_complex(mon, mon._word(x)).invariants()):
+        for k, (rank, factors) in enumerate(fiber_complex(mon, x, below, n).invariants()):
             free[k] += rank
             torsion[k].extend(factors)
     # one group per dimension, its torsion merged into invariant factors

@@ -15,14 +15,14 @@ Exit codes: 0 success, 1 domain, usage, output or out-of-memory error,
 2 audit or verification failure.
 
 Every process pays for the imports at the top of this module, so they are
-only what every command needs: `json`, `coxeter`, `artin` and `errors`.
+only what every command needs: `coxeter`, `artin` and `errors`.  `json`
+is imported only where `Reporter` writes a `--format jsonl` record.
 A command that needs a further layer (`bar`, `matching`, `morse`,
 `homology`, `salvetti`) imports it inside its own function.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -120,6 +120,7 @@ class Reporter:
         self.emit(f"{label}: {err}", record="error", code=code or err.code, message=str(err))
 
     def emit_record(self, record):
+        import json
         print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=self.stream)
 
 
@@ -257,7 +258,7 @@ def cmd_homology(args, system, out):
     oracle = abelianized_presentation_h1(system)
     h1 = groups[1] if len(groups) > 1 else HomologyGroup(0)
     ok_h1 = h1 == oracle
-    max_len = max((len(delta) for delta in mon.deltas().values()), default=0)
+    max_len = max((len(mon.delta(T)) for T in system.sf() if T), default=0)
     # essential cells per (length, dimension)
     expected: dict[tuple[int, int], int] = {}
     for T, cell in reduced.essential.items():
@@ -304,9 +305,9 @@ def cmd_matching_audit(args, system, out):
 
 
 def cmd_salvetti_stats(args, system, out):
-    from .salvetti import cell_pair_check, quotient_census, sal_poset
+    from .salvetti import SalvettiPoset, cell_pair_check, quotient_census
 
-    poset = sal_poset(system)
+    poset = SalvettiPoset(system)
     census = poset.census()
     out.emit(
         f"poset cells = {len(poset.cells)}, census = {census}",

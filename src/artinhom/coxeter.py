@@ -1,14 +1,16 @@
 """Coxeter systems: matrix validation, the word problem, finite-type tools.
 
-Group elements are plain words (tuples of generator names); the
-ShortLex-least reduced word for the generator order given at
-construction is the canonical form, and that order is also the one the
-matching uses downstream.  The table of W numbers its elements:
-`_elements[x]` holds element x's canonical word, L, R, the ids of xt for
-t in R (`below`), of xs for s not in R (`up`, on first use) and of x^-1;
-`_lookup` reads a word one letter at a time from the identity, id 0.
-The monoid's simples are these ids, moved by `_up` (ws) and `_down`
-(a^-1 w).  The table grows only in `_make`, which enters x = ws, s not in
+Words (tuples of generator names) go in and come out; the ShortLex-least
+reduced word for the generator order given at construction is the
+canonical form, and that order is also the one the matching uses
+downstream.  Inside, an element is its id in the table of W, which holds
+no words: `_elements[x]` holds L(x), R(x), the ids of xt for t in R
+(`below`), of xs for s not in R (`up`, on first use) and of x^-1.
+`_lookup` reads a word from the identity, id 0, one `_times` step a
+letter; `_word` spells min L(x), then the word of min L(x)^-1 x.  The
+monoid's simples and the Salvetti poset's elements are these ids, moved
+by `_up` (ws) and `_down` (a^-1 w); `_group` lists a finite W_T as ids.
+The table grows only in `_make`, which enters x = ws, s not in
 R(w), by one local rule:
 
 - R(x).  Write x = uv with v in W_{s,t} and u minimal in its coset
@@ -21,7 +23,7 @@ R(w), by one local rule:
   w's' = x has s' in R(x) and w' = xs', so x is found, and numbered, once.
 - Inverse.  For a in L(w), x^-1 = (a^-1 x)^-1 a, where a^-1 x = (a^-1 w)s
   is one letter shorter; L(x) = R(x^-1), and `_down` reads a^-1 w as
-  (w^-1 a)^-1.  Word: min L(x), then the word of min L(x)^-1 x.
+  (w^-1 a)^-1.  The step takes a = min L(w).
 
 x is entered before x^-1 is made; x^-1 has the length of x and its own
 inverse step finds x, and all else the rule reads or makes is shorter,
@@ -60,14 +62,14 @@ def _pair(s: str, t: str) -> tuple[str, str]:
 
 
 class _Element:
-    """One element x of W: its canonical word, L(x), R(x), the ids of xt
-    for t in R(x) (`below`) and of xs for s not in R(x) (`up`, filled on
-    first use), and the id of x^-1.  The defaults are the identity's."""
+    """One element x of W: L(x), R(x), the ids of xt for t in R(x)
+    (`below`) and of xs for s not in R(x) (`up`, filled on first use), and
+    the id of x^-1.  The defaults are the identity's."""
 
-    __slots__ = ("word", "left", "right", "below", "up", "inverse")
+    __slots__ = ("left", "right", "below", "up", "inverse")
 
     def __init__(self, right: frozenset[str], below: dict[str, int]):
-        self.word, self.left, self.right, self.below = (), frozenset(), right, below
+        self.left, self.right, self.below = frozenset(), right, below
         self.up: dict[str, int] = {}
         self.inverse = 0
 
@@ -158,9 +160,22 @@ class CoxeterSystem:
         """Id of the element a word represents, read one letter at a time."""
         i = 0
         for s in word:
-            j = self._up(i, s)
-            i = self._elements[i].below[s] if j is None else j
+            i = self._times(i, s)
         return i
+
+    def _times(self, i: int, s: str) -> int:
+        """Id of ws for the element with id i."""
+        j = self._up(i, s)
+        return self._elements[i].below[s] if j is None else j
+
+    def _word(self, i: int) -> Word:
+        """ShortLex-least reduced word of the element with id i: min L(x),
+        then the word of min L(x)^-1 x."""
+        word = []
+        while i:
+            word.append(min(self._elements[i].left, key=self._index.__getitem__))
+            i = self._down(word[-1], i)
+        return tuple(word)
 
     def _up(self, i: int, s: str) -> int | None:
         """Id of ws for the element with id i, or None when s is in R(w).  A
@@ -209,24 +224,17 @@ class CoxeterSystem:
         for t, v in below.items():
             elements[v].up[t] = x
         if i:
-            a = elements[i].word[0]
+            a = min(elements[i].left, key=self._index.__getitem__)
             shorter = yield self._down(a, i), s
             entry.inverse = yield elements[shorter].inverse, a
         else:
             entry.inverse = x
         entry.left = elements[entry.inverse].right
-        a = min(entry.left, key=self._index.__getitem__)
-        entry.word = (a,) + elements[self._down(a, x)].word
         return x
-
-    def descents(self, w: Word) -> tuple[frozenset[str], frozenset[str]]:
-        """(L(w), R(w)) for the element a word w represents."""
-        entry = self._elements[self._lookup(w)]
-        return entry.left, entry.right
 
     def canon(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element `word` represents."""
-        return self._elements[self._lookup(self.check_word(word))].word
+        return self._word(self._lookup(self.check_word(word)))
 
     def mul(self, *words: Iterable[str]) -> Word:
         combined: tuple[str, ...] = ()
@@ -277,39 +285,39 @@ class CoxeterSystem:
 
     # -- finite standard subgroups ----------------------------------------
 
-    def enumerate_group(self, T: Iterable[str]) -> list[Word]:
-        """All elements of the standard subgroup on T, canonical words."""
-        T = self.check_subset(T)
-        if not self.is_finite_type(T):
-            raise InfiniteType(f"subgroup on {sorted(T)} is infinite")
+    def _group(self, T: Iterable[str]) -> list[tuple[int, int, str | None]]:
+        """The elements of the finite standard subgroup W_T in ShortLex
+        order, each as (id, position of its parent, last letter): the
+        parent is x with its last letter struck, and the identity comes
+        first as (0, 0, None).  Each x is kept where it is first reached,
+        as `ArtinMonoid._layer` keeps monoid elements."""
         letters = self.sorted_subset(T)
-        # canonical words are prefix-closed: each element comes once, in ShortLex order
-        table = self._elements
-        ids = [0]
-        for i in ids:
+        found = [(0, 0, None)]
+        reached = {0}
+        for k, (i, _, _) in enumerate(found):
             for s in letters:
                 j = self._up(i, s)
-                if j is not None and table[j].word[:-1] == table[i].word:
-                    ids.append(j)
-        return [table[i].word for i in ids]
+                if j is not None and j not in reached:
+                    reached.add(j)
+                    found.append((j, k, s))
+        return found
+
+    def _longest(self, T: Iterable[str]) -> int:
+        """Id of the longest element of the finite W_T: climb by ascents."""
+        letters = self.sorted_subset(T)
+        i = 0
+        while True:
+            ascent = next((s for s in letters if s not in self._elements[i].right), None)
+            if ascent is None:
+                return i
+            i = self._up(i, ascent)
 
     def longest_element(self, T: Iterable[str]) -> Word:
-        """Canonical word of the longest element of W_T: climb by ascents."""
+        """Canonical word of the longest element of W_T."""
         T = self.check_subset(T)
         if not self.is_finite_type(T):
             raise InfiniteType(f"subgroup on {sorted(T)} is infinite")
-        letters = self.sorted_subset(T)
-        table = self._elements
-        i = 0
-        while True:
-            ascent = next((s for s in letters if s not in table[i].right), None)
-            if ascent is None:
-                return table[i].word
-            i = self._up(i, ascent)
-
-    def is_t_minimal(self, word: Iterable[str], T: Iterable[str]) -> bool:
-        """Shortest-in-coset test: no letter of T is a right descent."""
-        return self.check_subset(T).isdisjoint(self.descents(self.check_word(word))[1])
+        return self._word(self._longest(T))
 
 
 def _finite_component(comp: list[str], m) -> bool:

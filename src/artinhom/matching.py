@@ -132,9 +132,10 @@ class BarMatching:
     def __init__(self, mon: ArtinMonoid):
         self.mon = mon
         self.system = mon.system
-        # the id of each fundamental element -> its generating subset, and back
+        # the id of each fundamental element -> its generating subset, and
+        # back; delta_T's normal form is the one simple w0 of W_T
         self._subset_of: dict[int, frozenset[str]] = {
-            mon._id(delta): T for T, delta in mon.deltas().items()
+            mon._element((self.system._longest(T),)): T for T in self.system.sf() if T
         }
         self._delta_id: dict[frozenset[str], int] = {
             T: i for i, T in self._subset_of.items()

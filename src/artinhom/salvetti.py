@@ -1,15 +1,17 @@
 """The poset of cosets-with-types and its cell pair checks.
 
-Cells are pairs (u, T) of a group element and a finite-type subset,
-ordered by (u, T) <= (v, R) when T is contained in R, v^-1 u lies in the
-standard subgroup on R, and v^-1 u is T-minimal.  The poset of a finite
-group W has every such pair, W x `sf`, and no other.  The library
-defines this order once, by listing: the cells below (v, R) are the
-(v b, T) with T <= R and b a T-minimal element of W_R
-(`SalvettiPoset.down_set`).  The geometric realization of the derived
-complex carries one cell per pair, of dimension |T|; the group acts
-freely by left multiplication and the quotient keeps one cell per
-finite-type subset.
+Cells are pairs (u, T) of a group element, named by its id in the table
+of W, and a finite-type subset, ordered by (u, T) <= (v, R) when T is
+contained in R, v^-1 u lies in the standard subgroup on R, and v^-1 u is
+T-minimal.  The poset of a finite group W has every such pair, W x `sf`,
+and no other.  The library defines this order once, by listing: the
+cells below (v, R) are the (v b, T) with T <= R and b a T-minimal element
+of W_R (`SalvettiPoset.down_set`).  The listing walks W_R in ShortLex
+order (`CoxeterSystem._group`): v b is one table step from v times the
+parent of b, and b is T-minimal when T misses R(b); no word is built.
+The geometric realization of the derived complex carries one cell per
+pair, of dimension |T|; the group acts freely by left multiplication and
+the quotient keeps one cell per finite-type subset.
 
 `cell_pair_check` certifies the local structure (Bjorner's criterion for
 regular CW posets): the strict down-set of an n-cell must have the
@@ -28,7 +30,7 @@ Left multiplication by v maps the down-set of (e, R) onto that of
 (v, R), so each W-orbit needs its homology once.  `down_set((v, R))` is
 the listing of (e, R) with each entry multiplied on the left by v, and
 the listing below each q in it is the listing below v q: both run through
-the same (b, T) with v (b c) = (v b) c, since W's canonical `mul` is
+the same (b, T) with v (b c) = (v b) c, since multiplication in W is
 associative.  Left multiplication is a bijection of W, so q -> v q is an
 isomorphism of the two down-sets as posets that carries (e, R) to
 (v, R), and the strict one onto the strict one: (v, R) has the homology
@@ -43,7 +45,8 @@ from .coxeter import CoxeterSystem, Word, alternating_word
 from .errors import CheckFailed, InfiniteM, InfiniteType
 from .homology import HomologyGroup, interval_chains, interval_complex
 
-SalCell = tuple[Word, frozenset]
+# (id of u in the table of W, T)
+SalCell = tuple[int, frozenset]
 
 
 class SalvettiPoset:
@@ -56,10 +59,10 @@ class SalvettiPoset:
         self.system = system
         self._subsets = system.sf()
         self.cells: list[SalCell] = [
-            (u, T) for u in system.enumerate_group(system.gens) for T in self._subsets
+            (u, T) for u, _, _ in system._group(system.gens) for T in self._subsets
         ]
         self._below: dict[SalCell, tuple[SalCell, ...]] = {}
-        self._minimal_in: dict[frozenset, list[tuple[Word, list[frozenset]]]] = {}
+        self._minimal_in: dict[frozenset, list[tuple[int, str | None, list]]] = {}
         # R -> homology of the strict down-set of (e, R)
         self._pair_homology: dict[frozenset, list[HomologyGroup]] = {}
 
@@ -73,33 +76,33 @@ class SalvettiPoset:
 
     def down_set(self, cell: SalCell) -> tuple[SalCell, ...]:
         """The cells below (v, R): the (v b, T) with T <= R and b a
-        T-minimal element of W_R, each listed once."""
+        T-minimal element of W_R, each listed once.  v b is one table step
+        from v times the parent of b, listed before it."""
         below = self._below.get(cell)
         if below is None:
             v, R = cell
+            products: list[int] = []
             listed = []
-            for beta, types in self._minimal(R):
-                u = self.system.mul(v, beta)
+            for parent, s, types in self._minimal(R):
+                u = v if s is None else self.system._times(products[parent], s)
+                products.append(u)
                 listed.extend((u, T) for T in types)
             below = self._below[cell] = tuple(listed)
         return below
 
-    def _minimal(self, R: frozenset) -> list[tuple[Word, list[frozenset]]]:
-        """Each b in W_R, in ShortLex order, with the T <= R for which b
-        is T-minimal."""
+    def _minimal(self, R: frozenset) -> list[tuple[int, str | None, list]]:
+        """Each b in W_R as `CoxeterSystem._group` lists it, by the position
+        of its parent and its last letter, with the T <= R for which b is
+        T-minimal: those that miss R(b)."""
         found = self._minimal_in.get(R)
         if found is None:
             subsets = [T for T in self._subsets if T <= R]
+            elements = self.system._elements
             found = self._minimal_in[R] = [
-                (beta, [T for T in subsets if self.system.is_t_minimal(beta, T)])
-                for beta in self.system.enumerate_group(R)
+                (parent, s, [T for T in subsets if T.isdisjoint(elements[beta].right)])
+                for beta, parent, s in self.system._group(R)
             ]
         return found
-
-
-def sal_poset(system: CoxeterSystem) -> SalvettiPoset:
-    """The full poset; requires the whole group to be finite."""
-    return SalvettiPoset(system)
 
 
 class PairCheck(NamedTuple):
@@ -114,7 +117,7 @@ def _strict_homology(poset: SalvettiPoset, R: frozenset) -> list[HomologyGroup]:
     found = poset._pair_homology.get(R)
     if found is None:
         chains = interval_chains(
-            ((), R), lambda q: [p for p in poset.down_set(q) if p != q], None
+            (0, R), lambda q: [p for p in poset.down_set(q) if p != q], None
         )
         found = poset._pair_homology[R] = interval_complex(chains).homology()
     return found
@@ -124,14 +127,14 @@ def cell_pair_check(poset: SalvettiPoset, cell: SalCell) -> PairCheck:
     """Certify that a cell's down-set pair looks like (disk, sphere).
 
     A cell (v, R) is a translate of (e, R), whose strict down-set is
-    reduced once for the orbit.  A name that is not canonical, or a type
+    reduced once for the orbit.  An id outside the table of W, or a type
     outside `sf`, names no cell and fails, as does (e, R) missing from its
     own listing; otherwise the closed down-set is a cone on the cell and
     is not reduced (module docstring)."""
     v, R = cell
-    if R not in poset._subsets or poset.system.canon(v) != v:
+    if R not in poset._subsets or v not in range(len(poset.system._elements)):
         raise CheckFailed(f"{cell} is not a cell of the poset")
-    base = ((), R)
+    base = (0, R)
     closed = poset.down_set(base)
     if base not in closed:
         raise CheckFailed(f"{cell} is not in its own down-set")

@@ -24,7 +24,7 @@ import pytest
 
 from artinhom import ArtinMonoid, CoxeterSystem
 from artinhom.bar import cell_length
-from artinhom.errors import AuditFailure, InternalError, UsageError
+from artinhom.errors import AuditFailure, InfiniteType, InternalError, UsageError
 from artinhom.homology import HomologyGroup, interval_complex
 from artinhom.matching import GradeAudit, LengthAudit
 
@@ -217,6 +217,37 @@ def signed_perm_of_word(word):
 
 
 # -- braid-class oracle (positive monoids) -------------------------------------
+
+
+# -- W at the level of words: the library names W's elements by table id ----
+
+
+def enumerate_group(system, T):
+    """Canonical words of the elements of the finite W_T, in ShortLex
+    order: canonical words are prefix-closed, so each element is the
+    canonical word of w s whose prefix is the canonical word w."""
+    T = system.check_subset(T)
+    if not system.is_finite_type(T):
+        raise InfiniteType(f"subgroup on {sorted(T)} is infinite")
+    found = [()]
+    for w in found:
+        for s in system.sorted_subset(T):
+            u = system.canon(w + (s,))
+            if u[:-1] == w and len(u) > len(w):
+                found.append(u)
+    return found
+
+
+def descents(system, w):
+    """(L(w), R(w)) for the element a word w represents, from its entry in
+    the table of W."""
+    entry = system._elements[system._lookup(system.check_word(w))]
+    return entry.left, entry.right
+
+
+def is_t_minimal(system, w, T):
+    """Shortest-in-coset test: no letter of T is a right descent of w."""
+    return system.check_subset(T).isdisjoint(descents(system, w)[1])
 
 
 def braid_class(system, word):
@@ -668,10 +699,11 @@ def grade(matching, cell):
 
 
 def sal_leq(system, low, high):
-    """The defining order on pairs (element, finite-type subset), tested
-    pairwise; the library only lists down-sets (`SalvettiPoset.down_set`)."""
-    u, T = low
-    v, R = high
+    """The defining order on cells (id of an element of W, finite-type
+    subset), tested pairwise on words; the library only lists down-sets
+    (`SalvettiPoset.down_set`)."""
+    u, T = system._word(low[0]), low[1]
+    v, R = system._word(high[0]), high[1]
     if not T <= R:
         return False
     # generators are involutions, so the reversed word represents v^-1
@@ -679,7 +711,7 @@ def sal_leq(system, low, high):
     # elements of a standard subgroup reduce to words inside it
     if not set(quotient) <= R:
         return False
-    return system.is_t_minimal(quotient, T)
+    return is_t_minimal(system, quotient, T)
 
 
 def order_complex(
@@ -709,13 +741,17 @@ def translates(poset, base, cell):
     """Whether q -> v q maps the down-set of `base` = (e, R) onto that of
     `cell` = (v, R) as posets: translated, the listing below (e, R) must
     be the listing below (v, R), and the listing below each q the listing
-    below v q.  Listings run through b in ShortLex order, then T, so a
-    translate keeps that order.  The library's poset is all of W x sf by
+    below v q, with v q multiplied out on words.  Listings run through b
+    in ShortLex order, then T, so a translate keeps that order.  The library's poset is all of W x sf by
     construction, which makes this hold by construction of `down_set`."""
     if base not in poset.cells:
         return False
+    system = poset.system
     source = poset.down_set(base)
-    left = {u: poset.system.mul(cell[0], u) for u in {u for u, _ in source}}
+    v = system._word(cell[0])
+    left = {
+        u: system._lookup(system.mul(v, system._word(u))) for u in {u for u, _ in source}
+    }
 
     def translate(cells):
         return tuple((left.get(u), T) for u, T in cells)
@@ -744,7 +780,8 @@ class CellMatching:
     def __init__(self, mon):
         self.mon = mon
         self.system = mon.system
-        self.delta_of = {delta: T for T, delta in mon.deltas().items()}
+        self.deltas = {T: mon.delta(T) for T in mon.system.sf() if T}
+        self.delta_of = {delta: T for T, delta in self.deltas.items()}
 
     def _depth(self, products):
         j = len(products)
@@ -807,7 +844,7 @@ class CellMatching:
 
     def _split_at(self, cell, products, d, target):
         """Split x_{d-1} = beta * y so the new tail product equals delta(target)."""
-        delta = self.mon.deltas().get(target)
+        delta = self.deltas.get(target)
         if delta is None:
             raise InternalError(f"no fundamental element on {sorted(target)}")
         y = self.mon.right_quotient(delta, products[d - 1])

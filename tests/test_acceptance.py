@@ -21,15 +21,16 @@ from artinhom.morse import (
     reduced_complex,
 )
 from artinhom.salvetti import (
+    SalvettiPoset,
     cell_pair_check,
     polygon_vertices,
     quotient_census,
-    sal_poset,
 )
 from conftest import (
     BraidClassMonoid,
     elements_of_length,
     entry,
+    enumerate_group,
     ids,
     is_squarefree,
     make_a1a1,
@@ -278,7 +279,7 @@ def _valid_tuples(mon, deltas, x):
 def test_criterion_09_salvetti_checks(stack):
     started = time.monotonic()
     system, _, _ = stack["A2"]
-    poset = sal_poset(system)
+    poset = SalvettiPoset(system)
     assert len(poset.cells) == 24
     assert poset.census() == (6, 12, 6)
     cells = poset.cells
@@ -294,7 +295,7 @@ def test_criterion_09_salvetti_checks(stack):
     for cell in cells:
         cell_pair_check(poset, cell)
     assert quotient_census(system) == (1, 2, 1)
-    for w in system.enumerate_group("ab"):
+    for w in enumerate_group(system, "ab"):
         vertices = polygon_vertices(system, w, "a", "b")
         assert len(vertices) == 6
         assert len(set(vertices)) == 6

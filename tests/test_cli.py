@@ -501,7 +501,7 @@ def test_import_loads_only_the_package_and_the_standard_modules_it_names():
     # what these standard modules load themselves
     code = (
         "import sys\n"
-        "import json, math, itertools, collections, typing\n"
+        "import math, itertools, collections, typing\n"
         "before = set(sys.modules)\n"
         "import artinhom.cli\n"
         "print(sorted(m for m in set(sys.modules) - before\n"
@@ -532,6 +532,26 @@ def test_neither_import_nor_a_run_loads_argparse_gettext_or_locale(tmp_path):
     result = run_child(["-c", code, str(path)])
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[], []]
+
+
+def test_only_jsonl_output_loads_json(tmp_path):
+    # a text report never calls json, so a text-mode process does not pay
+    # for its import; a jsonl one does
+    path = tmp_path / "a3.system"
+    path.write_text(A3_TEXT)
+    code = (
+        "import contextlib, io, sys\n"
+        "import artinhom.cli as cli\n"
+        "loaded = []\n"
+        "for fmt in ('text', 'jsonl'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['--system', sys.argv[1], '--format', fmt, 'nf', 'abab']) == 0\n"
+        "    loaded.append('json' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    result = run_child(["-c", code, str(path)])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[False, True]"
 
 
 def test_each_command_loads_only_the_package_modules_it_uses(tmp_path):
@@ -768,7 +788,7 @@ class TestChildProcesses:
                 ["salvetti-stats"],
                 {
                     "cli.main",
-                    "coxeter.canon",
+                    "salvetti.down_set",
                     "salvetti.cell_pair_check",
                     "homology.interval_complex",
                 },

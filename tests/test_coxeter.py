@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -18,8 +19,11 @@ from conftest import (
     affine_window,
     all_words,
     braid_class,
+    descents,
     dihedral_of_word,
+    enumerate_group,
     inversions,
+    is_t_minimal,
     make_affine_a2,
     perm_of_word,
 )
@@ -140,7 +144,7 @@ class TestLength:
 
     def test_exchange_condition(self, a2, b2):
         for system in (a2, b2):
-            for w in system.enumerate_group(system.gens):
+            for w in enumerate_group(system, system.gens):
                 for s in system.gens:
                     assert abs(len(system.canon(w + (s,))) - len(w)) == 1
 
@@ -247,7 +251,7 @@ class TestFiniteType:
     )
     def test_group_orders_confirm_catalogue(self, gens, orders, order_of_group):
         system = CoxeterSystem(gens, orders)
-        assert len(system.enumerate_group(gens)) == order_of_group
+        assert len(enumerate_group(system, gens)) == order_of_group
 
 
 class TestSubsetsAndSubgroups:
@@ -272,7 +276,7 @@ class TestSubsetsAndSubgroups:
                     assert T - {s} in subsets
 
     def test_enumerate_group_examples(self, a2, ainf):
-        assert a2.enumerate_group("ab") == [
+        assert enumerate_group(a2, "ab") == [
             (),
             ("a",),
             ("b",),
@@ -280,10 +284,23 @@ class TestSubsetsAndSubgroups:
             ("b", "a"),
             ("a", "b", "a"),
         ]
-        assert a2.enumerate_group("a") == [(), ("a",)]
-        assert a2.enumerate_group(()) == [()]
+        assert enumerate_group(a2, "a") == [(), ("a",)]
+        assert enumerate_group(a2, ()) == [()]
         with pytest.raises(InfiniteType):
-            ainf.enumerate_group("ab")
+            enumerate_group(ainf, "ab")
+
+    @pytest.mark.parametrize("maker", ["a2", "b2", "a3", "a1a1"])
+    def test_group_lists_ids_in_shortlex_order(self, maker, request):
+        # `_group` names each element of W_T once, in the order of the
+        # word-level enumeration, with its parent and last letter
+        system = request.getfixturevalue(maker)
+        for T in system.sf():
+            listed = system._group(T)
+            assert [system._word(i) for i, _, _ in listed] == enumerate_group(system, T), T
+            assert listed[0] == (0, 0, None)
+            for i, parent, s in listed[1:]:
+                word = system._word(i)
+                assert (system._word(listed[parent][0]), s) == (word[:-1], word[-1]), T
 
     def test_longest_element(self, a2, a1a1, a3, ainf):
         assert a2.longest_element("ab") == ("a", "b", "a")
@@ -297,7 +314,7 @@ class TestSubsetsAndSubgroups:
 
     def test_longest_element_is_unique_maximum(self, a2, b2, i25):
         for system in (a2, b2, i25):
-            elements = system.enumerate_group(system.gens)
+            elements = enumerate_group(system, system.gens)
             top = max(len(w) for w in elements)
             assert [w for w in elements if len(w) == top] == [
                 system.longest_element(system.gens)
@@ -306,24 +323,24 @@ class TestSubsetsAndSubgroups:
 
 class TestTMinimal:
     def test_examples(self, a2):
-        assert a2.is_t_minimal((), "ab")
-        assert a2.is_t_minimal((), "a")
-        assert not a2.is_t_minimal(("a",), "a")
-        assert a2.is_t_minimal(("b",), "a")
+        assert is_t_minimal(a2, (), "ab")
+        assert is_t_minimal(a2, (), "a")
+        assert not is_t_minimal(a2, ("a",), "a")
+        assert is_t_minimal(a2, ("b",), "a")
 
     @pytest.mark.parametrize("maker", ["a2", "b2", "a3"])
     def test_unique_minimal_per_coset(self, maker, request):
         system = request.getfixturevalue(maker)
-        elements = system.enumerate_group(system.gens)
+        elements = enumerate_group(system, system.gens)
         for T in system.sf():
-            subgroup = system.enumerate_group(T)
+            subgroup = enumerate_group(system, T)
             seen = set()
             for w in elements:
                 coset = frozenset(system.mul(w, h) for h in subgroup)
                 if coset in seen:
                     continue
                 seen.add(coset)
-                minimal = [v for v in coset if system.is_t_minimal(v, T)]
+                minimal = [v for v in coset if is_t_minimal(system, v, T)]
                 assert len(minimal) == 1
                 # the descent criterion picks out the shortest element
                 assert len(minimal[0]) == min(len(v) for v in coset)
@@ -397,9 +414,9 @@ class TestAgainstTits:
                 w = tits_canon(system, x)
                 left = {s for s in system.gens if len(tits_canon(system, (s,) + w)) < len(w)}
                 right = {s for s in system.gens if len(tits_canon(system, w + (s,))) < len(w)}
-                assert system.descents(w) == (left, right), (system.gens, x)
+                assert descents(system, w) == (left, right), (system.gens, x)
                 for T in subsets:
-                    assert system.is_t_minimal(x, T) == right.isdisjoint(T), (system.gens, x, T)
+                    assert is_t_minimal(system, x, T) == right.isdisjoint(T), (system.gens, x, T)
 
     def test_longest_element_on_finite_types(self, cases):
         checked = 0
@@ -495,18 +512,22 @@ class TestWholeTable:
         for w, left, right, inverse, times, strip in rows:
             i = ids[w]
             entry = system._elements[i]
-            assert (entry.word, entry.left, entry.right) == (w, left, right), (name, w)
-            assert system._elements[entry.inverse].word == inverse, (name, w)
+            # the word spelled from the table is the Tits canonical word,
+            # and reading it back finds the same id
+            assert system._word(i) == tits_canon(system, w) == w, (name, w)
+            assert system._lookup(system._word(i)) == i, (name, w)
+            assert (entry.left, entry.right) == (left, right), (name, w)
+            assert system._word(entry.inverse) == inverse, (name, w)
             for s in system.gens:
                 up = system._up(i, s)
                 if s in right:
                     assert up is None, (name, w, s)
                 else:
-                    assert system._elements[up].word == times[s], (name, w, s)
+                    assert system._word(up) == times[s], (name, w, s)
                     if times[s] in ids:
                         assert up == ids[times[s]], (name, w, s)
             for a in left:
-                assert system._elements[system._down(a, i)].word == strip[a], (name, w, a)
+                assert system._word(system._down(a, i)) == strip[a], (name, w, a)
 
 
 class TestLongWords:
@@ -516,6 +537,18 @@ class TestLongWords:
     def test_a_long_reduced_word_on_affine_a2(self):
         system = make_affine_a2()
         assert len(system.canon("abc" * 1000)) == 3000
+
+    def test_a_long_reduced_word_tables_no_words(self):
+        # the 17,992 elements tabled on the way to (abc)^1000 hold no word:
+        # with each entry's canonical word stored, the peak was 229 MB
+        system = make_affine_a2()
+        tracemalloc.start()
+        try:
+            assert system.canon(("a", "b", "c") * 1000) == ("a", "b", "c") * 1000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
 
     def test_a_long_word_times_its_inverse_on_a_triangle_group(self):
         system = CoxeterSystem("abc", {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 7})

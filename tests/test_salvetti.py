@@ -13,23 +13,32 @@ from artinhom.salvetti import (
     polygon_boundary_word,
     polygon_vertices,
     quotient_census,
-    sal_poset,
 )
-from conftest import make_a3, make_b3, make_i25, order_complex, sal_leq, translates
+from conftest import (
+    enumerate_group,
+    make_a3,
+    make_b3,
+    make_i25,
+    order_complex,
+    sal_leq,
+    translates,
+)
 
 
 def W(text):
     return tuple(text)
 
 
-def cell(word, T):
-    return (W(word), frozenset(T))
+def cell(system, word, T):
+    """The poset cell (u, T) with u the element the word names, by id."""
+    return (system._lookup(W(word)), frozenset(T))
 
 
 def act(system, w, c):
-    """Left multiplication of a poset cell (u, T) by a group element w."""
+    """Left multiplication of a poset cell (u, T) by the group element a
+    word w names, worked out on words."""
     u, T = c
-    return (system.mul(w, u), T)
+    return (system._lookup(system.mul(w, system._word(u))), T)
 
 
 # finite systems whose down-sets are checked cell by cell against `sal_leq`
@@ -50,14 +59,14 @@ def below_in(elements, leq):
 
 @pytest.fixture(scope="module")
 def poset_a2(a2):
-    return sal_poset(a2)
+    return SalvettiPoset(a2)
 
 
 class TestOrder:
     def test_examples(self, a2):
-        assert sal_leq(a2, cell("", ""), cell("a", "a"))
-        assert sal_leq(a2, cell("a", "a"), cell("a", "a"))
-        assert not sal_leq(a2, cell("a", "a"), cell("", "b"))
+        assert sal_leq(a2, cell(a2, "", ""), cell(a2, "a", "a"))
+        assert sal_leq(a2, cell(a2, "a", "a"), cell(a2, "a", "a"))
+        assert not sal_leq(a2, cell(a2, "a", "a"), cell(a2, "", "b"))
 
     def test_partial_order_axioms(self, poset_a2, a2):
         cells = poset_a2.cells
@@ -82,20 +91,27 @@ class TestPoset:
 
     def test_single_generator(self):
         system = CoxeterSystem("a")
-        poset = sal_poset(system)
+        poset = SalvettiPoset(system)
         assert poset.census() == (2, 2)
 
     def test_empty_system(self):
-        assert sal_poset(CoxeterSystem([])).census() == (1,)
+        assert SalvettiPoset(CoxeterSystem([])).census() == (1,)
 
     def test_infinite_type_rejected(self, ainf):
         with pytest.raises(InfiniteType):
-            sal_poset(ainf)
-        with pytest.raises(InfiniteType):
             SalvettiPoset(ainf)
 
+    def test_cells_are_w_by_sf_in_shortlex_order(self, poset_a2, a2):
+        # the cells name every element of W once by its id, each with every
+        # finite-type subset, in the ShortLex order of the elements' words
+        elements = enumerate_group(a2, "ab")
+        assert poset_a2.cells == [
+            (a2._lookup(w), T) for w in elements for T in a2.sf()
+        ]
+        assert [a2._word(u) for u, _ in poset_a2.cells[:: len(a2.sf())]] == elements
+
     def test_group_action_is_free_and_order_preserving(self, poset_a2, a2):
-        elements = a2.enumerate_group("ab")
+        elements = enumerate_group(a2, "ab")
         cells = poset_a2.cells
         for w in elements:
             if not w:
@@ -114,7 +130,7 @@ class TestPoset:
         orbits = set()
         for c in poset_a2.cells:
             orbit = frozenset(
-                act(a2, w, c) for w in a2.enumerate_group("ab")
+                act(a2, w, c) for w in enumerate_group(a2, "ab")
             )
             orbits.add(orbit)
         counts = {}
@@ -127,7 +143,7 @@ class TestPoset:
     @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
     def test_down_set_is_every_cell_below(self, system):
         # the listed down-set against the defining order, cell by cell
-        poset = sal_poset(system)
+        poset = SalvettiPoset(system)
         for high in poset.cells:
             below = {low for low in poset.cells if sal_leq(system, low, high)}
             listed = poset.down_set(high)
@@ -172,7 +188,7 @@ class TestOrderComplex:
     @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
     def test_listed_chains_are_the_pairwise_chains(self, system):
         # each cell's order complex, from listed down-sets and from `sal_leq`
-        poset = sal_poset(system)
+        poset = SalvettiPoset(system)
         for cell in poset.cells:
             closed = poset.down_set(cell)
             listed = order_complex(closed, poset.down_set)
@@ -186,9 +202,9 @@ class TestOrderComplex:
     def test_interval_chains_are_the_chains_ending_at_the_cell(self, system):
         # the pair check's chains, listed from (e, R) down to the sentinel,
         # against the order complex's chains that end at (e, R)
-        poset = sal_poset(system)
+        poset = SalvettiPoset(system)
         for R in system.sf():
-            top = ((), R)
+            top = (0, R)
             listed = interval_chains(
                 top, lambda q: [p for p in poset.down_set(q) if p != q], None
             )
@@ -199,7 +215,7 @@ class TestOrderComplex:
 
     def test_homology_ignores_simplex_order(self, poset_a2):
         complexes = [order_complex(poset_a2.cells, poset_a2.down_set)]
-        poset_b3 = sal_poset(make_b3())
+        poset_b3 = SalvettiPoset(make_b3())
         top = max(poset_b3.dim(c) for c in poset_b3.cells)
         for cell in poset_b3.cells:
             if poset_b3.dim(cell) == top:
@@ -216,12 +232,12 @@ class TestOrderComplex:
 
 class TestCellPairs:
     def test_point_pair(self, poset_a2):
-        report = cell_pair_check(poset_a2, cell("", ""))
+        report = cell_pair_check(poset_a2, cell(poset_a2.system, "", ""))
         assert report.closed_size == 1
         assert report.strict_size == 0
 
     def test_edge_pair_is_zero_sphere(self, poset_a2):
-        report = cell_pair_check(poset_a2, cell("", "a"))
+        report = cell_pair_check(poset_a2, cell(poset_a2.system, "", "a"))
         assert report.strict_size == 2
 
     def test_all_cells(self, poset_a2):
@@ -230,35 +246,36 @@ class TestCellPairs:
 
     def test_corrupted_poset_detected(self, a2, monkeypatch):
         # dropping a vertex from every listing breaks the sphere
-        poset = sal_poset(a2)
-        dropped = cell("a", "")
+        poset = SalvettiPoset(a2)
+        dropped = cell(a2, "a", "")
         listed = poset.down_set
         monkeypatch.setattr(
             poset, "down_set", lambda c: tuple(p for p in listed(c) if p != dropped)
         )
         with pytest.raises(CheckFailed, match="sphere"):
-            cell_pair_check(poset, cell("", "ab"))
+            cell_pair_check(poset, cell(a2, "", "ab"))
 
     @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
     def test_one_reduction_per_orbit(self, system):
         # every cell is checked as a translate of its (e, R), so only one
         # strict down-set per finite-type subset is reduced
-        poset = sal_poset(system)
+        poset = SalvettiPoset(system)
         for c in poset.cells:
             cell_pair_check(poset, c)
         assert set(poset._pair_homology) == set(system.sf())
 
-    def test_cell_outside_the_poset_fails(self, poset_a2):
-        # aa = e, so this names (e, {a}) in W, but it is no cell of the poset:
-        # its name is not canonical
-        outside = (W("aa"), frozenset("a"))
-        assert outside not in poset_a2.cells
-        with pytest.raises(CheckFailed):
-            cell_pair_check(poset_a2, outside)
+    def test_cell_outside_the_poset_fails(self, poset_a2, a2):
+        # a cell names its element by id: one past the table of W, or a
+        # word (aa = e names (e, {a}) in W), names no cell of the poset
+        for name in (len(a2._elements), -1, W("aa")):
+            outside = (name, frozenset("a"))
+            assert outside not in poset_a2.cells
+            with pytest.raises(CheckFailed):
+                cell_pair_check(poset_a2, outside)
 
     def test_type_outside_sf_fails(self, poset_a2, a2):
         # W is finite, so a type outside sf names a letter outside the system
-        outside = cell("", "ac")
+        outside = cell(a2, "", "ac")
         assert outside[1] not in a2.sf()
         with pytest.raises(CheckFailed):
             cell_pair_check(poset_a2, outside)
@@ -266,18 +283,21 @@ class TestCellPairs:
     def test_cell_missing_from_its_own_listing_fails(self, a2, monkeypatch):
         # (e, {a}) dropped from its own listing leaves the two points
         # (e, {}) and (a, {}) below it, a 0-sphere, but no cone on the cell
-        poset = sal_poset(a2)
+        poset = SalvettiPoset(a2)
         minimal = poset._minimal
 
         def without_identity_cell(R):
             return [
-                (beta, [T for T in types if beta or T != R])
-                for beta, types in minimal(R)
+                (parent, s, [T for T in types if s is not None or T != R])
+                for parent, s, types in minimal(R)
             ]
 
         monkeypatch.setattr(poset, "_minimal", without_identity_cell)
-        named = cell("b", "a")
-        assert set(poset.down_set(((), frozenset("a")))) == {cell("", ""), cell("a", "")}
+        named = cell(a2, "b", "a")
+        assert set(poset.down_set((0, frozenset("a")))) == {
+            cell(a2, "", ""),
+            cell(a2, "a", ""),
+        }
         with pytest.raises(CheckFailed, match="not in its own down-set"):
             cell_pair_check(poset, named)
 
@@ -289,15 +309,15 @@ class TestDeletedGuarantees:
 
     @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
     def test_every_cell_translates_its_identity_cell(self, system):
-        poset = sal_poset(system)
+        poset = SalvettiPoset(system)
         for c in poset.cells:
-            assert translates(poset, ((), c[1]), c), c
+            assert translates(poset, (0, c[1]), c), c
 
     @pytest.mark.parametrize("system", DOWN_SET_SYSTEMS, ids=DOWN_SET_IDS)
     def test_closed_down_sets_are_acyclic(self, system):
-        poset = sal_poset(system)
+        poset = SalvettiPoset(system)
         for T in system.sf():
-            closed = poset.down_set(((), T))
+            closed = poset.down_set((0, T))
             simplices = order_complex(closed, poset.down_set)
             assert all(h == HomologyGroup(0) for h in sentinel_homology(simplices)), T
 
@@ -327,7 +347,7 @@ class TestPolygons:
         ]
 
     def test_translated_polygons(self, b2):
-        for w in b2.enumerate_group("ab"):
+        for w in enumerate_group(b2, "ab"):
             vertices = polygon_vertices(b2, w, "a", "b")
             assert len(vertices) == 8
             assert len(set(vertices)) == 8
