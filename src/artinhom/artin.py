@@ -16,37 +16,35 @@ finite type or not.  So a pair u | v is normalized by moving letters
 a in L(v) but not in R(u) across, and the simples form a Garside family
 (Dehornoy-Digne-Godelle-Krammer-Michel, *Foundations of Garside Theory*,
 EMS 2015): after multiplying by a letter on the right one right-to-left
-sweep of pair normalizations restores the form, and after dividing by a
-letter on the left one left-to-right sweep does.
+sweep of pair normalizations restores the form; and the greatest simple
+left divisor of s * y being that of s * s_1, one left-to-right sweep
+puts a simple s in front of y (`_sweep`).
 
 A simple is named by the id of the Coxeter-group element it lifts in the
-table of W in `CoxeterSystem`, so its L and R are that element's descent
-sets and the transitions between simples (times a letter, strip a
-letter) are the group's (`CoxeterSystem._up` and `_down`), all read from
-that table, which grows in one place, `CoxeterSystem._make`.  Every pair
-normalization is memoized.  No class of positive words is ever
-enumerated; the test suite keeps braid-class enumeration as the oracle
-for everything here.
+table of W in `CoxeterSystem`: its L and R are that element's descent
+sets, its reversal is the element's inverse, and the transitions
+between simples are the group's (`CoxeterSystem._up` and `_down`).
+Every pair normalization is memoized.  No class of positive words is
+ever enumerated; braid-class enumeration is the tests' oracle.
 
 Each element met gets an integer id in one element table, filled in one
 place (`_element`) and keyed by normal form: per id it holds the normal
 form, L and R, the ids of the proper non-identity right divisors and of
-the reversal, and the canonical word.  `_layer` lists the ids of one
-length, building each x as w * s from the layer before, so the letters
-s that build x are R(x) and are recorded there; any other element gets
-R, the L of its reversal, on first need.  The ShortLex-least word peels
-min L(s_1) off repeatedly, once per element.  The right divisors of x
-are read off its splits d * q, listing the q only (`_divisors`); these
-are the entries of the chains of the interval [1, x] that the bar
-fibers, the matching's audits and the collapse hold as tuples of ids.
-A word goes in by folding its letters (`_id`) and comes back from an id
-(`_word`) only for answers, output and error messages.  Right-hand
-questions go through the reversal anti-automorphism, linked both ways
-between entries (`_reverse`).  Least common multiples use bounded
-search over ids.  `none` is reported only when non-existence is a
-theorem: every common multiple is left-divisible by all letters that
-left-divide an argument, and a set of letters has a common multiple
-only when it is of finite type (Brieskorn-Saito).
+the reversal, and no word.  `_layer` lists the ids of one length,
+building each x as w * s from the layer before, so the letters s that
+build x are R(x) and are recorded there; any other element gets R, the
+L of its reversal, on first need.  The right divisors of x are read off
+its splits d * q, listing the q only (`_divisors`); these are the
+entries of the chains of the interval [1, x] that the bar fibers, the
+matching's audits and the collapse hold as tuples of ids.  A word goes
+in by folding its letters (`_fold`) and is spelled (`_word`, peeling
+min L(s_1) off a copy of the normal form) only for answers, output and
+errors.  Right-hand questions go through the reversal, the W inverses
+of s_1, ..., s_k put in front in turn (`_reversal`).  Least common
+multiples use bounded search over ids.  `none` is reported only when
+non-existence is a theorem: every common multiple is left-divisible by
+all letters that left-divide an argument, and a set of letters has a
+common multiple only when it is of finite type (Brieskorn-Saito).
 """
 
 from __future__ import annotations
@@ -65,19 +63,14 @@ Normal = tuple[Simple, ...]
 
 
 class _Element:
-    """One monoid element: its normal form, L and R, its proper
-    non-identity right divisors (ids), the id of its reversal and its
-    canonical word.  All but the normal form and L are filled on first
-    need."""
+    """One monoid element: its normal form and L, and, filled on first need,
+    R and the ids of its proper non-identity right divisors and reversal."""
 
-    __slots__ = ("normal", "left", "right", "divisors", "reverse", "word")
+    __slots__ = ("normal", "left", "right", "divisors", "reverse")
 
     def __init__(self, normal: Normal, left: frozenset[str]):
         self.normal, self.left = normal, left
-        self.right: frozenset[str] | None = None
-        self.divisors: list[int] | None = None
-        self.reverse: int | None = None
-        self.word: Word | None = None
+        self.right = self.divisors = self.reverse = None
 
 
 class ArtinMonoid:
@@ -88,10 +81,10 @@ class ArtinMonoid:
         # the W table's entries, indexed by the ids that name the simples
         self._simples = system._elements
         # the element table: id -> entry, filled by `_element` alone; the
-        # identity is id 0, and its word is the one nothing is peeled from
+        # identity is id 0
         self._table: list[_Element] = []
         self._ids: dict[Normal, int] = {}
-        self._table[self._element(())].word = ()
+        self._element(())
         # length n -> the ids of the elements of length n, in ShortLex order
         self._layers: list[list[int]] = [[0]]
         self._pairs: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
@@ -136,12 +129,15 @@ class ArtinMonoid:
         return tuple(parts)
 
     def _strip_front(self, a: str, normal: Normal) -> Normal:
-        """Normal form of a^-1 * x, for a in L(x) = L(s_1): one
-        left-to-right sweep."""
-        head = self.system._down(a, normal[0])
+        """Normal form of a^-1 * x, for a in L(x) = L(s_1)."""
+        return self._sweep(self.system._down(a, normal[0]), normal[1:])
+
+    def _sweep(self, head: Simple, rest: Normal) -> Normal:
+        """Normal form of s * y, for a simple s and y in normal form: one
+        left-to-right sweep of pair normalizations."""
         if not head:
-            return normal[1:]
-        parts = [head, *normal[1:]]
+            return rest
+        parts = [head, *rest]
         for i in range(len(parts) - 1):
             u, v = self._normalize(parts[i], parts[i + 1])
             if v == parts[i + 1]:
@@ -155,6 +151,36 @@ class ArtinMonoid:
         """The letters that left-divide the element."""
         return self._simples[normal[0]].left if normal else frozenset()
 
+    def _prefix_quotient(self, r: Simple, s: Simple) -> Simple | None:
+        """The simple r^-1 * s, or None when r does not left-divide s: strip
+        the letters of L(r) from both, one at a time; they must lie in L(s)."""
+        simples, down = self._simples, self.system._down
+        while r:
+            a = next(iter(simples[r].left))
+            if a not in simples[s].left:
+                return None
+            r, s = down(a, r), down(a, s)
+        return s
+
+    def _left_quotient(self, normal: Normal, d: Normal) -> Normal | None:
+        """Normal form of d^-1 * x, or None when d does not left-divide x:
+        strip d's simples one at a time off s_1, as simple divisors must."""
+        for r in d:
+            head = self._prefix_quotient(r, normal[0]) if normal else None
+            if head is None:
+                return None
+            normal = self._sweep(head, normal[1:])
+        return normal
+
+    def _reversal(self, normal: Normal) -> Normal:
+        """Normal form of the reversal of s_1 | ... | s_k, the product of the
+        W inverses of s_k, ..., s_1: each put in front in turn, s_1's first."""
+        simples = self._simples
+        reverse: Normal = ()
+        for s in normal:
+            reverse = self._sweep(simples[s].inverse, reverse)
+        return reverse
+
     # -- the element table -----------------------------------------------------
 
     def _element(self, normal: Normal) -> int:
@@ -165,34 +191,33 @@ class ArtinMonoid:
             self._table.append(_Element(normal, self._left(normal)))
         return i
 
-    def _id(self, word: Word) -> int:
-        """Id of the element a word names: its checked letters folded in."""
+    def _fold(self, word: Iterable[str]) -> Normal:
+        """Normal form of the element a word names: its letters folded in."""
         normal: Normal = ()
         for a in self.system.check_word(word):
             normal = self._append(normal, a)
-        return self._element(normal)
+        return normal
+
+    def _id(self, word: Iterable[str]) -> int:
+        """Id of the element a word names."""
+        return self._element(self._fold(word))
 
     def _word(self, i: int) -> Word:
-        """ShortLex-least word: peel min L(x) until an element with a word is left."""
-        table = self._table
-        word = table[i].word
-        if word is None:
-            peeled: list[tuple[int, str]] = []
-            while table[i].word is None:
-                a = min(table[i].left, key=self.system.index)
-                peeled.append((i, a))
-                i = self._element(self._strip_front(a, table[i].normal))
-            word = table[i].word
-            for i, a in reversed(peeled):
-                word = table[i].word = (a,) + word
-        return word
+        """ShortLex-least word: peel min L(x) off the normal form, one sweep
+        a letter."""
+        normal = self._table[i].normal
+        word = []
+        while normal:
+            word.append(min(self._simples[normal[0]].left, key=self.system.index))
+            normal = self._strip_front(word[-1], normal)
+        return tuple(word)
 
     def _reverse(self, i: int) -> int:
         """Id of the reversal of element i, linked both ways on first need."""
         entry = self._table[i]
         j = entry.reverse
         if j is None:
-            j = entry.reverse = self._id(self._word(i)[::-1])
+            j = entry.reverse = self._element(self._reversal(entry.normal))
             self._table[j].reverse = i
         return j
 
@@ -264,19 +289,15 @@ class ArtinMonoid:
         return divisors
 
     def _quotient(self, x: int, d: int) -> int | None:
-        """Id of the y with y * d = x, or None when d does not right divide x."""
+        """Id of the y with y * d = x, or None when d does not right divide
+        x: strip rev(d) from rev(x), as rev(d) * rev(y) = rev(x)."""
         key = (x, d)
-        try:
-            return self._quotients[key]
-        except KeyError:
-            pass
-        # rev(d) * rev(y) = rev(x)
-        quotient = self._left_quotient(
-            self._table[self._reverse(x)].normal, self._word(d)[::-1]
-        )
-        result = None if quotient is None else self._reverse(self._element(quotient))
-        self._quotients[key] = result
-        return result
+        if key not in self._quotients:
+            rx, rd = (self._table[self._reverse(i)].normal for i in key)
+            quotient = self._left_quotient(rx, rd)
+            y = None if quotient is None else self._element(self._reversal(quotient))
+            self._quotients[key] = y
+        return self._quotients[key]
 
     # -- equivalence ------------------------------------------------------
 
@@ -284,39 +305,22 @@ class ArtinMonoid:
         return self._word(self._id(tuple(word)))
 
     def mul(self, *words: Iterable[str]) -> Word:
-        combined: tuple[str, ...] = ()
-        for w in words:
-            combined = combined + tuple(w)
-        return self.canon(combined)
+        return self.canon(a for w in words for a in w)
 
     def rev(self, word: Iterable[str]) -> Word:
         return self.canon(tuple(reversed(tuple(word))))
 
     # -- divisibility -----------------------------------------------------
 
-    def _left_quotient(self, normal: Normal, d: Word) -> Normal | None:
-        """Normal form of d^-1 * x, or None when the word d does not
-        left-divide x: strip d's letters one at a time."""
-        for a in d:
-            if a not in self._left(normal):
-                return None
-            normal = self._strip_front(a, normal)
-        return normal
-
     def left_divides(self, x: Iterable[str], y: Iterable[str]) -> bool:
         x = self.system.check_word(x)
         y = self.system.check_word(y)
         if len(x) > len(y):
             return False
-        return self._left_quotient(self._table[self._id(y)].normal, x) is not None
+        return self._left_quotient(self._fold(y), self._fold(x)) is not None
 
     def right_divides(self, x: Iterable[str], y: Iterable[str]) -> bool:
         return self.left_divides(tuple(x)[::-1], tuple(y)[::-1])
-
-    def right_quotient(self, x: Iterable[str], d: Iterable[str]) -> Word | None:
-        """The y with y*d = x, or None when d does not right divide x."""
-        y = self._quotient(self._id(tuple(x)), self._id(tuple(d)))
-        return None if y is None else self._word(y)
 
     # -- gcd / lcm ----------------------------------------------------------
 
@@ -326,7 +330,7 @@ class ArtinMonoid:
         A letter divides the gcd exactly when it divides every argument,
         so peeling the least such letter spells the gcd's canonical word.
         """
-        normals = [self._table[self._id(self.system.check_word(e))].normal for e in elems]
+        normals = [self._fold(e) for e in elems]
         if not normals:
             raise ValueError("left_gcd of an empty set")
         gcd: list[str] = []
@@ -370,7 +374,7 @@ class ArtinMonoid:
         elif bound is None:
             bound = DEFAULT_SEARCH_BOUND
         base = elems[-1]
-        others = elems[:-1]
+        others = [self._fold(e) for e in elems[:-1]]
         table = self._table
         # the ids of the multiples of base of each length; the others are
         # no longer than base, so a quotient decides divisibility
@@ -420,15 +424,11 @@ class ArtinMonoid:
             raise InfiniteType(f"no fundamental element on {sorted(T)}")
         return self.system.longest_element(T)
 
-    # -- finishing sets --------------------------------------------------------
+    # -- starting sets --------------------------------------------------------
 
     def starting_set(self, x: Iterable[str]) -> frozenset[str]:
         """Generators whose letter left divides x."""
-        return self._table[self._id(tuple(x))].left
-
-    def finishing_set(self, x: Iterable[str]) -> frozenset[str]:
-        """Generators whose letter right divides x."""
-        return self._right(self._id(tuple(x)))
+        return self._left(self._fold(x))
 
     # -- normal form ---------------------------------------------------------
 
@@ -438,21 +438,19 @@ class ArtinMonoid:
         Returns (T_1, ..., T_k) with x = delta(T_k) ... delta(T_1); the
         identity gets the empty tuple.  Each T_j is the finishing set of
         what remains, so the finishing-set condition holds by
-        construction and is re-verified in tests.
+        construction and is re-verified in tests.  The work is on the
+        reversal s_1 | ..., as delta(T) is its own: T = R(x) = L(s_1), and
+        delta(T) comes off s_1 by one W step and one sweep.
         """
-        rest = self.canon(x)
+        word = self.system.check_word(x)
+        rest = self._reversal(self._fold(word))
         parts: list[frozenset[str]] = []
         while rest:
-            T = self.finishing_set(rest)
-            if not self.system.is_finite_type(T):
-                raise InternalError(
-                    f"finishing set {sorted(T)} of {rest} is not finite type"
-                )
-            quotient = self.right_quotient(rest, self.delta(T))
-            if quotient is None:
-                raise InternalError(
-                    f"delta of {sorted(T)} does not right divide {rest}"
-                )
+            T = self._simples[rest[0]].left
+            finite = self.system.is_finite_type(T)
+            head = self._prefix_quotient(self.system._longest(T), rest[0]) if finite else None
+            if head is None:
+                raise InternalError(f"no delta of finishing set {sorted(T)} divides {word}")
             parts.append(T)
-            rest = quotient
+            rest = self._sweep(head, rest[1:])
         return tuple(parts)

@@ -318,7 +318,9 @@ def interval_chains(
             chains_from[p] = found
         return found
 
-    return descend(top)
+    chains = descend(top)
+    del descend  # a closure that refers to itself: free the memo now, not at a GC pass
+    return chains
 
 
 def interval_complex(chains: Iterable[tuple], dims: int = 0) -> IntChainComplex:

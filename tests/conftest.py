@@ -17,6 +17,7 @@ command line is checked against the argparse parser it replaced
 import argparse
 import math
 import sys
+import weakref
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -540,27 +541,79 @@ def all_words(letters, max_len):
 # -- monoid, cell and matching oracles -------------------------------------------
 
 
+# per monoid: word -> element id and id -> canonical word, so that the
+# oracles below fold each word and spell each element once
+_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memos(mon):
+    memos = _MEMOS.get(mon)
+    if memos is None:
+        memos = _MEMOS[mon] = ({}, {})
+    return memos
+
+
+def forget_words(mon):
+    """Drop a monoid's word memos, so the next query folds and spells anew."""
+    _MEMOS.pop(mon, None)
+
+
+def word_id(mon, word):
+    """The id the library holds for a positive word's element."""
+    by_word = _memos(mon)[0]
+    word = tuple(word)
+    i = by_word.get(word)
+    if i is None:
+        i = by_word[word] = mon._id(word)
+    return i
+
+
+def spell(mon, i):
+    """The canonical word of the element with id i."""
+    by_id = _memos(mon)[1]
+    word = by_id.get(i)
+    if word is None:
+        word = by_id[i] = mon._word(i)
+    return word
+
+
+def product(mon, *factors):
+    """The canonical word of a product of positive words."""
+    return spell(mon, word_id(mon, (a for w in factors for a in w)))
+
+
+def right_quotient(mon, x, d):
+    """The y with y * d = x, or None when d does not right divide x."""
+    y = mon._quotient(word_id(mon, x), word_id(mon, d))
+    return None if y is None else spell(mon, y)
+
+
+def finishing_set(mon, x):
+    """The letters that right-divide x."""
+    return mon._right(word_id(mon, x))
+
+
 def ids(mon, words):
     """The chain of element ids the library holds for a sequence of
     positive words, such as the suffix products of a cell."""
-    return tuple(mon._id(tuple(w)) for w in words)
+    return tuple(word_id(mon, w) for w in words)
 
 
 def words(mon, chain):
     """The canonical words of the elements of a chain of ids."""
-    return tuple(mon._word(i) for i in chain)
+    return tuple(spell(mon, i) for i in chain)
 
 
 def right_divisors(mon, x):
     """The proper non-identity right divisors of x as the monoid's element
     table lists them, as words."""
-    return [mon._word(q) for q in mon._divisors(mon._id(tuple(x)))]
+    return [spell(mon, q) for q in mon._divisors(word_id(mon, x))]
 
 
 def elements_of_length(mon, n):
     """The canonical words of the monoid elements of length n, in the
     ShortLex order of the layer the monoid builds."""
-    return [mon._word(i) for i in mon._layer(n)]
+    return [spell(mon, i) for i in mon._layer(n)]
 
 
 def iter_cells_of_grade(mon, n):
@@ -591,7 +644,7 @@ def factorizations(mon, x):
         if found is None:
             found = [((y,), (y, ()))]
             for q in right_divisors(mon, y):
-                d = mon.right_quotient(y, q)
+                d = right_quotient(mon, y, q)
                 found.extend(((d,) + cell, (y,) + tail) for cell, tail in of(q))
             memo[y] = found
         return found
@@ -608,7 +661,7 @@ def suffix_products(mon, cell):
     j = 0..n, so P[0] is the product and P[n] the identity."""
     products = [()] * (len(cell) + 1)
     for j in range(len(cell) - 1, -1, -1):
-        products[j] = mon.mul(cell[j], products[j + 1])
+        products[j] = product(mon, cell[j], products[j + 1])
     return tuple(products)
 
 
@@ -616,7 +669,7 @@ def merge_faces(mon, cell):
     """The length-preserving faces of a cell: x_i and x_{i+1} merged, of
     sign (-1)^i."""
     return [
-        (-1 if i % 2 else 1, cell[: i - 1] + (mon.mul(cell[i - 1], cell[i]),) + cell[i + 1 :])
+        (-1 if i % 2 else 1, cell[: i - 1] + (product(mon, cell[i - 1], cell[i]),) + cell[i + 1 :])
         for i in range(1, len(cell))
     ]
 
@@ -794,7 +847,7 @@ class CellMatching:
 
     def _m1_edge(self, cell, products):
         d = self._depth(products)
-        R = self.mon.finishing_set(products[d - 2])
+        R = finishing_set(self.mon, products[d - 2])
         if R == self._m1_target(products, d):
             return MatchEdge(cell, self._merge_at(cell, d), "M1")
         return MatchEdge(self._split_at(cell, products, d, R), cell, "M1")
@@ -840,17 +893,17 @@ class CellMatching:
         return self._m1_edge(cell, products)
 
     def _merge_at(self, cell, d):
-        return cell[: d - 2] + (self.mon.mul(cell[d - 2], cell[d - 1]),) + cell[d:]
+        return cell[: d - 2] + (product(self.mon, cell[d - 2], cell[d - 1]),) + cell[d:]
 
     def _split_at(self, cell, products, d, target):
         """Split x_{d-1} = beta * y so the new tail product equals delta(target)."""
         delta = self.deltas.get(target)
         if delta is None:
             raise InternalError(f"no fundamental element on {sorted(target)}")
-        y = self.mon.right_quotient(delta, products[d - 1])
+        y = right_quotient(self.mon, delta, products[d - 1])
         if y is None:
             raise InternalError(f"tail of {cell} does not divide delta of {sorted(target)}")
-        beta = self.mon.right_quotient(cell[d - 2], y)
+        beta = right_quotient(self.mon, cell[d - 2], y)
         if beta is None or not beta:
             raise InternalError(f"degenerate split of {cell} at position {d}")
         return cell[: d - 2] + (beta, y) + cell[d - 1 :]
@@ -861,7 +914,7 @@ class CellMatching:
         if edges is not None:
             given = {}
             for edge in edges:
-                given.setdefault(self.mon.mul(*edge.lower), set()).add(edge)
+                given.setdefault(product(self.mon, *edge.lower), set()).add(edge)
         for x in elements_of_length(self.mon, length):
             # cell -> (flag, essential, suffix products)
             cells = {}

@@ -31,6 +31,7 @@ from conftest import (
     elements_of_length,
     entry,
     enumerate_group,
+    finishing_set,
     ids,
     is_squarefree,
     make_a1a1,
@@ -40,6 +41,7 @@ from conftest import (
     make_b2,
     make_i25,
     recompose,
+    right_quotient,
     sal_leq,
     words,
 )
@@ -241,7 +243,7 @@ def test_criterion_08_normal_form(stack):
                 assert recompose(mon, parts) == x, (name, x)
                 for j in range(len(parts)):
                     assert (
-                        mon.finishing_set(recompose(mon, parts[j:])) == parts[j]
+                        finishing_set(mon, recompose(mon, parts[j:])) == parts[j]
                     ), (name, x, j)
         for n in range(1, 5):
             for x in elements_of_length(mon, n):
@@ -260,7 +262,7 @@ def _valid_tuples(mon, deltas, x):
             found.append(tuple(parts))
             return
         for T, d in deltas.items():
-            rest = mon.right_quotient(remaining, d)
+            rest = right_quotient(mon, remaining, d)
             if rest is not None:
                 extend(rest, parts + [T])
 
@@ -270,7 +272,7 @@ def _valid_tuples(mon, deltas, x):
         for parts in found
         if recompose(mon, parts) == x
         and all(
-            mon.finishing_set(recompose(mon, parts[j:])) == parts[j]
+            finishing_set(mon, recompose(mon, parts[j:])) == parts[j]
             for j in range(len(parts))
         )
     ]

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,8 @@ from conftest import (
     braid_class,
     descents,
     elements_of_length,
+    finishing_set,
+    forget_words,
     is_squarefree,
     make_a2,
     make_a3,
@@ -19,6 +22,7 @@ from conftest import (
     make_b3,
     recompose,
     right_divisors,
+    right_quotient,
 )
 
 
@@ -97,9 +101,9 @@ class TestDivisibility:
         for x in words:
             for y in words:
                 product = mon_a2.mul(x, y)
-                assert mon_a2.right_quotient(product, y) == mon_a2.canon(x)
+                assert right_quotient(mon_a2, product, y) == mon_a2.canon(x)
                 # the left quotient, through the reversal anti-automorphism
-                left = mon_a2.right_quotient(mon_a2.rev(product), mon_a2.rev(x))
+                left = right_quotient(mon_a2, mon_a2.rev(product), mon_a2.rev(x))
                 assert mon_a2.rev(left) == mon_a2.canon(y)
                 if x and y:
                     assert mon_a2.canon(y) in right_divisors(mon_a2, product)
@@ -195,9 +199,9 @@ class TestDelta:
 
 class TestFinishingRevSquarefree:
     def test_finishing_set(self, mon_a2):
-        assert mon_a2.finishing_set(W("aba")) == {"a", "b"}
-        assert mon_a2.finishing_set(W("ab")) == {"b"}
-        assert mon_a2.finishing_set(()) == frozenset()
+        assert finishing_set(mon_a2, W("aba")) == {"a", "b"}
+        assert finishing_set(mon_a2, W("ab")) == {"b"}
+        assert finishing_set(mon_a2, ()) == frozenset()
 
     def test_rev(self, mon_a2):
         assert mon_a2.rev(W("ab")) == W("ba")
@@ -237,7 +241,7 @@ class TestNormalForm:
             for word in all_words(letters, 5):
                 parts = mon.normal_form(word)
                 for j in range(len(parts)):
-                    assert mon.finishing_set(recompose(mon, parts[j:])) == parts[j]
+                    assert finishing_set(mon, recompose(mon, parts[j:])) == parts[j]
 
     def test_uniqueness_by_exhaustive_search(self, mon_a2):
         deltas = {T: mon_a2.delta(T) for T in mon_a2.system.sf() if T}
@@ -250,7 +254,7 @@ class TestNormalForm:
                     found.append(tuple(parts))
                     return
                 for T, d in deltas.items():
-                    rest = mon_a2.right_quotient(remaining, d)
+                    rest = right_quotient(mon_a2, remaining, d)
                     if rest is not None:
                         extend(rest, parts + [T])
 
@@ -260,7 +264,7 @@ class TestNormalForm:
                 if recompose(mon_a2, parts) != mon_a2.canon(x):
                     continue
                 if all(
-                    mon_a2.finishing_set(recompose(mon_a2, parts[j:])) == parts[j]
+                    finishing_set(mon_a2, recompose(mon_a2, parts[j:])) == parts[j]
                     for j in range(len(parts))
                 ):
                     valid.append(parts)
@@ -282,12 +286,22 @@ def random_system(rng):
     return CoxeterSystem(order, orders)
 
 
+# the queries the tests' helpers answer from the element tables
+TABLE_QUERIES = {
+    "right_divisors": right_divisors,
+    "finishing_set": finishing_set,
+    "right_quotient": right_quotient,
+}
+
+
 def ask(mon, query):
-    """One query of the monoid, of its system or, for `right_divisors`
-    and `descents`, of the element tables."""
+    """One query of the monoid, of its system or, for `descents` and
+    `TABLE_QUERIES`, of the element tables."""
     on_monoid, name, args = query
-    if name == "right_divisors":
-        return right_divisors(mon, *args)
+    if name in TABLE_QUERIES:
+        # each query folds its words afresh, in the memo state it meets
+        forget_words(mon)
+        return TABLE_QUERIES[name](mon, *args)
     if name == "descents":
         return descents(mon.system, *args)
     return getattr(mon if on_monoid else mon.system, name)(*args)
@@ -364,7 +378,7 @@ class TestAgainstBraidClasses:
             for x, y in zip(words, words[1:] + words[:1]):
                 assert mon.canon(x) == oracle.canon(x), (mon.system.gens, x)
                 assert mon.rev(x) == oracle.rev(x), (mon.system.gens, x)
-                assert mon.finishing_set(x) == oracle.finishing_set(x), (mon.system.gens, x)
+                assert finishing_set(mon, x) == oracle.finishing_set(x), (mon.system.gens, x)
                 assert mon.starting_set(x) == oracle.starting_set(x), (mon.system.gens, x)
                 if len(x) + len(y) <= 10:
                     assert mon.mul(x, y) == oracle.canon(x + y), (mon.system.gens, x, y)
@@ -377,7 +391,7 @@ class TestAgainstBraidClasses:
                         args = (mon.system.gens, x, y)
                         assert mon.left_divides(x, y) == oracle.left_divides(x, y), args
                         assert mon.right_divides(x, y) == oracle.right_divides(x, y), args
-                        assert mon.right_quotient(y, x) == oracle.right_quotient(y, x), args
+                        assert right_quotient(mon, y, x) == oracle.right_quotient(y, x), args
                 quotients = [q for _, q in oracle.left_splits(y)]
                 assert right_divisors(mon, y) == quotients, (mon.system.gens, y)
 
@@ -443,11 +457,13 @@ class TestElementTable:
     def test_elements_built_by_layers(self, maker, top):
         system = maker()
         mon, oracle = ArtinMonoid(system), BraidClassMonoid(system)
+        # an entry has no slot for a word, and no dict to hold one
+        entry = mon._table[0]
+        assert "word" not in type(entry).__slots__ and not hasattr(entry, "__dict__")
         for n in range(top + 1):
             layer = mon._layer(n)
-            # R was recorded as the layer was built, and no word was spelled
+            # R was recorded as the layer was built
             assert n == 0 or all(mon._table[i].right is not None for i in layer), n
-            assert n == 0 or all(mon._table[i].word is None for i in layer), n
             words = [mon._word(i) for i in layer]
             assert words == sorted(words, key=system.key), n
             for i in layer:
@@ -471,3 +487,21 @@ class TestElementTable:
             lengths[len(mon._word(i))] += 1
             self.check_entry(mon, oracle, i)
         assert lengths == [len(elements_of_length(mon, n)) for n in range(top + 1)]
+
+    def test_normal_form_holds_no_words(self):
+        # W's table for the word (its prefixes and their inverses, 3.7 MB
+        # here) is the group's and is built first; what the monoid holds
+        # on top is its own tables, in which normal_form puts nothing
+        system = make_affine_a2()
+        word = ("a", "b", "c") * 300
+        system.canon(word)
+        mon = ArtinMonoid(system)
+        tracemalloc.start()
+        try:
+            parts = mon.normal_form(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parts == (frozenset("c"), frozenset("b"), frozenset("a")) * 300
+        assert len(mon._table) == 1, "only the identity is tabled"
+        assert peak < 1_000_000, peak
